@@ -28,7 +28,6 @@ from .grid_model import (
     relabel,
 )
 from .hilbert_function import (
-    DeltaTable,
     HilbertTable,
     delta_table,
     evaluation_rank,

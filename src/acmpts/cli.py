@@ -27,7 +27,7 @@ from .constructions import (
 )
 from .errors import InputError
 from .grid_model import GridPoint, PointSet, canonicalize
-from .hilbert_function import DeltaTable, HilbertTable, delta_table, hilbert_table
+from .hilbert_function import HilbertTable, delta_table, hilbert_table
 from .level_structure import inclusion_property, interface_set, level_sets, remove_level
 from .reisner_oracle import first_cm_failure, is_cm
 from .star_property import check_star, find_path, is_acm
@@ -45,7 +45,23 @@ class ConfigurationFile:
         return canonicalize(self.points)
 
 
-def load_configuration(path: str | Path) -> ConfigurationFile:
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_tuple(value: object, what: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, rejecting bools, floats and strings."""
+    if (
+        not isinstance(value, list)
+        or (length is not None and len(value) != length)
+        or not all(map(_is_int, value))
+    ):
+        count = "" if length is None else f"{length} "
+        raise InputError(f"bad {what} {value!r}; expected a list of {count}integers")
+    return tuple(value)
+
+
+def _read_json_object(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -55,21 +71,18 @@ def load_configuration(path: str | Path) -> ConfigurationFile:
         raise InputError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be an object")
+    return data
+
+
+def load_configuration(path: str | Path) -> ConfigurationFile:
+    data = _read_json_object(path)
     n = data.get("n")
     pts = data.get("points")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"{path}: 'n' must be a positive integer")
     if not isinstance(pts, list) or not pts:
         raise InputError(f"{path}: 'points' must be a nonempty list")
-    points = []
-    for p in pts:
-        if (
-            not isinstance(p, list)
-            or len(p) != n
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in p)
-        ):
-            raise InputError(f"{path}: bad point {p!r}; expected {n} integers")
-        points.append(tuple(p))
+    points = [_int_tuple(p, f"{path}: point", n) for p in pts]
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(points) or not all(
@@ -134,7 +147,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_table(table: HilbertTable | DeltaTable, name: str) -> None:
+def _render_table(table: HilbertTable, name: str) -> None:
     T = table.box
     n = len(T)
     if n == 1:
@@ -191,42 +204,28 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_construct_config(path: str | Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path} is not valid JSON: {e}") from e
-    if not isinstance(data, dict) or data.get("mode") not in {"liaison", "layer"}:
-        raise InputError(f"{path}: 'mode' must be 'liaison' or 'layer'")
-    return data
-
-
 def _construct_liaison(data: dict, out: str | None) -> int:
     summands = data.get("summands")
     supports = data.get("supports")
     if not isinstance(summands, list) or not isinstance(supports, list):
         raise InputError("liaison config needs 'summands' and 'supports' lists")
-    try:
-        parts = tuple(frozenset(tuple(map(int, p)) for p in part) for part in summands)
-        forms = tuple(
-            DirectionForm(direction=i, support=frozenset(map(int, sup)))
-            for i, sup in enumerate(supports, start=1)
-        )
-    except (TypeError, ValueError) as e:
-        raise InputError(f"bad liaison config: {e}") from e
+    if not all(isinstance(part, list) for part in summands):
+        raise InputError("each liaison summand must be a list of points")
+    parts = tuple(frozenset(_int_tuple(p, "summand point") for p in part) for part in summands)
+    forms = tuple(
+        DirectionForm(direction=i, support=frozenset(_int_tuple(sup, "support")))
+        for i, sup in enumerate(supports, start=1)
+    )
     inp = LiaisonInput(summands=parts, forms=forms)
+    box = _int_tuple(data["box"], "box", inp.n) if "box" in data else None
     result = liaison_addition(inp)
     Z = result.point_set
+    ok = verify_hf_additivity(inp, Z, box)
     counts: dict[str, int] = {}
     for label in result.provenance.values():
         counts[label] = counts.get(label, 0) + 1
     parts_txt = ", ".join(f"{k}: {counts[k]} point(s)" for k in sorted(counts))
     print(f"liaison addition: {Z.size} points ({parts_txt})")
-    box = tuple(data["box"]) if "box" in data else None
-    ok = verify_hf_additivity(inp, Z, box)
     box_txt = ",".join(map(str, box)) if box else "default"
     print(f"hf additivity: {'verified' if ok else 'FAILED'} on box ({box_txt})")
     if out:
@@ -238,14 +237,14 @@ def _construct_liaison(data: dict, out: str | None) -> int:
 def _construct_layer(data: dict, out: str | None) -> int:
     pts = data.get("points")
     direction = data.get("direction")
-    if not isinstance(pts, list) or not isinstance(direction, int):
-        raise InputError("layer config needs 'points' and integer 'direction'")
-    fresh = bool(data.get("fresh", True))
-    X = canonicalize([tuple(map(int, p)) for p in pts])
+    fresh = data.get("fresh", True)
+    if not isinstance(pts, list) or not _is_int(direction) or not isinstance(fresh, bool):
+        raise InputError("layer config needs 'points', integer 'direction', boolean 'fresh'")
+    X = canonicalize([_int_tuple(p, "layer point") for p in pts])
+    box = _int_tuple(data["box"], "box", X.n) if "box" in data else (2,) * X.n
     Z = add_layer(X, direction, fresh)
-    print(f"layer construction: {X.size} points + {Z.size - X.size} layer points = {Z.size}")
-    box = tuple(data["box"]) if "box" in data else (2,) * X.n
     ok = verify_layer_hf(X, direction, box, fresh)
+    print(f"layer construction: {X.size} points + {Z.size - X.size} layer points = {Z.size}")
     print(f"hf additivity: {'verified' if ok else 'FAILED'} on box ({','.join(map(str, box))})")
     if out:
         save_configuration(Z, out)
@@ -254,10 +253,12 @@ def _construct_layer(data: dict, out: str | None) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    data = _load_construct_config(args.config)
-    if data["mode"] == "liaison":
+    data = _read_json_object(args.config)
+    if data.get("mode") == "liaison":
         return _construct_liaison(data, args.out)
-    return _construct_layer(data, args.out)
+    if data.get("mode") == "layer":
+        return _construct_layer(data, args.out)
+    raise InputError(f"{args.config}: 'mode' must be 'liaison' or 'layer'")
 
 
 def _acm_or_empty(points: list[GridPoint]) -> bool:
@@ -306,6 +307,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise InputError(f"exhaustive run over {ncells} cells exceeds the 27-cell cap")
         masks = range(1, 1 << ncells)
     else:
+        if args.random < 1:
+            raise InputError(f"--random {args.random}: need at least one configuration")
         if args.seed is None:
             raise InputError("--random requires --seed")
         rng = random.Random(args.seed)

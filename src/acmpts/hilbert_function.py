@@ -26,19 +26,9 @@ from .linalg import rank_int
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """Values of h_X on the box 0 <= t <= T (componentwise)."""
-
-    box: MultiDegree
-    values: Mapping[MultiDegree, int]
-
-    def __getitem__(self, t: Sequence[int]) -> int:
-        return self.values[tuple(t)]
-
-
-@dataclass(frozen=True)
-class DeltaTable:
-    """First differences of h_X on the box 0 <= t <= T; entries may be
-    negative for non-ACM configurations."""
+    """Values of h_X, or of its first differences, on the box 0 <= t <= T
+    (componentwise); first differences may be negative for non-ACM
+    configurations."""
 
     box: MultiDegree
     values: Mapping[MultiDegree, int]
@@ -56,7 +46,7 @@ def _check_degree(t: Sequence[int]) -> MultiDegree:
 
 def box_degrees(T: Sequence[int]) -> Iterable[MultiDegree]:
     """All multidegrees 0 <= t <= T in lexicographic order."""
-    return itertools.product(*[range(Ti + 1) for Ti in T])
+    return itertools.product(*[range(Ti + 1) for Ti in _check_degree(T)])
 
 
 def evaluation_rank(points: Iterable[GridPoint], t: Sequence[int]) -> int:
@@ -69,6 +59,8 @@ def evaluation_rank(points: Iterable[GridPoint], t: Sequence[int]) -> int:
     pts = sorted(set(points))
     if not pts:
         return 0
+    if any(len(p) != len(t) for p in pts):
+        raise BadDegree(f"degree {t} does not match the point dimension")
     rows = []
     for p in pts:
         pows = [[c**a for a in range(ti + 1)] for c, ti in zip(p, t)]
@@ -99,7 +91,7 @@ def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
     return HilbertTable(box=T, values=values)
 
 
-def delta_table(X: PointSet, T: Sequence[int]) -> DeltaTable:
+def delta_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
     """First differences of h_X over the box 0 <= t <= T."""
     ht = hilbert_table(X, T)
     n = X.n
@@ -113,4 +105,4 @@ def delta_table(X: PointSet, T: Sequence[int]) -> DeltaTable:
             sign = -1 if bin(mask).count("1") % 2 else 1
             total += sign * ht.values[shifted]
         values[t] = total
-    return DeltaTable(box=ht.box, values=values)
+    return HilbertTable(box=ht.box, values=values)

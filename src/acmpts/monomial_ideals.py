@@ -2,9 +2,12 @@
 
 Replacing the hyperplane through level j of direction i by a fresh
 variable a[i,j] turns a configuration into the intersection of the point
-primes (a[1,p_1], ..., a[n,p_n]).  This module keeps just enough ideal
-arithmetic for that reduction: point primes, pairwise intersections via
-least common multiples, minimal generating sets, and membership.
+primes (a[1,p_1], ..., a[n,p_n]).  Every monomial that arises is
+squarefree, so a monomial is stored as the frozenset of its variables,
+the same object as a face of the Stanley-Reisner complex: lcm is union,
+division is inclusion and degree is size.  This module keeps just
+enough ideal arithmetic for that reduction: point primes, pairwise
+intersections, minimal generating sets, and membership.
 """
 
 from __future__ import annotations
@@ -25,83 +28,28 @@ class GridVariable(NamedTuple):
         return f"a[{self.direction},{self.level}]"
 
 
-class Monomial:
-    """An exponent vector over grid variables, all exponents >= 1."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: Iterable[tuple[GridVariable, int]]):
-        pairs = tuple(sorted((GridVariable(*v), int(e)) for v, e in exps))
-        if any(e < 1 for _, e in pairs):
-            raise ValueError("exponents must be positive")
-        if len({v for v, _ in pairs}) != len(pairs):
-            raise ValueError("repeated variable")
-        self.exps = pairs
-
-    @classmethod
-    def from_vars(cls, variables: Iterable[GridVariable]) -> "Monomial":
-        exps: dict[GridVariable, int] = {}
-        for v in variables:
-            exps[v] = exps.get(v, 0) + 1
-        return cls(exps.items())
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    @property
-    def support(self) -> frozenset[GridVariable]:
-        return frozenset(v for v, _ in self.exps)
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
-
-    def multidegree(self, n: int) -> tuple[int, ...]:
-        """Total exponent per direction, as a length-n degree vector."""
-        degs = [0] * n
-        for v, e in self.exps:
-            degs[v.direction - 1] += e
-        return tuple(degs)
-
-    def divides(self, other: "Monomial") -> bool:
-        theirs = dict(other.exps)
-        return all(theirs.get(v, 0) >= e for v, e in self.exps)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return (self.degree, self.exps) < (other.degree, other.exps)
-
-    def __repr__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in self.exps)
+Monomial = frozenset
 
 
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a.exps)
-    for v, e in b.exps:
-        exps[v] = max(exps.get(v, 0), e)
-    return Monomial(exps.items())
+def multidegree(m: Monomial, n: int) -> tuple[int, ...]:
+    """Number of variables per direction, as a length-n degree vector."""
+    degs = [0] * n
+    for v in m:
+        degs[v.direction - 1] += 1
+    return tuple(degs)
 
 
 class MonomialIdeal:
-    """A monomial ideal stored by its minimal generating set."""
+    """A squarefree monomial ideal stored by its minimal generating set."""
 
     __slots__ = ("generators",)
 
     def __init__(self, generators: Iterable[Monomial]):
         gens = set(generators)
-        self.generators = frozenset(
-            m for m in gens if not any(o != m and o.divides(m) for o in gens)
-        )
+        self.generators = frozenset(m for m in gens if not any(o < m for o in gens))
 
     def sorted_generators(self) -> list[Monomial]:
-        return sorted(self.generators)
+        return sorted(self.generators, key=lambda m: (len(m), sorted(m)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MonomialIdeal) and self.generators == other.generators
@@ -110,23 +58,22 @@ class MonomialIdeal:
         return hash(self.generators)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(map(repr, self.sorted_generators())) + ")"
+        gens = ("*".join(map(str, sorted(m))) or "1" for m in self.sorted_generators())
+        return "(" + ", ".join(gens) + ")"
 
 
 def point_prime(p: GridPoint) -> MonomialIdeal:
     """The prime (a[1,p_1], ..., a[n,p_n]) of a single grid point."""
-    return MonomialIdeal(
-        Monomial.from_vars([GridVariable(i + 1, c)]) for i, c in enumerate(p)
-    )
+    return MonomialIdeal(Monomial({GridVariable(i + 1, c)}) for i, c in enumerate(p))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Minimal generators of the intersection, via pairwise lcms."""
-    return MonomialIdeal(lcm(g, h) for g in I.generators for h in J.generators)
+    return MonomialIdeal(g | h for g in I.generators for h in J.generators)
 
 
 def configuration_ideal(X: PointSet) -> MonomialIdeal:
-    """Intersection of the point primes of X; generators are squarefree."""
+    """Intersection of the point primes of X."""
     if X.size == 0:
         raise EmptyConfiguration("configuration ideal needs a nonempty configuration")
     return reduce(intersect, (point_prime(p) for p in X.sorted_points()))
@@ -134,7 +81,7 @@ def configuration_ideal(X: PointSet) -> MonomialIdeal:
 
 def contains(I: MonomialIdeal, m: Monomial) -> bool:
     """Membership: some minimal generator divides m."""
-    return any(g.divides(m) for g in I.generators)
+    return any(g <= m for g in I.generators)
 
 
 def ci_generators(P: GridPoint, Q: GridPoint) -> list[Monomial]:
@@ -143,13 +90,10 @@ def ci_generators(P: GridPoint, Q: GridPoint) -> list[Monomial]:
     coordinates differ."""
     if len(P) != len(Q):
         raise DimensionMismatch(f"points {P} and {Q} have different lengths")
-    gens = []
-    for i, (a, b) in enumerate(zip(P, Q), start=1):
-        if a == b:
-            gens.append(Monomial.from_vars([GridVariable(i, a)]))
-        else:
-            gens.append(Monomial.from_vars([GridVariable(i, a), GridVariable(i, b)]))
-    return gens
+    return [
+        Monomial({GridVariable(i, a), GridVariable(i, b)})
+        for i, (a, b) in enumerate(zip(P, Q), start=1)
+    ]
 
 
 def grid_variables(dims: Iterable[int]) -> list[GridVariable]:
@@ -166,4 +110,4 @@ def squarefree_monomials(dims: Iterable[int], max_degree: int) -> Iterable[Monom
     variables = grid_variables(dims)
     for k in range(max_degree + 1):
         for combo in itertools.combinations(variables, k):
-            yield Monomial.from_vars(combo)
+            yield Monomial(combo)

@@ -58,10 +58,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
-    def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
-
     def faces(self) -> list[Face]:
         """All faces, sorted by size then vertex order (empty face first)."""
         return _faces_of(self)
@@ -204,13 +200,9 @@ def cm_obstruction(
 def is_cm(X: PointSet) -> bool:
     """Cohen-Macaulayness of the configuration's Stanley-Reisner model.
 
-    Purity is a necessary condition and is checked first, although the
-    construction makes every facet the same size.
+    Purity, a necessary condition, holds by construction of sr_complex.
     """
-    delta = sr_complex(X)
-    if not delta.is_pure():
-        return False
-    return cm_obstruction(delta) is None
+    return cm_obstruction(sr_complex(X)) is None
 
 
 def first_cm_failure(X: PointSet) -> tuple[Face, int, int] | None:

@@ -206,3 +206,155 @@ def test_enumerate_error_exits(tmp_path, capsys):
     assert main(["enumerate", "--grid", "4,4,2", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["enumerate", "--grid", "3,3", "--random", "5", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["enumerate", "--grid", "0,2", "--out", str(tmp_path / "x.csv")]) == 2
+    for count in ("0", "-3"):
+        args = ["enumerate", "--grid", "2,2", "--random", count, "--seed", "1"]
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert "agreement" not in capsys.readouterr().out
+
+
+ELEVEN_LIAISON = {
+    "mode": "liaison",
+    "summands": [[[1, 1, 1]], [[2, 2, 2]], [[3, 3, 3]]],
+    "supports": [[2, 3], [1, 3], [1, 2]],
+}
+LAYER = {"mode": "layer", "points": [[1, 1, 1], [2, 1, 1]], "direction": 1}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("construct", {**LAYER, "fresh": "false"}),
+        ("construct", {**LAYER, "direction": True}),
+        ("check", {"n": True, "points": [[1]]}),
+        ("construct", {**ELEVEN_LIAISON, "summands": [[[1.7, 1, 1]], [[2, 2, 2]], [[3, 3, 3]]]}),
+        ("construct", {**ELEVEN_LIAISON, "supports": [[2, 3.0], [1, 3], [1, 2]]}),
+        ("construct", {**ELEVEN_LIAISON, "summands": [5, [[2, 2, 2]], [[3, 3, 3]]]}),
+        ("construct", {**ELEVEN_LIAISON, "box": 5}),
+        ("construct", {**ELEVEN_LIAISON, "box": ["x"]}),
+        ("construct", {**LAYER, "box": 5}),
+        ("construct", {**LAYER, "box": ["x"]}),
+        ("construct", {**LAYER, "box": [2]}),
+        ("construct", {**LAYER, "box": []}),
+        ("construct", {**LAYER, "box": [-1, 2, 2]}),
+        ("construct", {**LAYER, "points": [[1, True, 1]]}),
+        ("construct", {"mode": "other"}),
+    ],
+)
+def test_strict_input_exits_two(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
+
+
+GOLDEN = {
+    ('check', 'chain_twelve.json'): (
+        'configuration: 12 points on grid 4x3x3\n'
+        'star_2: satisfied\n'
+        'star_3: satisfied\n'
+        'ACM: true\n'
+        'direction 1: level sizes [1, 1, 4, 6]; inclusion: true\n'
+        'direction 2: level sizes [6, 1, 5]; inclusion: false\n'
+        'direction 3: level sizes [1, 5, 6]; inclusion: false\n'
+    ),
+    ('oracle', 'chain_twelve.json'): (
+        'CM: true\n'
+    ),
+    ('check', 'cube_six.json'): (
+        'configuration: 6 points on grid 2x2x2\n'
+        'labels: 112=(1,1,2), 121=(1,2,1), 122=(1,2,2), 211=(2,1,1), 212=(2,1,2), 221=(2,2,1)\n'
+        'star_2: satisfied\n'
+        'star_3: VIOLATED (type-ii P=(1,1,1) Q=(2,2,2))\n'
+        'ACM: false\n'
+        'direction 1: level sizes [3, 3]; inclusion: false\n'
+        'direction 2: level sizes [3, 3]; inclusion: false\n'
+        'direction 3: level sizes [3, 3]; inclusion: false\n'
+    ),
+    ('oracle', 'cube_six.json'): (
+        'CM: false; link=empty, reduced homology degree 1 rank 1\n'
+    ),
+    ('check', 'liaison_eleven.json'): (
+        'configuration: 11 points on grid 3x3x3\n'
+        'star_2: satisfied\n'
+        'star_3: satisfied\n'
+        'ACM: true\n'
+        'direction 1: level sizes [1, 5, 5]; inclusion: false\n'
+        'direction 2: level sizes [5, 1, 5]; inclusion: false\n'
+        'direction 3: level sizes [5, 5, 1]; inclusion: false\n'
+    ),
+    ('oracle', 'liaison_eleven.json'): (
+        'CM: true\n'
+    ),
+    ('check', 'moved_point_variant.json'): (
+        'configuration: 11 points on grid 3x3x3\n'
+        'star_2: satisfied\n'
+        'star_3: satisfied\n'
+        'ACM: true\n'
+        'direction 1: level sizes [1, 4, 6]; inclusion: true\n'
+        'direction 2: level sizes [5, 1, 5]; inclusion: false\n'
+        'direction 3: level sizes [5, 5, 1]; inclusion: false\n'
+    ),
+    ('oracle', 'moved_point_variant.json'): (
+        'CM: true\n'
+    ),
+    ('hilbert', 'liaison_eleven.json', '--box', '3,3,3'): (
+        'h(0,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  1 2 3 3\n'
+        '  2 4 5 5\n'
+        '  3 5 6 6\n'
+        '  3 5 6 6\n'
+        'h(1,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  2 4 5 5\n'
+        '  4 8 9 9\n'
+        '  5 9 10 10\n'
+        '  5 9 10 10\n'
+        'h(2,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  3 5 6 6\n'
+        '  5 9 10 10\n'
+        '  6 10 11 11\n'
+        '  6 10 11 11\n'
+        'h(3,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  3 5 6 6\n'
+        '  5 9 10 10\n'
+        '  6 10 11 11\n'
+        '  6 10 11 11\n'
+    ),
+    ('hilbert', 'liaison_eleven.json', '--box', '3,3,3', '--delta'): (
+        'delta_h(0,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  1 1 1 0\n'
+        '  1 1 0 0\n'
+        '  1 0 0 0\n'
+        '  0 0 0 0\n'
+        'delta_h(1,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  1 1 0 0\n'
+        '  1 1 0 0\n'
+        '  0 0 0 0\n'
+        '  0 0 0 0\n'
+        'delta_h(2,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  1 0 0 0\n'
+        '  0 0 0 0\n'
+        '  0 0 0 0\n'
+        '  0 0 0 0\n'
+        'delta_h(3,j,k), rows j = 0..3, columns k = 0..3:\n'
+        '  0 0 0 0\n'
+        '  0 0 0 0\n'
+        '  0 0 0 0\n'
+        '  0 0 0 0\n'
+    ),
+    ('path', 'liaison_eleven.json', '--from', '1,1,1', '--to', '2,2,2'): (
+        '(1,1,1) -> (2,1,1) -> (2,1,2) -> (2,2,2)\n'
+    ),
+    ('construct', 'liaison_eleven_config.json'): (
+        'liaison addition: 11 points (V1: 1 point(s), V2: 1 point(s), V3: 1 point(s), box: 8 point(s))\n'
+        'hf additivity: verified on box (3,3,3)\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_text_output(capsys, argv):
+    command, name, *rest = argv
+    assert main([command, str(fixture_path(name)), *rest]) == 0
+    assert capsys.readouterr().out == GOLDEN[argv]

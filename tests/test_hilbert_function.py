@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from acmpts import (
     canonicalize,
     delta_table,
+    evaluation_rank,
     hilbert_table,
     hilbert_value,
     relabel,
@@ -38,6 +39,8 @@ def test_hilbert_degree_errors(eleven_points):
         hilbert_value(eleven_points, (1, -1, 0))
     with pytest.raises(BadDegree):
         hilbert_value(eleven_points, (1, 1))
+    with pytest.raises(BadDegree):
+        evaluation_rank([(1, 1, 1), (2, 2, 2), (1, 2, 1)], (1, 1))
 
 
 def test_hilbert_table_single_point():

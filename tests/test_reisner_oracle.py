@@ -55,8 +55,7 @@ def test_nonfaces_generate_configuration_ideal(six_points):
             s = frozenset(combo)
             if s not in faces and not any(m < s for m in minimal_nonfaces):
                 minimal_nonfaces.append(s)
-    expected = {frozenset(g.support) for g in configuration_ideal(six_points).generators}
-    assert set(minimal_nonfaces) == expected
+    assert set(minimal_nonfaces) == configuration_ideal(six_points).generators
 
 
 def test_link_of_empty_face_is_whole_complex(six_points):
@@ -149,7 +148,6 @@ def test_oracle_agrees_with_star_criterion(X):
 @settings(max_examples=30, deadline=None)
 def test_complexes_are_pure(X):
     delta = sr_complex(X)
-    assert delta.is_pure()
     total = sum(X.dims)
     assert all(len(f) == total - X.n for f in delta.facets)
 

@@ -303,6 +303,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
     ncells = len(cells)
     if args.random is None:
+        if args.seed is not None:
+            raise InputError("--seed needs --random")
         if ncells > 27:
             raise InputError(f"exhaustive run over {ncells} cells exceeds the 27-cell cap")
         masks = range(1, 1 << ncells)

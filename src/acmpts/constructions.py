@@ -142,7 +142,6 @@ class LiaisonResult:
 
     point_set: PointSet
     provenance: Mapping[GridPoint, str]
-    raw_points: frozenset[GridPoint]
     box_raw: frozenset[GridPoint]
 
 
@@ -167,7 +166,6 @@ def liaison_addition(input: LiaisonInput) -> LiaisonResult:
     return LiaisonResult(
         point_set=canonicalize(sorted(raw)),
         provenance=provenance,
-        raw_points=raw,
         box_raw=input.box_points(),
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable
 
-from .errors import FaceNotInComplex, InternalInvariantViolation
+from .errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
 from .grid_model import PointSet
 from .linalg import rank_int
 from .monomial_ideals import GridVariable, grid_variables
@@ -47,6 +47,8 @@ class SimplicialComplex:
         if len(index) != len(verts):
             raise ValueError("repeated vertex")
         fs = {frozenset(f) for f in facets}
+        if not fs:
+            raise ValueError("no facets (the complex whose only face is empty has facets [[]])")
         for f in fs:
             if not f <= set(verts):
                 raise ValueError(f"facet {set(f)} uses unknown vertices")
@@ -95,6 +97,8 @@ def sr_complex(X: PointSet) -> SimplicialComplex:
     One facet per point: the complement of the point's variable set.  All
     facets have size (sum r_i) - n, so the complex is pure by construction.
     """
+    if not X.points:
+        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
     verts = grid_variables(X.dims)
     vert_set = set(verts)
     facets = []
@@ -129,8 +133,6 @@ def homology(delta: SimplicialComplex) -> HomologyProfile:
         key = tuple(sorted(f, key=index.__getitem__))
         by_dim.setdefault(len(f) - 1, []).append(key)
     top = delta.dim
-    for k in by_dim:
-        by_dim[k].sort(key=lambda face: [index[v] for v in face])
 
     # boundary_rank[k] = rank of the map from k-chains to (k-1)-chains
     boundary_rank = {k: 0 for k in range(-1, top + 2)}

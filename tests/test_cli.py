@@ -206,6 +206,7 @@ def test_enumerate_error_exits(tmp_path, capsys):
     assert main(["enumerate", "--grid", "4,4,2", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["enumerate", "--grid", "3,3", "--random", "5", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["enumerate", "--grid", "0,2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["enumerate", "--grid", "2,2", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
     for count in ("0", "-3"):
         args = ["enumerate", "--grid", "2,2", "--random", count, "--seed", "1"]
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -1,14 +1,16 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acmpts import canonicalize, hilbert_function, reisner_oracle
 from acmpts.linalg import rank_int
 
 
 def reference_rank(matrix):
     """Plain Gaussian elimination over Fractions, kept independent of the
-    fraction-free routine under test."""
+    integer routine under test."""
     m = [[Fraction(x) for x in row] for row in matrix]
     if not m or not m[0]:
         return 0
@@ -51,7 +53,8 @@ def test_singular_four_by_four():
 
 
 def test_zero_factor_rows_keep_exactness():
-    # rows whose leading entries vanish still need rescaling internally
+    # rows with a zero in the pivot column are skipped, not rescaled; the
+    # last row only becomes zero through the first row's pivot
     m = [
         [2, 3, 5],
         [0, 7, 11],
@@ -75,3 +78,37 @@ matrices = st.integers(0, 6).flatmap(
 @given(matrices)
 def test_matches_fraction_elimination(m):
     assert rank_int(m) == reference_rank(m)
+
+
+def captured_matrices(monkeypatch, module, compute):
+    """The matrices ``module`` hands to rank_int while ``compute`` runs."""
+    seen = []
+
+    def capture(matrix):
+        seen.append(matrix)
+        return rank_int(matrix)
+
+    monkeypatch.setattr(module, "rank_int", capture)
+    compute()
+    return seen
+
+
+def test_matches_fraction_elimination_on_boundary_matrices(monkeypatch):
+    full = canonicalize(itertools.product((1, 2, 3), repeat=3))
+    delta = reisner_oracle.sr_complex(full)
+    seen = captured_matrices(monkeypatch, reisner_oracle, lambda: reisner_oracle.homology(delta))
+    assert [(len(m), len(m[0])) for m in seen] == [(9, 36), (36, 81), (81, 108), (108, 81), (81, 27)]
+    for m in seen:
+        assert rank_int(m) == reference_rank(m)
+
+
+def test_matches_fraction_elimination_on_evaluation_matrices(monkeypatch, eleven_points):
+    degrees = [(1, 1, 1), (2, 1, 0), (2, 2, 2), (3, 3, 3)]
+    seen = captured_matrices(
+        monkeypatch,
+        hilbert_function,
+        lambda: [hilbert_function.hilbert_value(eleven_points, t) for t in degrees],
+    )
+    assert [(len(m), len(m[0])) for m in seen] == [(11, 8), (11, 6), (11, 27), (11, 64)]
+    for m in seen:
+        assert rank_int(m) == reference_rank(m)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from acmpts import canonicalize, is_acm, relabel
-from acmpts.errors import FaceNotInComplex
+from acmpts import PointSet, canonicalize, is_acm, relabel
+from acmpts.errors import EmptyConfiguration, FaceNotInComplex
 from acmpts.monomial_ideals import GridVariable, configuration_ideal
 from acmpts.reisner_oracle import (
     SimplicialComplex,
@@ -81,6 +81,17 @@ def test_link_rejects_non_face():
     delta = sr_complex(canonicalize([(1, 1), (2, 2)]))
     with pytest.raises(FaceNotInComplex):
         link(delta, [var(1, 1), var(1, 2)])
+
+
+def test_empty_configuration_rejected():
+    for oracle in (sr_complex, is_cm, first_cm_failure):
+        with pytest.raises(EmptyConfiguration):
+            oracle(PointSet.empty(3))
+
+
+def test_from_facets_rejects_no_facets():
+    with pytest.raises(ValueError, match="no facets"):
+        SimplicialComplex.from_facets("ab", [])
 
 
 def test_homology_triangle_boundary():

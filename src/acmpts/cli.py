@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .constructions import (
     DirectionForm,
@@ -93,11 +94,22 @@ def load_configuration(path: str | Path) -> ConfigurationFile:
     return ConfigurationFile(n=n, points=tuple(points), labels=labels)
 
 
+def _write_configuration(X: PointSet, fh: TextIO) -> None:
+    json.dump({"n": X.n, "points": [list(p) for p in X.sorted_points()]}, fh)
+    fh.write("\n")
+
+
 def save_configuration(X: PointSet, path: str | Path) -> None:
-    data = {"n": X.n, "points": [list(p) for p in X.sorted_points()]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
+        _write_configuration(X, fh)
+
+
+def _open_output(path: str, newline: str | None = None) -> TextIO:
+    """Open an output file before any work, so a bad path is an input error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from e
 
 
 def _fmt_point(p: GridPoint) -> str:
@@ -204,7 +216,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
-def _construct_liaison(data: dict, out: str | None) -> int:
+def _construct_liaison(data: dict, out: TextIO | None) -> int:
     summands = data.get("summands")
     supports = data.get("supports")
     if not isinstance(summands, list) or not isinstance(supports, list):
@@ -229,12 +241,12 @@ def _construct_liaison(data: dict, out: str | None) -> int:
     box_txt = ",".join(map(str, box)) if box else "default"
     print(f"hf additivity: {'verified' if ok else 'FAILED'} on box ({box_txt})")
     if out:
-        save_configuration(Z, out)
-        print(f"wrote {out}")
+        _write_configuration(Z, out)
+        print(f"wrote {out.name}")
     return 0 if ok else 1
 
 
-def _construct_layer(data: dict, out: str | None) -> int:
+def _construct_layer(data: dict, out: TextIO | None) -> int:
     pts = data.get("points")
     direction = data.get("direction")
     fresh = data.get("fresh", True)
@@ -247,18 +259,20 @@ def _construct_layer(data: dict, out: str | None) -> int:
     print(f"layer construction: {X.size} points + {Z.size - X.size} layer points = {Z.size}")
     print(f"hf additivity: {'verified' if ok else 'FAILED'} on box ({','.join(map(str, box))})")
     if out:
-        save_configuration(Z, out)
-        print(f"wrote {out}")
+        _write_configuration(Z, out)
+        print(f"wrote {out.name}")
     return 0 if ok else 1
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     data = _read_json_object(args.config)
-    if data.get("mode") == "liaison":
-        return _construct_liaison(data, args.out)
-    if data.get("mode") == "layer":
-        return _construct_layer(data, args.out)
-    raise InputError(f"{args.config}: 'mode' must be 'liaison' or 'layer'")
+    build = {"liaison": _construct_liaison, "layer": _construct_layer}.get(data.get("mode"))
+    if build is None:
+        raise InputError(f"{args.config}: 'mode' must be 'liaison' or 'layer'")
+    if args.out is None:
+        return build(data, None)
+    with _open_output(args.out) as out:
+        return build(data, out)
 
 
 def _acm_or_empty(points: list[GridPoint]) -> bool:
@@ -320,49 +334,35 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             chosen = set(rng.sample(cells, k))
             masks.append(_subset_bitmask(cells, chosen))
 
-    rows = []
-    failures: list[str] = []
-    acm_count = 0
-    agree_count = 0
-    for mask in masks:
-        subset = [cells[b] for b in range(ncells) if mask >> b & 1]
-        X = canonicalize(subset)
-        star = is_acm(X)
-        cm = is_cm(X)
-        incl = [inclusion_property(X, i) for i in range(1, X.n + 1)] if X.n >= 2 else []
-        agree = star == cm
-        if agree:
-            agree_count += 1
-        else:
-            failures.append(f"id={mask}: star={star} but reisner={cm}")
-        if star:
-            acm_count += 1
-            for problem in _structure_failures(X):
-                failures.append(f"id={mask}: {problem}")
-        elif any(incl):
-            failures.append(f"id={mask}: inclusion holds but configuration is not ACM")
-        rows.append(
-            {
-                "grid": "x".join(map(str, dims)),
-                "id": mask,
-                "size": X.size,
-                "star_acm": _fmt_bool(star),
-                "reisner_cm": _fmt_bool(cm),
-                "inclusion": ";".join(_fmt_bool(v) for v in incl),
-                "agree": _fmt_bool(agree),
-            }
-        )
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["grid", "id", "size", "star_acm", "reisner_cm", "inclusion", "agree"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
     grid_txt = "x".join(map(str, dims))
+    failures: list[str] = []
+    acm_count = agree_count = 0
+    with _open_output(args.out, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["grid", "id", "size", "star_acm", "reisner_cm", "inclusion", "agree"])
+        for mask in masks:
+            subset = [cells[b] for b in range(ncells) if mask >> b & 1]
+            X = canonicalize(subset)
+            star = is_acm(X)
+            cm = is_cm(X)
+            incl = [inclusion_property(X, i) for i in range(1, X.n + 1)] if X.n >= 2 else []
+            agree = star == cm
+            if agree:
+                agree_count += 1
+            else:
+                failures.append(f"id={mask}: star={star} but reisner={cm}")
+            if star:
+                acm_count += 1
+                for problem in _structure_failures(X):
+                    failures.append(f"id={mask}: {problem}")
+            elif any(incl):
+                failures.append(f"id={mask}: inclusion holds but configuration is not ACM")
+            row = [grid_txt, mask, X.size, _fmt_bool(star), _fmt_bool(cm)]
+            writer.writerow(row + [";".join(map(_fmt_bool, incl)), _fmt_bool(agree)])
+
     print(
-        f"grid {grid_txt}: {len(rows)} configurations, {acm_count} ACM, "
-        f"star/reisner agreement {agree_count}/{len(rows)}"
+        f"grid {grid_txt}: {len(masks)} configurations, {acm_count} ACM, "
+        f"star/reisner agreement {agree_count}/{len(masks)}"
     )
     for message in failures:
         print(f"FAIL {message}")

@@ -8,14 +8,17 @@ the empty face included, must have vanishing reduced homology below its
 dimension.  Reduced homology ranks come from exact integer ranks of the
 boundary matrices.
 
-Links that are cones (some vertex lies in every facet) are acyclic and
-skipped without computing anything; everything else is desk-scale.
+The scan decides from the facets containing a face whether its link
+needs homology at all: a link of dimension at most 0 has no condition
+to check, and a link whose facets share a vertex outside the face is a
+cone, hence acyclic.  Only the remaining links are built and their
+homology computed; everything is desk-scale.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Iterable
 
 from .errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
@@ -62,22 +65,23 @@ class SimplicialComplex:
 
     def faces(self) -> list[Face]:
         """All faces, sorted by size then vertex order (empty face first)."""
-        return _faces_of(self)
+        verts = self.vertices
+        return [frozenset(verts[i] for i in t) for faces in _faces_by_size(self) for t in faces]
 
     def has_face(self, sigma: Iterable[Hashable]) -> bool:
         sigma = frozenset(sigma)
         return any(sigma <= f for f in self.facets)
 
 
-@lru_cache(maxsize=4096)
-def _faces_of(delta: SimplicialComplex) -> list[Face]:
+def _faces_by_size(delta: SimplicialComplex) -> list[list[tuple[int, ...]]]:
+    """Faces as increasing vertex-index tuples: entry k lists the faces
+    of size k, sorted, for k = 0 .. dim + 1."""
     index = {v: k for k, v in enumerate(delta.vertices)}
-    seen: set[Face] = set()
-    for facet in delta.facets:
-        elems = sorted(facet, key=index.__getitem__)
-        for mask in range(1 << len(elems)):
-            seen.add(frozenset(e for k, e in enumerate(elems) if mask >> k & 1))
-    return sorted(seen, key=lambda f: (len(f), sorted(index[v] for v in f)))
+    facets = [sorted(index[v] for v in f) for f in delta.facets]
+    return [
+        sorted({face for f in facets for face in itertools.combinations(f, size)})
+        for size in range(delta.dim + 2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -127,20 +131,14 @@ def homology(delta: SimplicialComplex) -> HomologyProfile:
     Euler characteristic is recomputed from face counts and must match
     the alternating Betti sum.
     """
-    index = {v: k for k, v in enumerate(delta.vertices)}
-    by_dim: dict[int, list[tuple]] = {}
-    for f in delta.faces():
-        key = tuple(sorted(f, key=index.__getitem__))
-        by_dim.setdefault(len(f) - 1, []).append(key)
+    by_size = _faces_by_size(delta)
     top = delta.dim
 
     # boundary_rank[k] = rank of the map from k-chains to (k-1)-chains
     boundary_rank = {k: 0 for k in range(-1, top + 2)}
     for k in range(1, top + 1):
-        lower = {face: r for r, face in enumerate(by_dim.get(k - 1, []))}
-        upper = by_dim.get(k, [])
-        if not upper or not lower:
-            continue
+        lower = {face: r for r, face in enumerate(by_size[k])}
+        upper = by_size[k + 1]
         matrix = [[0] * len(upper) for _ in lower]
         for c, face in enumerate(upper):
             sign = 1
@@ -149,10 +147,10 @@ def homology(delta: SimplicialComplex) -> HomologyProfile:
                 matrix[lower[sub]][c] = sign
                 sign = -sign
         boundary_rank[k] = rank_int(matrix)
-    if by_dim.get(0):
+    if top >= 0:
         boundary_rank[0] = 1  # augmentation onto the empty face
 
-    counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}
+    counts = {k: len(by_size[k + 1]) for k in range(-1, top + 1)}
     betti = tuple(
         counts[k] - boundary_rank[k] - boundary_rank[k + 1] for k in range(-1, top + 1)
     )
@@ -166,15 +164,6 @@ def homology(delta: SimplicialComplex) -> HomologyProfile:
     return HomologyProfile(ranks=betti)
 
 
-def _is_cone(delta: SimplicialComplex) -> bool:
-    common = set(delta.facets[0])
-    for f in delta.facets[1:]:
-        common &= f
-        if not common:
-            return False
-    return bool(common)
-
-
 def cm_obstruction(
     delta: SimplicialComplex,
 ) -> tuple[Face, int, int] | None:
@@ -186,11 +175,12 @@ def cm_obstruction(
     Reisner's criterion.
     """
     for sigma in delta.faces():
+        over = [f for f in delta.facets if sigma <= f]
+        if max(map(len, over)) - len(sigma) <= 1:
+            continue  # link of dimension <= 0: the conditions below it are vacuous
+        if len(frozenset.intersection(*over)) > len(sigma):
+            continue  # the link is a cone over a shared vertex, so acyclic
         lk = link(delta, sigma)
-        if lk.dim <= 0:
-            continue  # conditions below dimension 0 are vacuous for nonempty links
-        if _is_cone(lk):
-            continue  # cones are acyclic
         profile = homology(lk)
         for i in range(-1, lk.dim):
             r = profile.rank(i)

@@ -213,6 +213,23 @@ def test_enumerate_error_exits(tmp_path, capsys):
     assert "agreement" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["missing/out", "."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--grid", "2,2"],
+        ["construct", str(fixture_path("liaison_eleven_config.json"))],
+    ],
+    ids=["enumerate", "construct"],
+)
+def test_unwritable_out_exits_two(tmp_path, capsys, argv, target):
+    """A missing directory or a directory as --out is refused before any work."""
+    assert main(argv + ["--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InputError: cannot write ")
+
+
 ELEVEN_LIAISON = {
     "mode": "liaison",
     "summands": [[[1, 1, 1]], [[2, 2, 2]], [[3, 3, 3]]],

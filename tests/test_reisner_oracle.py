@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -47,8 +50,6 @@ def test_nonfaces_generate_configuration_ideal(six_points):
     generators of the configuration ideal."""
     delta = sr_complex(six_points)
     faces = set(delta.faces())
-    import itertools
-
     minimal_nonfaces = []
     for k in range(1, len(delta.vertices) + 1):
         for combo in itertools.combinations(delta.vertices, k):
@@ -56,6 +57,23 @@ def test_nonfaces_generate_configuration_ideal(six_points):
             if s not in faces and not any(m < s for m in minimal_nonfaces):
                 minimal_nonfaces.append(s)
     assert set(minimal_nonfaces) == configuration_ideal(six_points).generators
+
+
+def test_faces_sorted_by_size_then_vertex_order():
+    """The vertex tuple, not the vertices' own order, ranks faces of one
+    size; first_cm_failure reports the first failing face in this order."""
+    delta = SimplicialComplex.from_facets("dcab", [{"a", "b"}, {"d", "c", "a"}, {"c", "b"}])
+    index = {v: k for k, v in enumerate(delta.vertices)}
+    subsets = {
+        frozenset(s)
+        for f in delta.facets
+        for k in range(len(f) + 1)
+        for s in itertools.combinations(f, k)
+    }
+    expected = sorted(subsets, key=lambda f: (len(f), sorted(index[v] for v in f)))
+    assert delta.faces() == expected
+    assert expected[1:5] == [{"d"}, {"c"}, {"a"}, {"b"}]
+    assert expected[5:8] == [{"d", "c"}, {"d", "a"}, {"c", "a"}]
 
 
 def test_link_of_empty_face_is_whole_complex(six_points):
@@ -163,11 +181,40 @@ def test_complexes_are_pure(X):
     assert all(len(f) == total - X.n for f in delta.facets)
 
 
+def test_failing_triples_exhaustive_small_grids():
+    """First failing (face, degree, rank) on every nonempty subset of the
+    2x2x2 and 3x3 grids, pinned by a digest captured with this snippet:
+
+        import hashlib, itertools
+        from acmpts import canonicalize
+        from acmpts.reisner_oracle import first_cm_failure
+        h = hashlib.sha256()
+        for dims in ((2, 2, 2), (3, 3)):
+            cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
+            for mask in range(1, 1 << len(cells)):
+                X = canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
+                t = first_cm_failure(X)
+                h.update(f"{dims} {mask} {t and (sorted(t[0]), t[1], t[2])}\n".encode())
+        print(h.hexdigest())
+
+    Of the 766 configurations, 410 fail.
+    """
+    h = hashlib.sha256()
+    failing = 0
+    for dims in ((2, 2, 2), (3, 3)):
+        cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
+        for mask in range(1, 1 << len(cells)):
+            X = canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
+            t = first_cm_failure(X)
+            h.update(f"{dims} {mask} {t and (sorted(t[0]), t[1], t[2])}\n".encode())
+            failing += t is not None
+    assert failing == 410
+    assert h.hexdigest() == "172f8d815895022c689075001132de42d09bfe13bfa52082ecb3f600014a8296"
+
+
 def test_oracle_agreement_exhaustive_mixed_grid():
     """Every nonempty subset of the 2x2x3 grid gets the same verdict
     from the star criterion and the homological oracle."""
-    import itertools
-
     cells = sorted(itertools.product((1, 2), (1, 2), (1, 2, 3)))
     for mask in range(1, 1 << 12):
         X = canonicalize([cells[b] for b in range(12) if mask >> b & 1])
@@ -183,7 +230,6 @@ def test_oracle_agrees_on_chain_configuration(twelve_chain):
 def test_oracle_agreement_random_four_directions():
     """Seeded random subsets of the 2x2x2x2 grid agree as well; the
     equivalence is not special to three directions."""
-    import itertools
     import random
 
     cells = sorted(itertools.product((1, 2), (1, 2), (1, 2), (1, 2)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadDirection,
@@ -184,7 +184,6 @@ def verify_hf_additivity(
     if T is None:
         total = sum(f.degree for f in input.forms)
         T = (total,) * input.n
-    T = tuple(T)
     raw = sorted(input.union_points())
     maps = level_maps(raw)
     raw_levels = [sorted(m.keys()) for m in maps]
@@ -193,15 +192,24 @@ def verify_hf_additivity(
     z_raw = [
         tuple(raw_levels[i][p[i] - 1] for i in range(input.n)) for p in Z.points
     ]
-    shifts = input.degree_shifts()
-    box_raw = input.box_points()
+    terms = [(input.box_points(), (0,) * input.n), *zip(input.summands, input.degree_shifts())]
+    return _shifted_sum_identity(z_raw, terms, T)
+
+
+def _shifted_sum_identity(
+    whole: Iterable[GridPoint],
+    terms: Sequence[tuple[Iterable[GridPoint], Sequence[int]]],
+    T: Sequence[int],
+) -> bool:
+    """Check h_whole(t) = sum of h_points(t - shift) over the (points,
+    shift) terms for all 0 <= t <= T; terms at negative degrees count 0."""
     for t in box_degrees(T):
-        rhs = evaluation_rank(box_raw, t)
-        for part, d in zip(input.summands, shifts):
-            shifted = tuple(ti - di for ti, di in zip(t, d))
-            if min(shifted) >= 0:
-                rhs += evaluation_rank(part, shifted)
-        if evaluation_rank(z_raw, t) != rhs:
+        rhs = 0
+        for points, shift in terms:
+            shifted = tuple(ti - di for ti, di in zip(t, shift))
+            if all(d >= 0 for d in shifted):
+                rhs += evaluation_rank(points, shifted)
+        if evaluation_rank(whole, t) != rhs:
             return False
     return True
 
@@ -229,15 +237,8 @@ def verify_layer_hf(X: PointSet, i: int, T: Sequence[int], fresh: bool = True) -
     if X.n < 2 or not 1 <= i <= X.n:
         raise BadDirection(f"direction {i} invalid for n = {X.n}")
     base, layer = _layer_pieces(X, i, fresh)
-    whole = base | layer
-    for t in box_degrees(tuple(T)):
-        rhs = evaluation_rank(layer, t)
-        shifted = tuple(tk - 1 if k == i - 1 else tk for k, tk in enumerate(t))
-        if min(shifted) >= 0:
-            rhs += evaluation_rank(base, shifted)
-        if evaluation_rank(whole, t) != rhs:
-            return False
-    return True
+    e_i = tuple(int(k == i - 1) for k in range(X.n))
+    return _shifted_sum_identity(base | layer, [(layer, (0,) * X.n), (base, e_i)], T)
 
 
 def add_layer(X: PointSet, i: int, fresh: bool = True) -> PointSet:

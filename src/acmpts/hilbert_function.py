@@ -16,6 +16,7 @@ convention is what reproduces additivity under liaison addition.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -63,14 +64,8 @@ def evaluation_rank(points: Iterable[GridPoint], t: Sequence[int]) -> int:
         raise BadDegree(f"degree {t} does not match the point dimension")
     rows = []
     for p in pts:
-        pows = [[c**a for a in range(ti + 1)] for c, ti in zip(p, t)]
-        row = []
-        for exps in itertools.product(*[range(ti + 1) for ti in t]):
-            val = 1
-            for i, a in enumerate(exps):
-                val *= pows[i][a]
-            row.append(val)
-        rows.append(row)
+        pows = [[x**a for a in range(ti + 1)] for x, ti in zip(p, t)]
+        rows.append([math.prod(c) for c in itertools.product(*pows)])
     return rank_int(rows)
 
 

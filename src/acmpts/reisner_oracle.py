@@ -53,7 +53,7 @@ class SimplicialComplex:
         if not fs:
             raise ValueError("no facets (the complex whose only face is empty has facets [[]])")
         for f in fs:
-            if not f <= set(verts):
+            if not f <= index.keys():
                 raise ValueError(f"facet {set(f)} uses unknown vertices")
         minimal = [f for f in fs if not any(f < g for g in fs)]
         minimal.sort(key=lambda f: (len(f), sorted(index[v] for v in f)))
@@ -114,13 +114,16 @@ def sr_complex(X: PointSet) -> SimplicialComplex:
 
 def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialComplex:
     """The link of a face: faces disjoint from sigma whose union with
-    sigma is a face, given by its minimalized facets."""
+    sigma is a face.  Its facets are the facets through sigma minus sigma,
+    already an antichain (F - sigma < G - sigma gives F < G) and in
+    ``from_facets`` order (dropping a shared sigma keeps size and vertex order)."""
     sigma = frozenset(sigma)
     if not delta.has_face(sigma):
         raise FaceNotInComplex(f"{set(sigma)} is not a face")
-    new_vertices = tuple(v for v in delta.vertices if v not in sigma)
-    new_facets = [f - sigma for f in delta.facets if sigma <= f]
-    return SimplicialComplex.from_facets(new_vertices, new_facets)
+    return SimplicialComplex(
+        vertices=tuple(v for v in delta.vertices if v not in sigma),
+        facets=tuple(f - sigma for f in delta.facets if sigma <= f),
+    )
 
 
 def homology(delta: SimplicialComplex) -> HomologyProfile:

@@ -59,8 +59,7 @@ def combinatorial_box(P: GridPoint, Q: GridPoint) -> frozenset[GridPoint]:
     """All 2^d(P,Q) corner points {u : u_i in {P_i, Q_i}}."""
     if len(P) != len(Q):
         raise DimensionMismatch(f"points {P} and {Q} have different lengths")
-    choices = [sorted({a, b}) for a, b in zip(P, Q)]
-    return frozenset(itertools.product(*choices))
+    return frozenset(itertools.product(*zip(P, Q)))
 
 
 def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, list[Witness]]:
@@ -118,9 +117,10 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     Requires X to satisfy the star property at level s, P, Q in X and
     d(P, Q) <= s; then a chain u_0 = P, ..., u_r = Q with r = d(P, Q),
     every u_k in X inside the box and consecutive Hamming distance 1 is
-    guaranteed to exist.  Breadth-first search with lexicographic
-    tie-break returns one deterministically; failure to find a chain of
-    exactly r steps would contradict the guarantee and aborts loudly.
+    guaranteed to exist.  Breadth-first search over the flips of one
+    coordinate where P and Q differ, taken in lexicographic order, returns
+    one deterministically; failure to find a chain of exactly r steps
+    would contradict the guarantee and aborts loudly.
     """
     if P not in X.points or Q not in X.points:
         raise PathPreconditionFailed("both endpoints must lie in X")
@@ -137,15 +137,16 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     if not verdict:
         raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
 
-    nodes = sorted(combinatorial_box(P, Q) & X.points)
+    flips = [i for i, (a, b) in enumerate(zip(P, Q)) if a != b]
     parent: dict[GridPoint, GridPoint | None] = {P: None}
     queue: deque[GridPoint] = deque([P])
     while queue:
         u = queue.popleft()
         if u == Q:
             break
-        for v in nodes:
-            if v not in parent and hamming_distance(u, v) == 1:
+        steps = sorted(u[:i] + (P[i] if u[i] == Q[i] else Q[i],) + u[i + 1 :] for i in flips)
+        for v in steps:
+            if v in X.points and v not in parent:
                 parent[v] = u
                 queue.append(v)
     if Q not in parent:

@@ -95,6 +95,18 @@ def test_link_in_disjoint_edges():
     assert lk.facets == (frozenset({var(2, 1)}),)
 
 
+def test_link_equals_its_from_facets_form(six_points, eleven_points, eleven_moved, twelve_chain):
+    """Facets through a face minus the face are already a minimal,
+    sorted facet list: rebuilding it through from_facets changes nothing,
+    facet order included."""
+    dcab = SimplicialComplex.from_facets("dcab", [{"a", "b"}, {"d", "c", "a"}, {"c", "b"}])
+    complexes = [sr_complex(X) for X in (six_points, eleven_points, eleven_moved, twelve_chain)]
+    for delta in complexes + [dcab]:
+        for sigma in delta.faces():
+            lk = link(delta, sigma)
+            assert lk == SimplicialComplex.from_facets(lk.vertices, lk.facets)
+
+
 def test_link_rejects_non_face():
     delta = sr_complex(canonicalize([(1, 1), (2, 2)]))
     with pytest.raises(FaceNotInComplex):

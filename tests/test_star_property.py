@@ -1,3 +1,6 @@
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 
@@ -36,6 +39,10 @@ def test_combinatorial_box():
     assert cube == {(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)}
     assert combinatorial_box((1, 1, 2), (1, 2, 1)) == {
         (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2),
+    }
+    # a descending and an equal coordinate
+    assert combinatorial_box((2, 1, 3), (1, 1, 2)) == {
+        (2, 1, 3), (2, 1, 2), (1, 1, 3), (1, 1, 2),
     }
     with pytest.raises(DimensionMismatch):
         combinatorial_box((1,), (1, 2))
@@ -171,6 +178,45 @@ def test_find_path_preconditions(eleven_points):
     bad = canonicalize([(1, 1), (2, 2)])
     with pytest.raises(PathPreconditionFailed):
         find_path(bad, (1, 1), (2, 2), 2)  # star property fails
+
+
+def reference_path(X, P, Q):
+    """Breadth-first chain from P to Q that scans all box points of X, in
+    sorted order, for the Hamming neighbours of each dequeued point."""
+    nodes = sorted(combinatorial_box(P, Q) & X.points)
+    parent = {P: None}
+    queue = deque([P])
+    while queue:
+        u = queue.popleft()
+        if u == Q:
+            break
+        for v in nodes:
+            if v not in parent and hamming_distance(u, v) == 1:
+                parent[v] = u
+                queue.append(v)
+    path = [Q]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def test_find_path_matches_reference_bfs(eleven_points, eleven_moved, twelve_chain):
+    """Stepping by coordinate flips keeps the lexicographic tie-break:
+    the same chain on every pair of every ACM configuration checked."""
+    cells = list(itertools.product((1, 2), repeat=3))
+    cube = [
+        canonicalize(subset)
+        for k in range(1, len(cells) + 1)
+        for subset in itertools.combinations(cells, k)
+    ]
+    configs = [eleven_points, eleven_moved, twelve_chain] + [X for X in cube if is_acm(X)]
+    assert all(is_acm(X) for X in configs[:3])
+    pairs = 0
+    for X in configs:
+        for P, Q in itertools.product(X.sorted_points(), repeat=2):
+            assert find_path(X, P, Q, X.n) == reference_path(X, P, Q)
+            pairs += 1
+    assert pairs > 1000
 
 
 def test_find_step_pair(eleven_points):

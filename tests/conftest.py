@@ -28,6 +28,14 @@ TWELVE_CHAIN = [
     (4, 1, 2), (4, 1, 3), (4, 2, 2), (4, 3, 1), (4, 3, 2), (4, 3, 3),
 ]
 
+# Eight points of the 2x2x2x2 grid, mapped to itself by flipping every
+# coordinate.  No star witness exists at any level, yet the set is not
+# Cohen-Macaulay: the star and Reisner routes disagree on its orbit.
+STAR_BLIND_EIGHT = [
+    (1, 1, 2, 2), (1, 2, 1, 1), (1, 2, 2, 1), (1, 2, 2, 2),
+    (2, 1, 1, 1), (2, 1, 1, 2), (2, 1, 2, 2), (2, 2, 1, 1),
+]
+
 
 @pytest.fixture
 def six_points() -> PointSet:
@@ -47,6 +55,11 @@ def eleven_moved() -> PointSet:
 @pytest.fixture
 def twelve_chain() -> PointSet:
     return canonicalize(TWELVE_CHAIN)
+
+
+@pytest.fixture
+def star_blind_eight() -> PointSet:
+    return canonicalize(STAR_BLIND_EIGHT)
 
 
 def grid_configurations(max_n: int = 3, max_levels: int = 3, max_size: int = 9):

@@ -240,8 +240,10 @@ def test_oracle_agrees_on_chain_configuration(twelve_chain):
 
 
 def test_oracle_agreement_random_four_directions():
-    """Seeded random subsets of the 2x2x2x2 grid agree as well; the
-    equivalence is not special to three directions."""
+    """Seeded random subsets of the 2x2x2x2 grid agree.  The agreement is
+    not exhaustive there: the star criterion accepts one orbit that is not
+    Cohen-Macaulay, which these samples miss (pinned in
+    test_star_property.py::test_star_accepts_non_cm_configuration_on_2x2x2x2)."""
     import random
 
     cells = sorted(itertools.product((1, 2), (1, 2), (1, 2), (1, 2)))

@@ -8,11 +8,13 @@ from acmpts import (
     canonicalize,
     check_star,
     combinatorial_box,
+    delta_table,
     find_path,
     find_step_pair,
     hamming_distance,
     is_acm,
     relabel,
+    star_property,
 )
 from acmpts.errors import (
     BadLevel,
@@ -20,6 +22,7 @@ from acmpts.errors import (
     EmptyConfiguration,
     PathPreconditionFailed,
 )
+from acmpts.reisner_oracle import first_cm_failure
 from acmpts.star_property import TYPE_I, TYPE_II
 from conftest import grid_configurations
 
@@ -217,6 +220,68 @@ def test_find_path_matches_reference_bfs(eleven_points, eleven_moved, twelve_cha
             assert find_path(X, P, Q, X.n) == reference_path(X, P, Q)
             pairs += 1
     assert pairs > 1000
+
+
+def test_star_accepts_non_cm_configuration_on_2x2x2x2(star_blind_eight):
+    """The one known case where the star criterion and the Reisner oracle
+    disagree, pinned route by route.  No star witness exists at any level
+    and every pair has a chain, yet the complex fails Reisner's criterion
+    at the empty face, and the first differences of the Hilbert function
+    go negative, which no ACM set allows (Van Tuyl 2003).  The star
+    verdict itself is left unasserted until ``is_acm`` is repaired."""
+    X = star_blind_eight
+    assert X.dims == (2, 2, 2, 2) and X.size == 8
+    for s in (2, 3, 4):
+        assert check_star(X, s, exhaustive=True) == (True, [])
+    assert first_cm_failure(X) == (frozenset(), 1, 1)
+    delta = delta_table(X, (1, 1, 1, 1))
+    negative = {t: v for t, v in delta.values.items() if v < 0}
+    assert negative == {t: -1 for t in itertools.permutations((0, 1, 1, 1))}
+    pairs = list(itertools.combinations(X.sorted_points(), 2))
+    assert len(pairs) == 28
+    for P, Q in pairs:
+        path_is_valid(X, P, Q, find_path(X, P, Q, 4))
+
+
+def test_find_path_non_star_raises_on_every_call():
+    star_property._star_holds.cache_clear()
+    bad = canonicalize([(1, 1), (2, 2)])
+    for _ in range(2):
+        with pytest.raises(PathPreconditionFailed, match="fails the star property at level 2"):
+            find_path(bad, (1, 1), (2, 2), 2)
+
+
+@pytest.mark.parametrize("levels", [(2, 3), (3, 2)])
+def test_find_path_star_verdict_keyed_on_level(six_points, levels):
+    """cube_six has the star property at level 2 but not at level 3, so a
+    cached verdict must not cross levels, whichever is asked first."""
+    star_property._star_holds.cache_clear()
+    P, Q = (1, 1, 2), (1, 2, 1)
+    for s in levels:
+        if s == 2:
+            assert find_path(six_points, P, Q, s) == [(1, 1, 2), (1, 2, 2), (1, 2, 1)]
+        else:
+            with pytest.raises(PathPreconditionFailed, match="at level 3"):
+                find_path(six_points, P, Q, s)
+
+
+def test_find_path_checks_star_once_per_level(eleven_points, monkeypatch):
+    calls = []
+
+    def counting(X, s, exhaustive=False):
+        calls.append((X, s))
+        return check_star(X, s, exhaustive)
+
+    monkeypatch.setattr(star_property, "check_star", counting)
+    star_property._star_holds.cache_clear()
+    chains = 0
+    for s in (2, 3):
+        for P, Q in itertools.product(eleven_points.sorted_points(), repeat=2):
+            if hamming_distance(P, Q) <= s:
+                find_path(eleven_points, P, Q, s)
+                chains += 1
+    assert chains > 100
+    assert calls == [(eleven_points, 2), (eleven_points, 3)]
 
 
 def test_find_step_pair(eleven_points):

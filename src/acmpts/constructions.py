@@ -33,7 +33,7 @@ from .errors import (
     VanishingConditionViolated,
 )
 from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate, level_maps
-from .hilbert_function import box_degrees, evaluation_rank
+from .hilbert_function import _saturated_ranker, box_degrees
 
 
 @dataclass(frozen=True)
@@ -202,14 +202,21 @@ def _shifted_sum_identity(
     T: Sequence[int],
 ) -> bool:
     """Check h_whole(t) = sum of h_points(t - shift) over the (points,
-    shift) terms for all 0 <= t <= T; terms at negative degrees count 0."""
+    shift) terms for all 0 <= t <= T; terms at negative degrees count 0.
+
+    Each point set gets one saturated ranker for the whole check."""
+    whole_rank = _saturated_ranker(whole, T)
+    term_ranks = [
+        (_saturated_ranker(points, [max(ti - di, 0) for ti, di in zip(T, shift)]), shift)
+        for points, shift in terms
+    ]
     for t in box_degrees(T):
         rhs = 0
-        for points, shift in terms:
+        for rank, shift in term_ranks:
             shifted = tuple(ti - di for ti, di in zip(t, shift))
             if all(d >= 0 for d in shifted):
-                rhs += evaluation_rank(points, shifted)
-        if evaluation_rank(whole, t) != rhs:
+                rhs += rank(shifted)
+        if whole_rank(t) != rhs:
             return False
     return True
 

@@ -361,6 +361,82 @@ GOLDEN = {
         '  0 0 0 0\n'
         '  0 0 0 0\n'
     ),
+    ('hilbert', 'liaison_eleven.json', '--box', '5,4,6'): (
+        'h(0,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  1 2 3 3 3 3 3\n'
+        '  2 4 5 5 5 5 5\n'
+        '  3 5 6 6 6 6 6\n'
+        '  3 5 6 6 6 6 6\n'
+        '  3 5 6 6 6 6 6\n'
+        'h(1,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  2 4 5 5 5 5 5\n'
+        '  4 8 9 9 9 9 9\n'
+        '  5 9 10 10 10 10 10\n'
+        '  5 9 10 10 10 10 10\n'
+        '  5 9 10 10 10 10 10\n'
+        'h(2,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  3 5 6 6 6 6 6\n'
+        '  5 9 10 10 10 10 10\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        'h(3,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  3 5 6 6 6 6 6\n'
+        '  5 9 10 10 10 10 10\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        'h(4,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  3 5 6 6 6 6 6\n'
+        '  5 9 10 10 10 10 10\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        'h(5,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  3 5 6 6 6 6 6\n'
+        '  5 9 10 10 10 10 10\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+        '  6 10 11 11 11 11 11\n'
+    ),
+    ('hilbert', 'liaison_eleven.json', '--box', '5,4,6', '--delta'): (
+        'delta_h(0,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  1 1 1 0 0 0 0\n'
+        '  1 1 0 0 0 0 0\n'
+        '  1 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        'delta_h(1,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  1 1 0 0 0 0 0\n'
+        '  1 1 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        'delta_h(2,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  1 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        'delta_h(3,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        'delta_h(4,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        'delta_h(5,j,k), rows j = 0..4, columns k = 0..6:\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+        '  0 0 0 0 0 0 0\n'
+    ),
     ('path', 'liaison_eleven.json', '--from', '1,1,1', '--to', '2,2,2'): (
         '(1,1,1) -> (2,1,1) -> (2,1,2) -> (2,2,2)\n'
     ),

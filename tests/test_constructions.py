@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from acmpts import canonicalize, delta_table, is_acm, project
+from acmpts import canonicalize, constructions, delta_table, is_acm, project
 from acmpts.constructions import (
     DirectionForm,
     LiaisonInput,
@@ -41,6 +41,22 @@ def pair_input():
     return LiaisonInput(
         summands=(frozenset({(1, 1)}), frozenset({(2, 2)})),
         forms=(DirectionForm(1, frozenset({2})), DirectionForm(2, frozenset({1}))),
+    )
+
+
+def gapped_input():
+    """Three singleton summands on raw levels with gaps in every direction."""
+    return LiaisonInput(
+        summands=(
+            frozenset({(1, 1, 1)}),
+            frozenset({(4, 5, 2)}),
+            frozenset({(6, 6, 9)}),
+        ),
+        forms=(
+            DirectionForm(1, frozenset({4, 6})),
+            DirectionForm(2, frozenset({1, 6})),
+            DirectionForm(3, frozenset({1, 2})),
+        ),
     )
 
 
@@ -213,3 +229,42 @@ def test_layer_hilbert_relation(six_points):
     assert verify_layer_hf(canonicalize([(1, 1), (2, 2), (2, 1)]), 2, (2, 2))
     assert verify_layer_hf(six_points, 1, (1, 1, 1))
     assert verify_layer_hf(six_points, 3, (1, 1, 1), fresh=False)
+
+
+def unclamped_identity(whole, terms, T):
+    """The identity check with one evaluation_rank per degree and term."""
+    for t in box_degrees(T):
+        rhs = 0
+        for points, shift in terms:
+            shifted = tuple(ti - di for ti, di in zip(t, shift))
+            if min(shifted) >= 0:
+                rhs += evaluation_rank(points, shifted)
+        if evaluation_rank(whole, t) != rhs:
+            return False
+    return True
+
+
+def test_shifted_sum_identity_matches_unclamped_loop(monkeypatch, six_points, eleven_points):
+    original = constructions._shifted_sum_identity
+    verdicts = []
+
+    def compared(whole, terms, T):
+        whole, terms = list(whole), [(list(points), shift) for points, shift in terms]
+        got = original(whole, terms, T)
+        assert got == unclamped_identity(whole, terms, T)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(constructions, "_shifted_sum_identity", compared)
+    for inp in (eleven_input(), pair_input(), gapped_input()):
+        Z = liaison_addition(inp).point_set
+        for W in (Z, canonicalize(sorted(Z.points)[1:])):
+            for T in (None, (4,) * inp.n):
+                verify_hf_additivity(inp, W, T)
+    cells = sorted(itertools.product((1, 2), repeat=3))
+    configs = [six_points, eleven_points, canonicalize([(1, 1), (3, 2), (3, 1)])]
+    configs += [canonicalize(cells[start::3]) for start in range(3)]
+    for X in configs:
+        for i in range(1, X.n + 1):
+            assert verify_layer_hf(X, i, (3,) * X.n, fresh=False)
+    assert True in verdicts and False in verdicts

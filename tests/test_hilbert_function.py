@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,13 +7,22 @@ from acmpts import (
     canonicalize,
     delta_table,
     evaluation_rank,
+    hilbert_function,
     hilbert_table,
     hilbert_value,
     relabel,
 )
+from acmpts.constructions import verify_layer_hf
 from acmpts.errors import BadDegree
 from acmpts.level_structure import max_level_size
-from conftest import ELEVEN_MOVED, ELEVEN_POINTS, grid_configurations
+from conftest import (
+    ELEVEN_MOVED,
+    ELEVEN_POINTS,
+    SIX_POINTS,
+    STAR_BLIND_EIGHT,
+    TWELVE_CHAIN,
+    grid_configurations,
+)
 
 KNOWN_SLICES = {
     0: [(1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)],
@@ -161,3 +172,87 @@ def test_level_relabel_can_change_rank_on_four_levels():
 def test_table_lookup_accepts_sequences(eleven_points):
     ht = hilbert_table(eleven_points, (1, 1, 1))
     assert ht[[1, 1, 1]] == ht[(1, 1, 1)]
+
+
+def all_subsets(grid):
+    cells = sorted(itertools.product(*[range(1, r + 1) for r in grid]))
+    return [
+        canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
+        for mask in range(1, 1 << len(cells))
+    ]
+
+
+FIXTURES = [SIX_POINTS, ELEVEN_POINTS, ELEVEN_MOVED, TWELVE_CHAIN, STAR_BLIND_EIGHT]
+
+
+@pytest.mark.parametrize("bad", [(1.5, 1), (True, 1), (1, False), ("1", 1)])
+def test_degree_entries_must_be_integers(bad):
+    X = canonicalize([(1, 1), (2, 2), (2, 1)])
+    with pytest.raises(BadDegree):
+        hilbert_table(X, bad)
+    with pytest.raises(BadDegree):
+        delta_table(X, bad)
+    with pytest.raises(BadDegree):
+        evaluation_rank(X.points, bad)
+    with pytest.raises(BadDegree):
+        hilbert_value(X, bad)
+    with pytest.raises(BadDegree):
+        verify_layer_hf(X, 1, bad)
+
+
+def inclusion_exclusion(ht, n):
+    """Alternating sum of h over all 2^n unit down-shifts, h = 0 below 0."""
+    out = {}
+    for t in ht.values:
+        total = 0
+        for mask in range(1 << n):
+            shifted = tuple(t[i] - (mask >> i & 1) for i in range(n))
+            if min(shifted) >= 0:
+                total += (-1) ** bin(mask).count("1") * ht.values[shifted]
+        out[t] = total
+    return out
+
+
+def test_delta_matches_inclusion_exclusion():
+    cases = [(canonicalize(pts), (3, 2, 4)) for pts in FIXTURES[:4]]
+    cases.append((canonicalize(STAR_BLIND_EIGHT), (2, 1, 2, 1)))
+    cases += [(X, (2, 3, 1)) for X in all_subsets((2, 2, 2))]
+    for X, T in cases:
+        dt = delta_table(X, T)
+        expected = inclusion_exclusion(hilbert_table(X, T), X.n)
+        assert list(dt.values.items()) == list(expected.items())
+        assert list(dt.values) == list(itertools.product(*[range(Ti + 1) for Ti in T]))
+
+
+@pytest.mark.parametrize("grid, T", [((2, 2, 2), (4, 4, 4)), ((3, 3), (5, 5))])
+def test_saturated_table_matches_per_degree_rank(grid, T):
+    for X in all_subsets(grid):
+        ht = hilbert_table(X, T)
+        assert ht.values == {t: evaluation_rank(X.points, t) for t in ht.values}
+
+
+def test_saturated_ranker_on_raw_nodes_with_gaps():
+    nodes = [(1, 3, 4, 9), (2, 5, 6), (1, 7)]
+    cells = list(itertools.product(*nodes))
+    for k in range(1, len(cells) + 1, 5):
+        points = cells[::k]
+        rank = hilbert_function._saturated_ranker(points, (4, 3, 2))
+        for t in itertools.product(range(5), range(4), range(3)):
+            assert rank(t) == evaluation_rank(points, t)
+
+
+def test_full_grid_table_ranks_each_saturated_degree_once(monkeypatch):
+    calls = []
+    original = hilbert_function.rank_int
+
+    def counting(matrix):
+        calls.append((len(matrix), len(matrix[0])))
+        return original(matrix)
+
+    monkeypatch.setattr(hilbert_function, "rank_int", counting)
+    X = canonicalize(itertools.product((1, 2, 3), repeat=3))
+    ht = hilbert_table(X, (5, 5, 5))
+    assert len(calls) == 27
+    assert max(calls) == (27, 27)
+    for t, v in ht.values.items():
+        assert v == min(t[0] + 1, 3) * min(t[1] + 1, 3) * min(t[2] + 1, 3)

@@ -6,11 +6,15 @@ whose entry is already zero are left alone, and only the columns right
 of the pivot are written, since later pivots are searched there.  Every
 entry stays an integer, so ranks over the rationals come out exact with
 no tolerance questions.  Two kinds of matrix reach this routine:
-boundary matrices of Stanley-Reisner links, up to 81x108 on 3x3x3
-configurations and sparse (about 10% of all their entries are nonzero
-on a seeded sample), and evaluation matrices, dense.  Hilbert tables
-rank each saturated degree once, so a matrix has at most prod_i d_i
-columns for d_i distinct values per coordinate: on the seed-42
+boundary matrices of Stanley-Reisner links, and evaluation matrices,
+dense.  Boundary matrices are taken between the cells that survive
+coreductions, so they are few and small: ``first_cm_failure`` on the
+seed-42 ``sample_3x3x3`` benchmark inputs computes homology for 8473
+links and ranks 484 matrices of at most 17x17, 11733 entries in all
+(35% nonzero), where the unreduced complexes gave 16875 matrices of up
+to 108x108 with 9.7 million entries.  Hilbert tables rank each
+saturated degree once, so a matrix has at most prod_i d_i columns for
+d_i distinct values per coordinate: on the seed-42
 ``hilbert_tables`` benchmark inputs (delta tables at box (3,3,3), layer
 checks at (2,2,2)) that is 28868 matrices of at most 36x27 with 3.6
 million entries, where ranking every degree took 55080 matrices of up

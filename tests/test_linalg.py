@@ -93,10 +93,28 @@ def captured_matrices(monkeypatch, module, compute):
     return seen
 
 
-def test_matches_fraction_elimination_on_boundary_matrices(monkeypatch):
+def boundary_matrices(delta):
+    """The unreduced boundary matrices of a complex between nonempty faces,
+    rows and columns in ``faces()`` order; dropping the vertex at position
+    j of a face's vertex-index order has sign (-1)**j."""
+    index = {v: k for k, v in enumerate(delta.vertices)}
+    by_size = {}
+    for face in delta.faces():
+        by_size.setdefault(len(face), []).append(tuple(sorted(index[v] for v in face)))
+    matrices = []
+    for size in range(2, delta.dim + 2):
+        row = {face: r for r, face in enumerate(by_size[size - 1])}
+        matrix = [[0] * len(by_size[size]) for _ in row]
+        for c, face in enumerate(by_size[size]):
+            for j in range(size):
+                matrix[row[face[:j] + face[j + 1 :]]][c] = (-1) ** j
+        matrices.append(matrix)
+    return matrices
+
+
+def test_matches_fraction_elimination_on_boundary_matrices():
     full = canonicalize(itertools.product((1, 2, 3), repeat=3))
-    delta = reisner_oracle.sr_complex(full)
-    seen = captured_matrices(monkeypatch, reisner_oracle, lambda: reisner_oracle.homology(delta))
+    seen = boundary_matrices(reisner_oracle.sr_complex(full))
     assert [(len(m), len(m[0])) for m in seen] == [(9, 36), (36, 81), (81, 108), (108, 81), (81, 27)]
     for m in seen:
         assert rank_int(m) == reference_rank(m)

@@ -4,8 +4,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from acmpts import PointSet, canonicalize, is_acm, relabel
-from acmpts.errors import EmptyConfiguration, FaceNotInComplex
+from acmpts import PointSet, canonicalize, is_acm, relabel, reisner_oracle
+from acmpts.errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
+from acmpts.linalg import rank_int
 from acmpts.monomial_ideals import GridVariable, configuration_ideal
 from acmpts.reisner_oracle import (
     SimplicialComplex,
@@ -142,6 +143,93 @@ def test_homology_irrelevant_complex():
 def test_homology_solid_simplex_is_trivial():
     delta = SimplicialComplex.from_facets("abc", [{"a", "b", "c"}])
     assert homology(delta).ranks == (0, 0, 0, 0)
+
+
+def reference_homology(delta):
+    """Reduced Betti numbers from the unreduced boundary matrices of every
+    face, the empty face included, kept independent of the coreductions
+    under test."""
+    index = {v: k for k, v in enumerate(delta.vertices)}
+    facets = [sorted(index[v] for v in f) for f in delta.facets]
+    top = delta.dim
+    by_size = [
+        sorted({face for f in facets for face in itertools.combinations(f, size)})
+        for size in range(top + 2)
+    ]
+    # boundary_rank[k] = rank of the map from k-chains to (k-1)-chains
+    boundary_rank = {k: 0 for k in range(-1, top + 2)}
+    for k in range(1, top + 1):
+        lower = {face: r for r, face in enumerate(by_size[k])}
+        upper = by_size[k + 1]
+        matrix = [[0] * len(upper) for _ in lower]
+        for c, face in enumerate(upper):
+            sign = 1
+            for drop in range(len(face)):
+                matrix[lower[face[:drop] + face[drop + 1 :]]][c] = sign
+                sign = -sign
+        boundary_rank[k] = rank_int(matrix)
+    if top >= 0:
+        boundary_rank[0] = 1  # augmentation onto the empty face
+    counts = {k: len(by_size[k + 1]) for k in range(-1, top + 1)}
+    return tuple(counts[k] - boundary_rank[k] - boundary_rank[k + 1] for k in range(-1, top + 1))
+
+
+def subset_configurations(*grids):
+    for dims in grids:
+        cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
+        for mask in range(1, 1 << len(cells)):
+            yield canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
+
+
+def test_homology_matches_unreduced_reference_on_every_link(
+    six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight
+):
+    fixtures = [six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight]
+    for X in fixtures + list(subset_configurations((2, 2, 2), (3, 3))):
+        delta = sr_complex(X)
+        for sigma in delta.faces():
+            lk = link(delta, sigma)
+            assert homology(lk).ranks == reference_homology(lk), (X, sigma)
+
+
+def test_homology_matches_unreduced_reference_on_small_complexes(six_points):
+    delta = sr_complex(six_points)
+    apex = var(1, 99)
+    complexes = [
+        SimplicialComplex.from_facets("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}]),
+        SimplicialComplex.from_facets("dcab", [{"a", "b"}, {"d", "c", "a"}, {"c", "b"}]),
+        SimplicialComplex.from_facets(delta.vertices + (apex,), [f | {apex} for f in delta.facets]),
+        SimplicialComplex.from_facets("abcdefg", [{"b", "d"}, {"d", "f"}, {"f", "b"}, {"g"}]),
+        SimplicialComplex.from_facets("ab", [[]]),
+        SimplicialComplex.from_facets([], [[]]),
+    ]
+    for delta in complexes:
+        assert homology(delta).ranks == reference_homology(delta), delta
+    assert [homology(d).ranks for d in complexes[2:]] == [
+        (0, 0, 0, 0, 0),
+        (0, 1, 1),
+        (1,),
+        (1,),
+    ]
+
+
+def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
+    """The reduction of two disjoint edges keeps one edge and its two
+    vertices, so a rank is taken; one more than the matrix has rows makes
+    a Betti number negative, which homology must not return."""
+    X = canonicalize([(1, 1), (2, 2)])
+    calls = []
+
+    def too_large(matrix):
+        calls.append(matrix)
+        return len(matrix) + 1
+
+    monkeypatch.setattr(reisner_oracle, "rank_int", too_large)
+    with pytest.raises(InternalInvariantViolation):
+        homology(sr_complex(X))
+    with pytest.raises(InternalInvariantViolation):
+        is_cm(X)
+    assert calls
 
 
 def test_is_cm_verdicts(six_points, eleven_points):

@@ -4,6 +4,20 @@ Configuration files are minimal JSON: ``{"n": 3, "points": [[1,1,1], ...]}``
 with 1-based integer levels and an optional parallel ``"labels"`` list.
 Exit codes: 0 success, 1 harness assertion failure, 2 input error; a
 negative verdict never changes the exit code.
+
+``enumerate`` evaluates one subset per orbit of the grid's symmetry group
+(level permutations in every direction times permutations of directions
+of equal length) and copies the verdicts to the other members.  This is
+exact: a symmetry maps a subset to a subset whose canonical form is a
+``relabel`` of the original's, and size, the star verdict and the
+Reisner verdict are invariant under ``relabel``, while the inclusion
+verdict moves with its direction.  The cross-checks are invariant in the
+same way, so either no member of an orbit fails one or every member
+does; members of a failing orbit are evaluated one by one, since FAIL
+lines name member-specific ids, level masks and directions.  The report
+is therefore the one a per-subset loop would write.  The group is built
+only when it has no more elements than there are subsets to visit, and
+is the identity otherwise.
 """
 
 from __future__ import annotations
@@ -12,11 +26,14 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from operator import or_
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .constructions import (
     DirectionForm,
@@ -303,6 +320,77 @@ def _subset_bitmask(cells: list[GridPoint], chosen: set[GridPoint]) -> int:
     return mask
 
 
+class _Verdicts(NamedTuple):
+    """What one CSV row reports about a configuration, agreement aside."""
+
+    size: int
+    star_acm: bool
+    reisner_cm: bool
+    inclusion: tuple[bool, ...]
+
+    def permuted(self, dperm: tuple[int, ...]) -> "_Verdicts":
+        """The verdicts of the image under a symmetry whose new direction
+        ``k`` is old direction ``dperm[k]`` (0-based).  One direction has
+        no inclusion verdict to move."""
+        if not self.inclusion:
+            return self
+        return self._replace(inclusion=tuple(self.inclusion[d] for d in dperm))
+
+
+def _evaluate(X: PointSet) -> tuple[_Verdicts, list[str]]:
+    """Every verdict and cross-check of ``enumerate`` for one configuration."""
+    star = is_acm(X)
+    cm = is_cm(X)
+    incl = tuple(inclusion_property(X, i) for i in range(1, X.n + 1)) if X.n >= 2 else ()
+    problems = []
+    if star != cm:
+        problems.append(f"star={star} but reisner={cm}")
+    if star:
+        problems.extend(_structure_failures(X))
+    elif any(incl):
+        problems.append("inclusion holds but configuration is not ACM")
+    return _Verdicts(X.size, star, cm, incl), problems
+
+
+def _grid_symmetries(
+    dims: tuple[int, ...], limit: int
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The grid's symmetry group as (direction permutation, cell permutation)
+    pairs, or only the identity when the group has more than ``limit``
+    elements.
+
+    The group permutes the levels of every direction and the directions of
+    equal length.  In a pair, new direction ``k`` is old direction
+    ``dperm[k]`` (0-based, as in ``relabel``), and cell ``b`` of the
+    lexicographically sorted cell list goes to cell ``perm[b]``.
+    """
+    n = len(dims)
+    order = math.prod(math.factorial(r) for r in dims) * math.prod(
+        math.factorial(c) for c in Counter(dims).values()
+    )
+    if order > limit:
+        return [(tuple(range(n)), list(range(math.prod(dims))))]
+    cells = list(itertools.product(*[range(r) for r in dims]))
+    index = {cell: b for b, cell in enumerate(cells)}
+    return [
+        (dperm, [index[tuple(lperms[d][cell[d]] for d in dperm)] for cell in cells])
+        for dperm in itertools.permutations(range(n))
+        if all(dims[d] == r for d, r in zip(dperm, dims))
+        for lperms in itertools.product(*[itertools.permutations(range(r)) for r in dims])
+    ]
+
+
+def _orbit_images(mask: int, bit_images: list[list[int]]) -> list[int]:
+    """``g(mask)`` for every group element ``g``, in group order, where
+    ``bit_images[b][g]`` is ``g`` applied to cell ``b``, as a bit."""
+    images = [0] * len(bit_images[0])
+    while mask:
+        low = mask & -mask
+        images = list(map(or_, images, bit_images[low.bit_length() - 1]))
+        mask ^= low
+    return images
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     dims = _parse_int_list(args.grid, "grid")
     if any(r < 1 for r in dims):
@@ -314,7 +402,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise InputError("--seed needs --random")
         if ncells > 27:
             raise InputError(f"exhaustive run over {ncells} cells exceeds the 27-cell cap")
-        masks = range(1, 1 << ncells)
+        masks = targets = range(1, 1 << ncells)
     else:
         if args.random < 1:
             raise InputError(f"--random {args.random}: need at least one configuration")
@@ -326,32 +414,41 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             k = rng.randint(1, ncells)
             chosen = set(rng.sample(cells, k))
             masks.append(_subset_bitmask(cells, chosen))
+        # Images that are never visited are not recorded, so the table
+        # stays within the sample's size.
+        targets = set(masks)
 
     grid_txt = "x".join(map(str, dims))
     failures: list[str] = []
     acm_count = agree_count = 0
     with _open_output(args.out, newline="") as fh:
+        symmetries = _grid_symmetries(dims, len(masks))
+        dperms = [dperm for dperm, _ in symmetries]
+        distinct_dperms = set(dperms)
+        bit_images = [[1 << perm[b] for _, perm in symmetries] for b in range(ncells)]
+        # Verdicts of masks still to visit whose orbit is decided.
+        known: dict[int, _Verdicts] = {}
         writer = csv.writer(fh)
         writer.writerow(["grid", "id", "size", "star_acm", "reisner_cm", "inclusion", "agree"])
         for mask in masks:
-            subset = [cells[b] for b in range(ncells) if mask >> b & 1]
-            X = canonicalize(subset)
-            star = is_acm(X)
-            cm = is_cm(X)
-            incl = [inclusion_property(X, i) for i in range(1, X.n + 1)] if X.n >= 2 else []
-            agree = star == cm
-            if agree:
-                agree_count += 1
-            else:
-                failures.append(f"id={mask}: star={star} but reisner={cm}")
-            if star:
-                acm_count += 1
-                for problem in _structure_failures(X):
-                    failures.append(f"id={mask}: {problem}")
-            elif any(incl):
-                failures.append(f"id={mask}: inclusion holds but configuration is not ACM")
-            row = [grid_txt, mask, X.size, _fmt_bool(star), _fmt_bool(cm)]
-            writer.writerow(row + [";".join(map(_fmt_bool, incl)), _fmt_bool(agree)])
+            verdicts = known.pop(mask, None)
+            if verdicts is None:
+                X = canonicalize([cells[b] for b in range(ncells) if mask >> b & 1])
+                verdicts, problems = _evaluate(X)
+                failures.extend(f"id={mask}: {problem}" for problem in problems)
+                if not problems:
+                    moved = {dperm: verdicts.permuted(dperm) for dperm in distinct_dperms}
+                    for image, dperm in zip(_orbit_images(mask, bit_images), dperms):
+                        if image != mask and image in targets:
+                            known[image] = moved[dperm]
+            agree = verdicts.star_acm == verdicts.reisner_cm
+            agree_count += agree
+            acm_count += verdicts.star_acm
+            writer.writerow([
+                grid_txt, mask, verdicts.size, _fmt_bool(verdicts.star_acm),
+                _fmt_bool(verdicts.reisner_cm), ";".join(map(_fmt_bool, verdicts.inclusion)),
+                _fmt_bool(agree),
+            ])
 
     print(
         f"grid {grid_txt}: {len(masks)} configurations, {acm_count} ACM, "

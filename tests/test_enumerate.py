@@ -1,0 +1,207 @@
+"""``acmpts enumerate`` against a reference loop, and the symmetry premise.
+
+The harness decides each orbit of the grid's symmetry group once and
+copies the verdicts to the other members.  The reference loop here makes
+one direct ``is_acm`` / ``is_cm`` / ``inclusion_property`` call per
+subset, so any slip in the orbit bookkeeping (a wrong image, a direction
+permutation applied the wrong way round) shows as a differing row.
+"""
+
+import csv
+import functools
+import itertools
+import random
+
+import pytest
+
+from acmpts import cli, relabel
+from acmpts.cli import main
+from acmpts.grid_model import canonicalize
+from acmpts.level_structure import inclusion_property
+from acmpts.reisner_oracle import is_cm
+from acmpts.star_property import is_acm
+from conftest import STAR_BLIND_EIGHT
+
+
+def grid_cells(dims):
+    return sorted(itertools.product(*[range(1, r + 1) for r in dims]))
+
+
+def subset(cells, mask):
+    return [c for b, c in enumerate(cells) if mask >> b & 1]
+
+
+def bitmask(cells, points):
+    return sum(1 << b for b, c in enumerate(cells) if c in points)
+
+
+def random_masks(dims, count, seed):
+    """The masks ``enumerate --random count --seed seed`` draws."""
+    cells = grid_cells(dims)
+    rng = random.Random(seed)
+    masks = []
+    for _ in range(count):
+        k = rng.randint(1, len(cells))
+        masks.append(bitmask(cells, set(rng.sample(cells, k))))
+    return masks
+
+
+@functools.cache
+def verdicts_of(X):
+    """(size, is_acm, is_cm, inclusion per direction) of one configuration."""
+    incl = tuple(inclusion_property(X, i) for i in range(1, X.n + 1)) if X.n >= 2 else ()
+    return X.size, is_acm(X), is_cm(X), incl
+
+
+def direct_verdicts(dims, mask):
+    return verdicts_of(canonicalize(subset(grid_cells(dims), mask)))
+
+
+def reference_report(dims, masks):
+    """CSV rows and summary line of ``enumerate``, one evaluation per subset."""
+    fmt = {True: "true", False: "false"}.get
+    grid = "x".join(map(str, dims))
+    rows = []
+    acm = agree = 0
+    for mask in masks:
+        size, star, cm, incl = direct_verdicts(dims, mask)
+        acm += star
+        agree += star == cm
+        rows.append([grid, str(mask), str(size), fmt(star), fmt(cm),
+                     ";".join(map(fmt, incl)), fmt(star == cm)])
+    summary = (f"grid {grid}: {len(masks)} configurations, {acm} ACM, "
+               f"star/reisner agreement {agree}/{len(masks)}")
+    return rows, summary
+
+
+def run_enumerate(tmp_path, capsys, argv):
+    out = tmp_path / "report.csv"
+    code = main(["enumerate", *argv, "--out", str(out)])
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["grid", "id", "size", "star_acm", "reisner_cm", "inclusion", "agree"]
+    return code, rows[1:], capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "dims, argv, masks",
+    [
+        ((2, 2, 3), ["--grid", "2,2,3"], range(1, 1 << 12)),
+        # 3-cycles of directions: a forward/inverse mix-up of the
+        # inclusion permutation shows here, not on 2x2x3.
+        ((2, 2, 2), ["--grid", "2,2,2"], range(1, 1 << 8)),
+        # 500 draws >= 384 group elements, so the group is used.
+        ((2, 2, 2, 2), ["--grid", "2,2,2,2", "--random", "500", "--seed", "3"],
+         random_masks((2, 2, 2, 2), 500, 3)),
+    ],
+    ids=["2x2x3", "2x2x2", "random-2x2x2x2"],
+)
+def test_enumerate_matches_reference_loop(tmp_path, capsys, dims, argv, masks):
+    code, rows, stdout = run_enumerate(tmp_path, capsys, argv)
+    expected_rows, summary = reference_report(dims, masks)
+    assert code == 0
+    assert rows == expected_rows
+    assert stdout == [summary]
+
+
+def level_transpositions(dims):
+    """Adjacent level transpositions, one direction at a time: with them
+    every level permutation of every direction is generated."""
+    for i, r in enumerate(dims):
+        for j in range(1, r):
+            perms = [list(range(1, s + 1)) for s in dims]
+            perms[i][j - 1], perms[i][j] = j + 1, j
+            yield perms
+
+
+@pytest.mark.parametrize(
+    "dims, direction_perms",
+    [((2, 2, 2), [(2, 1, 3), (2, 3, 1)]), ((2, 2, 3), [(2, 1, 3)])],
+    ids=["2x2x2", "2x2x3"],
+)
+def test_verdicts_invariant_under_relabel(dims, direction_perms):
+    """The premise of orbit reduction: star and Reisner verdicts are
+    invariant under the grid's symmetries, and inclusion moves with the
+    direction it is taken in.  A generating set of the group suffices:
+    level transpositions in every direction, a direction transposition
+    and, on 2x2x2, a 3-cycle of directions."""
+    cells = grid_cells(dims)
+    verdicts = {}
+    for mask in range(1, 1 << len(cells)):
+        verdicts[canonicalize(subset(cells, mask))] = direct_verdicts(dims, mask)
+    for X, (size, star, cm, incl) in verdicts.items():
+        for dperm in direction_perms:
+            Y = relabel(X, direction_perm=dperm)
+            assert verdicts[Y] == (size, star, cm, tuple(incl[d - 1] for d in dperm))
+        for lperms in level_transpositions(X.dims):
+            Y = relabel(X, level_perms=lperms)
+            assert verdicts[Y] == (size, star, cm, incl)
+
+
+def test_exhaustive_2x2x2x2_disagrees_on_star_blind_orbit(tmp_path, capsys):
+    """Every subset of 2x2x2x2.  The star criterion still accepts the 24
+    relabelings of the star-blind eight points, which are not
+    Cohen-Macaulay; every other subset agrees."""
+    cells = grid_cells((2, 2, 2, 2))
+    X = canonicalize(STAR_BLIND_EIGHT)
+    orbit = {
+        bitmask(cells, relabel(X, dperm, lperms).points)
+        for dperm in itertools.permutations(range(1, 5))
+        for lperms in itertools.product([(1, 2), (2, 1)], repeat=4)
+    }
+    assert len(orbit) == 24
+    code, rows, stdout = run_enumerate(tmp_path, capsys, ["--grid", "2,2,2,2"])
+    assert code == 1
+    assert stdout[0].startswith("grid 2x2x2x2: 65535 configurations, ")
+    assert stdout[0].endswith(" ACM, star/reisner agreement 65511/65535")
+    assert [int(row[1]) for row in rows] == list(range(1, 1 << 16))
+    assert {int(row[1]) for row in rows if row[6] != "true"} == orbit
+    failing = {int(line.split()[1].removeprefix("id=").rstrip(":")) for line in stdout[1:]}
+    assert failing == orbit
+    assert all(line.startswith("FAIL id=") for line in stdout[1:])
+
+
+def test_exhaustive_3x3x2_agrees(tmp_path, capsys):
+    code, rows, stdout = run_enumerate(tmp_path, capsys, ["--grid", "3,3,2"])
+    assert code == 0
+    assert len(rows) == 262143
+    assert stdout == [stdout[0]]
+    assert stdout[0].endswith("star/reisner agreement 262143/262143")
+    assert all(row[6] == "true" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, masks, order",
+    [
+        (["--grid", "6,6,6", "--random", "3", "--seed", "1"], 3, 1),
+        (["--grid", "12"], 4095, 1),  # 12! elements
+        (["--grid", "4"], 15, 1),  # 4! = 24 > 15
+        (["--grid", "3"], 7, 6),
+        (["--grid", "2,2,3"], 4095, 48),
+    ],
+    ids=["6x6x6-random", "12", "4", "3", "2x2x3"],
+)
+def test_group_is_built_only_when_smaller_than_mask_count(tmp_path, capsys, monkeypatch,
+                                                          argv, masks, order):
+    built = []
+
+    def counting(dims, limit):
+        elements = grid_symmetries(dims, limit)
+        built.append((limit, len(elements)))
+        return elements
+
+    grid_symmetries = cli._grid_symmetries
+    monkeypatch.setattr(cli, "_grid_symmetries", counting)
+    # The subsets of a line with k points share one canonical form, whose
+    # Reisner complex is a simplex boundary with 3^k faces in its links
+    # and which has 2^k - 2 proper level unions to check: the 4095 subsets
+    # of the 12-level line take about a minute.  Both are pure functions
+    # of the configuration, so a memo changes no output.
+    monkeypatch.setattr(cli, "is_cm", functools.cache(is_cm))
+    monkeypatch.setattr(cli, "_structure_failures", functools.cache(cli._structure_failures))
+    code, rows, stdout = run_enumerate(tmp_path, capsys, argv)
+    assert code == 0
+    assert built == [(masks, order)]
+    if argv == ["--grid", "12"]:
+        expected_rows, summary = reference_report((12,), range(1, 1 << 12))
+        assert (rows, stdout) == (expected_rows, [summary])

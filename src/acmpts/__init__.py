@@ -23,7 +23,6 @@ from .grid_model import (
     MultiDegree,
     PointSet,
     canonicalize,
-    coordinate,
     project,
     relabel,
 )
@@ -32,7 +31,6 @@ from .hilbert_function import (
     delta_table,
     evaluation_rank,
     hilbert_table,
-    hilbert_value,
 )
 from .level_structure import (
     LevelDecomposition,
@@ -42,17 +40,8 @@ from .level_structure import (
     max_level_size,
     remove_level,
 )
-from .monomial_ideals import (
-    GridVariable,
-    Monomial,
-    MonomialIdeal,
-    ci_generators,
-    configuration_ideal,
-    contains,
-    intersect,
-    point_prime,
-)
 from .reisner_oracle import (
+    GridVariable,
     HomologyProfile,
     SimplicialComplex,
     first_cm_failure,

@@ -241,9 +241,13 @@ def _construct_liaison(data: dict, out: TextIO | None) -> int:
     if not all(isinstance(part, list) for part in summands):
         raise InputError("each liaison summand must be a list of points")
     parts = tuple(frozenset(_int_tuple(p, "summand point") for p in part) for part in summands)
+    levels = [_int_tuple(sup, "support") for sup in supports]
+    for sup in levels:
+        if len(set(sup)) != len(sup):
+            raise InputError(f"support {list(sup)} repeats a level")
     forms = tuple(
-        DirectionForm(direction=i, support=frozenset(_int_tuple(sup, "support")))
-        for i, sup in enumerate(supports, start=1)
+        DirectionForm(direction=i, support=frozenset(sup))
+        for i, sup in enumerate(levels, start=1)
     )
     inp = LiaisonInput(summands=parts, forms=forms)
     box = _int_tuple(data["box"], "box", inp.n) if "box" in data else None

@@ -142,7 +142,6 @@ class LiaisonResult:
 
     point_set: PointSet
     provenance: Mapping[GridPoint, str]
-    box_raw: frozenset[GridPoint]
 
 
 def liaison_addition(input: LiaisonInput) -> LiaisonResult:
@@ -163,11 +162,7 @@ def liaison_addition(input: LiaisonInput) -> LiaisonResult:
     for k, part in enumerate(input.summands, start=1):
         for p in part:
             provenance[to_canonical(p)] = f"V{k}"
-    return LiaisonResult(
-        point_set=canonicalize(sorted(raw)),
-        provenance=provenance,
-        box_raw=input.box_points(),
-    )
+    return LiaisonResult(point_set=canonicalize(sorted(raw)), provenance=provenance)
 
 
 def verify_hf_additivity(

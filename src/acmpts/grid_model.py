@@ -115,13 +115,6 @@ def level_maps(tuples: Sequence[GridPoint]) -> list[dict[int, int]]:
     ]
 
 
-def coordinate(p: GridPoint, i: int) -> int:
-    """The i-th (1-based) coordinate of a grid point."""
-    if not 1 <= i <= len(p):
-        raise BadDirection(f"direction {i} outside 1..{len(p)}")
-    return p[i - 1]
-
-
 def drop_coordinate(p: GridPoint, i: int) -> GridPoint:
     """The tuple with the i-th (1-based) coordinate deleted."""
     if not 1 <= i <= len(p):

@@ -130,16 +130,9 @@ def _saturated_ranker(
     return rank
 
 
-def hilbert_value(X: PointSet, t: Sequence[int]) -> int:
-    """h_X(t) for a canonical configuration (level j evaluates at [j:1])."""
-    t = _check_degree(t)
-    if len(t) != X.n:
-        raise BadDegree(f"degree {t} has length {len(t)}, expected {X.n}")
-    return evaluation_rank(X.points, t)
-
-
 def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
-    """Table of hilbert_value over the box 0 <= t <= T."""
+    """Table of h_X(t) over the box 0 <= t <= T, for a canonical
+    configuration (level j evaluates at [j:1])."""
     T = _check_degree(T)
     if len(T) != X.n:
         raise BadDegree(f"box corner {T} has length {len(T)}, expected {X.n}")

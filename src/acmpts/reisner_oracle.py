@@ -1,11 +1,13 @@
 """Independent ACM oracle via Stanley-Reisner complexes and Reisner's criterion.
 
-The squarefree monomial model of a configuration is the Stanley-Reisner
-ideal of the complex whose facet for a point p is the set of all grid
-variables except a[1,p_1], ..., a[n,p_n].  Cohen-Macaulayness of that
-model over the rationals is decided by Reisner's criterion: every link,
-the empty face included, must have vanishing reduced homology below its
-dimension.
+Replacing the hyperplane through level j of direction i by a fresh
+variable a[i,j] (a ``GridVariable``) turns a configuration into the
+intersection of the point primes (a[1,p_1], ..., a[n,p_n]).  That
+squarefree monomial model is the Stanley-Reisner ideal of the complex
+whose facet for a point p is the set of all grid variables except
+a[1,p_1], ..., a[n,p_n].  Cohen-Macaulayness of the model over the
+rationals is decided by Reisner's criterion: every link, the empty face
+included, must have vanishing reduced homology below its dimension.
 
 Inside the oracle a face is an integer bitmask over vertex positions
 (bit n - 1 - k for ``vertices[k]`` of n, so that sorting masks of one
@@ -35,14 +37,32 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
 from .grid_model import PointSet
 from .linalg import rank_int
-from .monomial_ideals import GridVariable, grid_variables
 
 Face = frozenset
+
+
+class GridVariable(NamedTuple):
+    """The variable a[i,j] of the hyperplane at level j of direction i."""
+
+    direction: int
+    level: int
+
+    def __str__(self) -> str:
+        return f"a[{self.direction},{self.level}]"
+
+
+def grid_variables(dims: Iterable[int]) -> list[GridVariable]:
+    """All variables of the grid ring, direction-major order."""
+    return [
+        GridVariable(i, j)
+        for i, r in enumerate(dims, start=1)
+        for j in range(1, r + 1)
+    ]
 
 
 @dataclass(frozen=True)

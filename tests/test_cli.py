@@ -256,6 +256,7 @@ LAYER = {"mode": "layer", "points": [[1, 1, 1], [2, 1, 1]], "direction": 1}
         ("construct", {**LAYER, "box": [-1, 2, 2]}),
         ("construct", {**LAYER, "points": [[1, True, 1]]}),
         ("construct", {"mode": "other"}),
+        ("construct", {**ELEVEN_LIAISON, "supports": [[2, 3, 3], [1, 3], [1, 2]]}),
     ],
 )
 def test_strict_input_exits_two(tmp_path, capsys, command, data):

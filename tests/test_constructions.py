@@ -78,9 +78,10 @@ def test_liaison_eleven_points(eleven_points):
 
 
 def test_liaison_pair_example():
-    result = liaison_addition(pair_input())
+    inp = pair_input()
+    result = liaison_addition(inp)
     assert result.point_set.points == {(1, 1), (2, 2), (2, 1)}
-    assert result.box_raw == {(2, 1)}
+    assert inp.box_points() == {(2, 1)}
 
 
 def test_liaison_hypothesis_violations():

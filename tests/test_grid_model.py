@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from acmpts import canonicalize, coordinate, project, relabel
+from acmpts import canonicalize, project, relabel
 from acmpts.errors import (
     BadDirection,
     BadPermutation,
@@ -84,14 +84,6 @@ def test_project_size_bound(X):
         assert Y.size == len(images) <= X.size
         # equality exactly when coordinate deletion is injective on X
         assert (Y.size == X.size) == (len(images) == X.size)
-
-
-def test_coordinate():
-    assert coordinate((1, 2, 3), 2) == 2
-    assert coordinate((1, 2, 3), 3) == 3
-    assert coordinate((5,), 1) == 5
-    with pytest.raises(BadDirection):
-        coordinate((1, 2), 3)
 
 
 def test_relabel_identity(six_points):

@@ -9,7 +9,6 @@ from acmpts import (
     evaluation_rank,
     hilbert_function,
     hilbert_table,
-    hilbert_value,
     relabel,
 )
 from acmpts.constructions import verify_layer_hf
@@ -33,23 +32,23 @@ KNOWN_SLICES = {
 def test_hilbert_single_point():
     X = canonicalize([(1, 1)])
     for t in [(0, 0), (1, 2), (3, 3)]:
-        assert hilbert_value(X, t) == 1
+        assert evaluation_rank(X.points, t) == 1
 
 
 def test_hilbert_full_grid_degree_one():
     X = canonicalize([(1, 1), (1, 2), (2, 1), (2, 2)])
-    assert hilbert_value(X, (1, 1)) == 4
+    assert evaluation_rank(X.points, (1, 1)) == 4
 
 
 def test_hilbert_eleven_point_corner(eleven_points):
-    assert hilbert_value(eleven_points, (3, 3, 3)) == 11
+    assert evaluation_rank(eleven_points.points, (3, 3, 3)) == 11
 
 
 def test_hilbert_degree_errors(eleven_points):
     with pytest.raises(BadDegree):
-        hilbert_value(eleven_points, (1, -1, 0))
+        evaluation_rank(eleven_points.points, (1, -1, 0))
     with pytest.raises(BadDegree):
-        hilbert_value(eleven_points, (1, 1))
+        evaluation_rank(eleven_points.points, (1, 1))
     with pytest.raises(BadDegree):
         evaluation_rank([(1, 1, 1), (2, 2, 2), (1, 2, 1)], (1, 1))
 
@@ -115,7 +114,7 @@ def test_delta_telescopes_to_corner_value(X):
 @given(grid_configurations(max_n=2, max_levels=3, max_size=5))
 @settings(max_examples=20, deadline=None)
 def test_hilbert_stabilizes_at_size(X):
-    assert hilbert_value(X, (X.size,) * X.n) == X.size
+    assert evaluation_rank(X.points, (X.size,) * X.n) == X.size
 
 
 @given(grid_configurations(max_n=2, max_levels=3, max_size=6))
@@ -165,8 +164,8 @@ def test_level_relabel_can_change_rank_on_four_levels():
     # the invariance test above restricts to at most three levels.
     diag = [(k, k) for k in range(1, 5)]
     swapped = [(1, 1), (2, 2), (3, 4), (4, 3)]
-    assert hilbert_value(canonicalize(diag), (1, 1)) == 3
-    assert hilbert_value(canonicalize(swapped), (1, 1)) == 4
+    assert evaluation_rank(canonicalize(diag).points, (1, 1)) == 3
+    assert evaluation_rank(canonicalize(swapped).points, (1, 1)) == 4
 
 
 def test_table_lookup_accepts_sequences(eleven_points):
@@ -194,8 +193,6 @@ def test_degree_entries_must_be_integers(bad):
         delta_table(X, bad)
     with pytest.raises(BadDegree):
         evaluation_rank(X.points, bad)
-    with pytest.raises(BadDegree):
-        hilbert_value(X, bad)
     with pytest.raises(BadDegree):
         verify_layer_hf(X, 1, bad)
 

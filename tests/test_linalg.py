@@ -125,7 +125,7 @@ def test_matches_fraction_elimination_on_evaluation_matrices(monkeypatch, eleven
     seen = captured_matrices(
         monkeypatch,
         hilbert_function,
-        lambda: [hilbert_function.hilbert_value(eleven_points, t) for t in degrees],
+        lambda: [hilbert_function.evaluation_rank(eleven_points.points, t) for t in degrees],
     )
     assert [(len(m), len(m[0])) for m in seen] == [(11, 8), (11, 6), (11, 27), (11, 64)]
     for m in seen:

@@ -3,22 +3,20 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from acmpts import canonicalize, hamming_distance, hilbert_value, is_acm
-from acmpts.errors import DimensionMismatch, EmptyConfiguration
-from acmpts.monomial_ideals import (
-    GridVariable,
+from acmpts import canonicalize, evaluation_rank, is_acm
+from acmpts.errors import EmptyConfiguration
+from acmpts.reisner_oracle import GridVariable, grid_variables
+from conftest import grid_configurations
+from ideal_reference import (
     Monomial,
     MonomialIdeal,
-    ci_generators,
     configuration_ideal,
     contains,
-    grid_variables,
     intersect,
     multidegree,
     point_prime,
     squarefree_monomials,
 )
-from conftest import grid_configurations
 
 
 def var(i, j):
@@ -127,29 +125,6 @@ def test_membership_characterization(X):
         assert contains(J, m) == expected
 
 
-def test_ci_generators():
-    gens = ci_generators((1, 1, 2), (1, 2, 1))
-    assert gens == [
-        mono(var(1, 1)),
-        mono(var(2, 1), var(2, 2)),
-        mono(var(3, 1), var(3, 2)),
-    ]
-    gens = ci_generators((1, 1, 1), (2, 2, 2))
-    assert [len(g) for g in gens] == [2, 2, 2]
-    assert ci_generators((2, 2), (2, 2)) == [mono(var(1, 2)), mono(var(2, 2))]
-    with pytest.raises(DimensionMismatch):
-        ci_generators((1,), (1, 2))
-
-
-@given(grid_configurations(max_n=3, max_levels=3, max_size=2))
-@settings(max_examples=40)
-def test_ci_degree_two_count_is_hamming_distance(X):
-    pts = X.sorted_points()
-    P, Q = pts[0], pts[-1]
-    gens = ci_generators(P, Q)
-    assert sum(1 for g in gens if len(g) == 2) == hamming_distance(P, Q)
-
-
 def test_acm_generator_degrees_cut_hilbert_function():
     """For an ACM configuration each generator multidegree of the
     monomial model supports an actual element of the vanishing ideal:
@@ -164,4 +139,4 @@ def test_acm_generator_degrees_cut_hilbert_function():
             full_dim = 1
             for ti in t:
                 full_dim *= ti + 1
-            assert full_dim - hilbert_value(X, t) >= 1
+            assert full_dim - evaluation_rank(X.points, t) >= 1

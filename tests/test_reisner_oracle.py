@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from acmpts import PointSet, canonicalize, is_acm, relabel, reisner_oracle
 from acmpts.errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
 from acmpts.linalg import rank_int
-from acmpts.monomial_ideals import GridVariable, configuration_ideal
 from acmpts.reisner_oracle import (
+    GridVariable,
     SimplicialComplex,
     cm_obstruction,
     first_cm_failure,
@@ -18,6 +18,7 @@ from acmpts.reisner_oracle import (
     sr_complex,
 )
 from conftest import grid_configurations
+from ideal_reference import configuration_ideal
 
 
 def var(i, j):
@@ -46,18 +47,28 @@ def test_sr_complex_full_grid_is_four_cycle():
     assert (prof.rank(0), prof.rank(1)) == (0, 1)
 
 
-def test_nonfaces_generate_configuration_ideal(six_points):
+FIXTURES = ["six_points", "eleven_points", "eleven_moved", "twelve_chain", "star_blind_eight"]
+
+
+@pytest.mark.parametrize("case", FIXTURES + ["2x2x2", "3x3"])
+def test_nonfaces_generate_configuration_ideal(request, case):
     """Minimal vertex sets that are not faces are exactly the minimal
-    generators of the configuration ideal."""
-    delta = sr_complex(six_points)
-    faces = set(delta.faces())
-    minimal_nonfaces = []
-    for k in range(1, len(delta.vertices) + 1):
-        for combo in itertools.combinations(delta.vertices, k):
-            s = frozenset(combo)
-            if s not in faces and not any(m < s for m in minimal_nonfaces):
-                minimal_nonfaces.append(s)
-    assert set(minimal_nonfaces) == configuration_ideal(six_points).generators
+    generators of the configuration ideal, on each fixture and on every
+    nonempty subset of the 2x2x2 and 3x3 grids."""
+    if case in FIXTURES:
+        configurations = [request.getfixturevalue(case)]
+    else:
+        configurations = subset_configurations(tuple(map(int, case.split("x"))))
+    for X in configurations:
+        delta = sr_complex(X)
+        faces = set(delta.faces())
+        minimal_nonfaces = []
+        for k in range(1, len(delta.vertices) + 1):
+            for combo in itertools.combinations(delta.vertices, k):
+                s = frozenset(combo)
+                if s not in faces and not any(m < s for m in minimal_nonfaces):
+                    minimal_nonfaces.append(s)
+        assert set(minimal_nonfaces) == configuration_ideal(X).generators, X
 
 
 def test_faces_sorted_by_size_then_vertex_order():

@@ -55,7 +55,6 @@ from .star_property import check_star, find_path, is_acm
 class ConfigurationFile:
     """Parsed configuration: raw points plus optional display labels."""
 
-    n: int
     points: tuple[GridPoint, ...]
     labels: tuple[str, ...] | None = None
 
@@ -85,7 +84,7 @@ def _read_json_object(path: str | Path) -> dict:
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
         raise InputError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -108,7 +107,7 @@ def load_configuration(path: str | Path) -> ConfigurationFile:
         ):
             raise InputError(f"{path}: 'labels' must be strings parallel to 'points'")
         labels = tuple(labels)
-    return ConfigurationFile(n=n, points=tuple(points), labels=labels)
+    return ConfigurationFile(points=tuple(points), labels=labels)
 
 
 def _write_configuration(X: PointSet, fh: TextIO) -> None:
@@ -199,8 +198,6 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     cfg = load_configuration(args.file)
     X = cfg.point_set()
     box = _parse_int_list(args.box, "box")
-    if len(box) != X.n:
-        raise InputError(f"box {box} has {len(box)} entries, expected {X.n}")
     if args.delta:
         _render_table(delta_table(X, box), "delta_h")
     else:
@@ -233,7 +230,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
-def _construct_liaison(data: dict, out: TextIO | None) -> int:
+def _construct_liaison(data: dict) -> tuple[PointSet, bool]:
     summands = data.get("summands")
     supports = data.get("supports")
     if not isinstance(summands, list) or not isinstance(supports, list):
@@ -261,13 +258,10 @@ def _construct_liaison(data: dict, out: TextIO | None) -> int:
     print(f"liaison addition: {Z.size} points ({parts_txt})")
     box_txt = ",".join(map(str, box)) if box else "default"
     print(f"hf additivity: {'verified' if ok else 'FAILED'} on box ({box_txt})")
-    if out:
-        _write_configuration(Z, out)
-        print(f"wrote {out.name}")
-    return 0 if ok else 1
+    return Z, ok
 
 
-def _construct_layer(data: dict, out: TextIO | None) -> int:
+def _construct_layer(data: dict) -> tuple[PointSet, bool]:
     pts = data.get("points")
     direction = data.get("direction")
     fresh = data.get("fresh", True)
@@ -279,10 +273,7 @@ def _construct_layer(data: dict, out: TextIO | None) -> int:
     ok = verify_layer_hf(X, direction, box, fresh)
     print(f"layer construction: {X.size} points + {Z.size - X.size} layer points = {Z.size}")
     print(f"hf additivity: {'verified' if ok else 'FAILED'} on box ({','.join(map(str, box))})")
-    if out:
-        _write_configuration(Z, out)
-        print(f"wrote {out.name}")
-    return 0 if ok else 1
+    return Z, ok
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -291,9 +282,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if build is None:
         raise InputError(f"{args.config}: 'mode' must be 'liaison' or 'layer'")
     if args.out is None:
-        return build(data, None)
-    with _open_output(args.out) as out:
-        return build(data, out)
+        _, ok = build(data)
+    else:
+        with _open_output(args.out) as out:
+            Z, ok = build(data)
+            _write_configuration(Z, out)
+            print(f"wrote {out.name}")
+    return 0 if ok else 1
 
 
 def _structure_failures(X: PointSet) -> list[str]:
@@ -314,14 +309,6 @@ def _structure_failures(X: PointSet) -> list[str]:
                 if iface.size and not is_acm(iface):
                     problems.append(f"interface of level {j} direction {i} not ACM")
     return problems
-
-
-def _subset_bitmask(cells: list[GridPoint], chosen: set[GridPoint]) -> int:
-    mask = 0
-    for b, cell in enumerate(cells):
-        if cell in chosen:
-            mask |= 1 << b
-    return mask
 
 
 class _Verdicts(NamedTuple):
@@ -413,11 +400,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.seed is None:
             raise InputError("--random requires --seed")
         rng = random.Random(args.seed)
-        masks = []
-        for _ in range(args.random):
-            k = rng.randint(1, ncells)
-            chosen = set(rng.sample(cells, k))
-            masks.append(_subset_bitmask(cells, chosen))
+        masks = [
+            sum(1 << b for b in rng.sample(range(ncells), rng.randint(1, ncells)))
+            for _ in range(args.random)
+        ]
         # Images that are never visited are not recorded, so the table
         # stays within the sample's size.
         targets = set(masks)

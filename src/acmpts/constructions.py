@@ -32,7 +32,7 @@ from .errors import (
     ReducednessGuardViolated,
     VanishingConditionViolated,
 )
-from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate, level_maps
+from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate
 from .hilbert_function import _saturated_ranker, box_degrees
 
 
@@ -149,20 +149,16 @@ def liaison_addition(input: LiaisonInput) -> LiaisonResult:
 
     The reducedness guard makes summands disjoint from the box, so each
     canonical point carries exactly one label: "V1".."Vn" or "box".
+    Canonical relabeling increases in every coordinate, so it keeps
+    lexicographic order and pairs the sorted raw and canonical points.
     """
-    raw = input.union_points()
-    maps = level_maps(sorted(raw))
-
-    def to_canonical(p: GridPoint) -> GridPoint:
-        return tuple(maps[i][p[i]] for i in range(len(p)))
-
-    provenance: dict[GridPoint, str] = {}
-    for p in input.box_points():
-        provenance[to_canonical(p)] = "box"
+    raw = sorted(input.union_points())
+    Z = canonicalize(raw)
+    to_canonical = dict(zip(raw, Z.sorted_points()))
+    provenance = {to_canonical[p]: "box" for p in input.box_points()}
     for k, part in enumerate(input.summands, start=1):
-        for p in part:
-            provenance[to_canonical(p)] = f"V{k}"
-    return LiaisonResult(point_set=canonicalize(sorted(raw)), provenance=provenance)
+        provenance.update((to_canonical[p], f"V{k}") for p in part)
+    return LiaisonResult(point_set=Z, provenance=provenance)
 
 
 def verify_hf_additivity(
@@ -179,9 +175,8 @@ def verify_hf_additivity(
     if T is None:
         total = sum(f.degree for f in input.forms)
         T = (total,) * input.n
-    raw = sorted(input.union_points())
-    maps = level_maps(raw)
-    raw_levels = [sorted(m.keys()) for m in maps]
+    raw = input.union_points()
+    raw_levels = [sorted({p[i] for p in raw}) for i in range(input.n)]
     if any(Z.dims[i] > len(raw_levels[i]) for i in range(input.n)):
         return False
     z_raw = [
@@ -219,7 +214,14 @@ def _shifted_sum_identity(
 def _layer_pieces(
     X: PointSet, i: int, fresh: bool
 ) -> tuple[set[GridPoint], set[GridPoint]]:
-    """Raw (base, layer) point sets in the output's common embedding."""
+    """Raw (base, layer) point sets in the output's common embedding,
+    after the layer construction's checks on X and i."""
+    if X.size == 0:
+        raise EmptyConfiguration("layer construction needs a nonempty configuration")
+    if X.n < 2:
+        raise BadDirection("layer construction needs at least two directions")
+    if not 1 <= i <= X.n:
+        raise BadDirection(f"direction {i} outside 1..{X.n}")
     shadow = sorted({drop_coordinate(p, i) for p in X.points})
     if fresh:
         c = X.dims[i - 1] + 1
@@ -234,10 +236,6 @@ def _layer_pieces(
 def verify_layer_hf(X: PointSet, i: int, T: Sequence[int], fresh: bool = True) -> bool:
     """Check h_Z(t) = h_layer(t) + h_X(t - e_i) for all 0 <= t <= T,
     with both sides evaluated on the layered configuration's embedding."""
-    if X.size == 0:
-        raise EmptyConfiguration("layer construction needs a nonempty configuration")
-    if X.n < 2 or not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i} invalid for n = {X.n}")
     base, layer = _layer_pieces(X, i, fresh)
     e_i = tuple(int(k == i - 1) for k in range(X.n))
     return _shifted_sum_identity(base | layer, [(layer, (0,) * X.n), (base, e_i)], T)
@@ -251,11 +249,5 @@ def add_layer(X: PointSet, i: int, fresh: bool = True) -> PointSet:
     inserted before them (index 1, existing levels shifted up).  Both
     placements are the same configuration up to relabeling.
     """
-    if X.size == 0:
-        raise EmptyConfiguration("layer construction needs a nonempty configuration")
-    if X.n < 2:
-        raise BadDirection("layer construction needs at least two directions")
-    if not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i} outside 1..{X.n}")
     base, layer = _layer_pieces(X, i, fresh)
     return canonicalize(sorted(base | layer))

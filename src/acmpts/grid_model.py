@@ -100,19 +100,13 @@ def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
         for c in p:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InputError(f"coordinate {c!r} is not an integer")
-    maps = level_maps(tuples)
-    points = frozenset(tuple(maps[i][p[i]] for i in range(n)) for p in tuples)
-    dims = tuple(len(m) for m in maps)
-    return PointSet(n=n, dims=dims, points=points)
-
-
-def level_maps(tuples: Sequence[GridPoint]) -> list[dict[int, int]]:
-    """Per-direction order-preserving relabeling raw value -> 1..r_i."""
-    n = len(tuples[0])
-    return [
+    maps = [
         {v: k + 1 for k, v in enumerate(sorted({p[i] for p in tuples}))}
         for i in range(n)
     ]
+    points = frozenset(tuple(maps[i][p[i]] for i in range(n)) for p in tuples)
+    dims = tuple(len(m) for m in maps)
+    return PointSet(n=n, dims=dims, points=points)
 
 
 def drop_coordinate(p: GridPoint, i: int) -> GridPoint:

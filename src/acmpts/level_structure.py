@@ -78,13 +78,18 @@ def inclusion_property(X: PointSet, i: int) -> bool:
     return all(_acm_of_shadow(sh) for sh in shadows)
 
 
-def remove_level(X: PointSet, i: int, j: int) -> PointSet:
-    """X minus its j-th i-level set, recanonicalized."""
+def _check_level(X: PointSet, i: int, j: int) -> None:
+    """Level j of direction i exists and is not the direction's only level."""
     _check_direction(X, i)
     if not 1 <= j <= X.dims[i - 1]:
         raise BadLevel(f"level {j} outside 1..{X.dims[i - 1]} in direction {i}")
     if X.dims[i - 1] < 2:
-        raise WouldBeEmpty(f"direction {i} has a single level; removal would empty X")
+        raise WouldBeEmpty(f"direction {i} has a single level")
+
+
+def remove_level(X: PointSet, i: int, j: int) -> PointSet:
+    """X minus its j-th i-level set, recanonicalized."""
+    _check_level(X, i, j)
     rest = [p for p in X.points if p[i - 1] != j]
     return canonicalize(rest)
 
@@ -95,11 +100,7 @@ def interface_set(X: PointSet, i: int, j: int) -> PointSet:
     Returns the empty configuration when no point of X minus the level
     projects into the level's shadow.
     """
-    _check_direction(X, i)
-    if not 1 <= j <= X.dims[i - 1]:
-        raise BadLevel(f"level {j} outside 1..{X.dims[i - 1]} in direction {i}")
-    if X.dims[i - 1] < 2:
-        raise WouldBeEmpty(f"direction {i} has a single level")
+    _check_level(X, i, j)
     level_shadow = {drop_coordinate(p, i) for p in X.points if p[i - 1] == j}
     rest = [
         p

@@ -11,16 +11,13 @@ dense.  Boundary matrices are taken between the cells that survive
 coreductions, so they are few and small: ``first_cm_failure`` on the
 seed-42 ``sample_3x3x3`` benchmark inputs computes homology for 8473
 links and ranks 484 matrices of at most 17x17, 11733 entries in all
-(35% nonzero), where the unreduced complexes gave 16875 matrices of up
-to 108x108 with 9.7 million entries.  Hilbert tables rank each
-saturated degree once, so a matrix has at most prod_i d_i columns for
-d_i distinct values per coordinate: on the seed-42
-``hilbert_tables`` benchmark inputs (delta tables at box (3,3,3), layer
-checks at (2,2,2)) that is 28868 matrices of at most 36x27 with 3.6
-million entries, where ranking every degree took 55080 matrices of up
-to 27x64 with 8.7 million.  On seeded 3x3x3 samples of both kinds,
-eliminated entries grew by at most one bit over the input's, so rows
-are not divided by the gcd of their entries.
+(35% nonzero).  Hilbert tables rank each saturated degree once, so a
+matrix has at most prod_i d_i columns for d_i distinct values per
+coordinate: on the seed-42 ``hilbert_tables`` benchmark inputs (delta
+tables at box (3,3,3), layer checks at (2,2,2)) that is 28868 matrices
+of at most 36x27 with 3.6 million entries.  On seeded 3x3x3 samples
+of both kinds, eliminated entries grew by at most one bit over the
+input's, so rows are not divided by the gcd of their entries.
 """
 
 from __future__ import annotations

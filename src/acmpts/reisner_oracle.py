@@ -103,10 +103,6 @@ class SimplicialComplex:
         """All faces, sorted by size then vertex order (empty face first)."""
         return [_vertex_set(self.vertices, m) for m in _faces_in_order(_facet_masks(self))]
 
-    def has_face(self, sigma: Iterable[Hashable]) -> bool:
-        sigma = frozenset(sigma)
-        return any(sigma <= f for f in self.facets)
-
 
 def _facet_masks(delta: SimplicialComplex) -> list[int]:
     """The facets as bitmasks.  Vertex k of n is bit n - 1 - k, so of two
@@ -159,17 +155,22 @@ def sr_complex(X: PointSet) -> SimplicialComplex:
     """The Stanley-Reisner complex of the configuration's monomial model.
 
     One facet per point: the complement of the point's variable set.  All
-    facets have size (sum r_i) - n, so the complex is pure by construction.
+    facets have size (sum r_i) - n, so the complex is pure by construction,
+    and distinct points give distinct facets, so they form an antichain
+    and need no ``from_facets`` pass.  Listing the points in decreasing
+    lexicographic order lists the facets in ``from_facets`` order: at the
+    first direction where p > q differ, p's facet keeps the lower level
+    q_i that q's facet drops, so it comes first in vertex-index order.
     """
     if not X.points:
         raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    verts = grid_variables(X.dims)
-    vert_set = set(verts)
-    facets = []
-    for p in X.sorted_points():
-        removed = {GridVariable(i + 1, c) for i, c in enumerate(p)}
-        facets.append(frozenset(vert_set - removed))
-    return SimplicialComplex.from_facets(verts, facets)
+    verts = tuple(grid_variables(X.dims))
+    vert_set = frozenset(verts)
+    facets = tuple(
+        vert_set - {GridVariable(i + 1, c) for i, c in enumerate(p)}
+        for p in sorted(X.points, reverse=True)
+    )
+    return SimplicialComplex(verts, facets)
 
 
 def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialComplex:
@@ -178,7 +179,7 @@ def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialCompl
     already an antichain (F - sigma < G - sigma gives F < G) and in
     ``from_facets`` order (dropping a shared sigma keeps size and vertex order)."""
     sigma = frozenset(sigma)
-    if not delta.has_face(sigma):
+    if not any(sigma <= f for f in delta.facets):
         raise FaceNotInComplex(f"{set(sigma)} is not a face")
     return SimplicialComplex(
         vertices=tuple(v for v in delta.vertices if v not in sigma),

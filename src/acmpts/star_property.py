@@ -8,7 +8,7 @@ box with 2 <= d(P, Q) <= s meets it in exactly its two spanning corners
 (type-i, the corners lie in X) or in everything but the two spanning
 corners (type-ii, the corners avoid X).  ``is_acm`` reports ACM when
 neither witness kind exists at level n.  That verdict agrees with the
-Reisner oracle on every subset of 2x2x2, 3x3 and 2x2x3, but not on
+Reisner oracle on every subset of 2x2x2, 3x3, 2x2x3 and 3x3x2, but not on
 2x2x2x2: one eight-point orbit has no witness at any level and is not
 Cohen-Macaulay (``test_star_accepts_non_cm_configuration_on_2x2x2x2``).
 

@@ -74,10 +74,19 @@ def test_check_star_level_flag(tmp_path, capsys):
 
 
 def test_check_parse_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{", encoding="utf-8")
-    assert main(["check", str(bad)]) == 2
-    assert "InputError" in capsys.readouterr().err
+    """Broken JSON, a byte that is not UTF-8 and nesting past the
+    recursion limit are input errors for both commands that read JSON."""
+    inputs = {
+        "bad.json": b"{",
+        "latin1.json": b'{"n": 1, "points": [[1]], "labels": ["\xff"]}',
+        "deep.json": b'{"n": 1, "points": ' + b"[" * 200000 + b"]" * 200000 + b"}",
+    }
+    for name, content in inputs.items():
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        for command in ("check", "construct"):
+            assert main([command, str(bad)]) == 2
+            assert "InputError" in capsys.readouterr().err
 
 
 def test_hilbert_delta_rendering(capsys):

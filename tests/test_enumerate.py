@@ -9,6 +9,7 @@ permutation applied the wrong way round) shows as a differing row.
 
 import csv
 import functools
+import hashlib
 import itertools
 import random
 
@@ -102,6 +103,38 @@ def test_enumerate_matches_reference_loop(tmp_path, capsys, dims, argv, masks):
     assert code == 0
     assert rows == expected_rows
     assert stdout == [summary]
+
+
+# sha256 of the CSV bytes and of stdout of eight fast reports: any change
+# to a report's bytes, the masks ``--random`` draws included, shows here.
+REPORT_DIGESTS = {
+    "2,2": ("949a61d2c545fdfba9d283e01d3851f9d9f2f7e57cb397684fb8e69c760a1602",
+            "8f02516e4713f4ead9f8d7d4126fd487966cb1b209aba2ee94fae2a926ad6083"),
+    "2,3": ("9ae15d7f5f051f385996a42090326b974c2d252e0c7418bc092c6a569872a7a3",
+            "c1d31f7830a14b0dd8cc82c6338e6a1024744c92c83dd0c2e39a265e873df2c8"),
+    "3,3": ("7a9f641b87ab32ee239e49f3b9950984c545511d2e7fefa259da6f6e15a62219",
+            "846489b7eea42bea500f5e23d401a265f6045ef3ae4806705e8e81b75cfd66bf"),
+    "2,2,2": ("fc18f6d5c9edddd922b64445d4a47a29eec0f50a05cfa478db3bbd9b1a93aca4",
+              "bc3c7836802acf5944ea4556b98c20022bf0a9978a9bc9a338aaf3dca4a1f9e5"),
+    "2,2,3": ("7858c11c31f8d0cee67788696c3188f54704347ea6ce43762505467081220564",
+              "02184393242d891a3132c7a10440e35a77ff58c9117cd1ceaf2af60c05944bca"),
+    "1,3,2": ("b9ef6ad7c5de0d096a9cf2c2d67d1e5f8f277e54b76cf7e1868be19252c2fc6d",
+              "146d8e9fb8232f909624c6a5c3daf6ae87504a84686f5a8f7131cc6cf972c600"),
+    "3,2,2": ("0c39fa395ac84bac3f22cdcc0ddbcacc1c3c9846b43151f2340ab684a3c2b3c0",
+              "0a0ca9444de07bf17fa7ce3b3ece27c89bce56609252e1b56a42eb1b515cd336"),
+    "2,2,2 --random 200 --seed 5": (
+        "a82be37b33dc9ddba08a81aaa335643e18b459ca27a0efb416906c065c7044e3",
+        "fb77c3a055910e28f1b497094b789f4dc6e8172d6cbad9ab378cd069404c7b0e"),
+}
+
+
+@pytest.mark.parametrize("grid", list(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, capsys, grid):
+    out = tmp_path / "report.csv"
+    assert main(["enumerate", "--grid", *grid.split(), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    digests = hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(stdout).hexdigest()
+    assert digests == REPORT_DIGESTS[grid]
 
 
 def level_transpositions(dims):

@@ -107,12 +107,17 @@ def test_link_in_disjoint_edges():
     assert lk.facets == (frozenset({var(2, 1)}),)
 
 
-def test_link_equals_its_from_facets_form(six_points, eleven_points, eleven_moved, twelve_chain):
+def test_link_equals_its_from_facets_form(
+    six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight
+):
     """Facets through a face minus the face are already a minimal,
     sorted facet list: rebuilding it through from_facets changes nothing,
-    facet order included."""
+    facet order included.  The empty face's link is the complex itself,
+    so this also checks the facet order ``sr_complex`` builds, on every
+    nonempty subset of the 2x2x2 and 3x3 grids."""
     dcab = SimplicialComplex.from_facets("dcab", [{"a", "b"}, {"d", "c", "a"}, {"c", "b"}])
-    complexes = [sr_complex(X) for X in (six_points, eleven_points, eleven_moved, twelve_chain)]
+    fixtures = [six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight]
+    complexes = [sr_complex(X) for X in fixtures + list(subset_configurations((2, 2, 2), (3, 3)))]
     for delta in complexes + [dcab]:
         for sigma in delta.faces():
             lk = link(delta, sigma)

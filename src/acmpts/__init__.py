@@ -55,7 +55,6 @@ from .star_property import (
     check_star,
     combinatorial_box,
     find_path,
-    find_step_pair,
     hamming_distance,
     is_acm,
 )

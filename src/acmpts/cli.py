@@ -2,20 +2,21 @@
 
 Configuration files are minimal JSON: ``{"n": 3, "points": [[1,1,1], ...]}``
 with 1-based integer levels and an optional parallel ``"labels"`` list.
-Exit codes: 0 success, 1 harness assertion failure, 2 input error; a
+Exit codes: 0 success, 1 harness assertion failure, 2 input error, 141
+when stdout is closed before the output is written (128 + SIGPIPE); a
 negative verdict never changes the exit code.
 
 ``enumerate`` evaluates one subset per orbit of the grid's symmetry group
 (level permutations in every direction times permutations of directions
 of equal length) and copies the verdicts to the other members.  This is
 exact: a symmetry maps a subset to a subset whose canonical form is a
-``relabel`` of the original's, and size, the star verdict and the
-Reisner verdict are invariant under ``relabel``, while the inclusion
-verdict moves with its direction.  The cross-checks are invariant in the
-same way, so either no member of an orbit fails one or every member
-does; members of a failing orbit are evaluated one by one, since FAIL
-lines name member-specific ids, level masks and directions.  The report
-is therefore the one a per-subset loop would write.  The group is built
+``relabel`` of the original's, and the star verdict and the Reisner
+verdict are invariant under ``relabel``, while the inclusion verdict
+moves with its direction.  The cross-checks are invariant in the same
+way, so either no member of an orbit fails one or every member does;
+members of a failing orbit are evaluated one by one, since FAIL lines
+name member-specific ids, level masks and directions.  The report is
+therefore the one a per-subset loop would write.  The group is built
 only when it has no more elements than there are subsets to visit, and
 is the identity otherwise.
 """
@@ -27,6 +28,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -44,7 +46,7 @@ from .constructions import (
     verify_layer_hf,
 )
 from .errors import InputError
-from .grid_model import GridPoint, PointSet, canonicalize
+from .grid_model import GridPoint, PointSet, canonicalize, grid_cells
 from .hilbert_function import HilbertTable, delta_table, hilbert_table
 from .level_structure import inclusion_property, interface_set, level_sets
 from .reisner_oracle import first_cm_failure, is_cm
@@ -115,11 +117,6 @@ def _write_configuration(X: PointSet, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def save_configuration(X: PointSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_configuration(X, fh)
-
-
 def _open_output(path: str, newline: str | None = None) -> TextIO:
     """Open an output file before any work, so a bad path is an input error."""
     try:
@@ -177,18 +174,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _render_table(table: HilbertTable, name: str) -> None:
     T = table.box
-    n = len(T)
-    if n == 1:
+    if len(T) == 1:
         row = " ".join(str(table.values[(t,)]) for t in range(T[0] + 1))
         print(f"{name}(t), t = 0..{T[0]}: {row}")
         return
-    prefixes = itertools.product(*[range(Ti + 1) for Ti in T[:-2]])
-    for prefix in prefixes:
-        if n > 2:
-            head = ",".join(map(str, prefix))
-            print(f"{name}({head},j,k), rows j = 0..{T[-2]}, columns k = 0..{T[-1]}:")
-        else:
-            print(f"{name}(j,k), rows j = 0..{T[-2]}, columns k = 0..{T[-1]}:")
+    for prefix in itertools.product(*[range(Ti + 1) for Ti in T[:-2]]):
+        head = "".join(f"{c}," for c in prefix)
+        print(f"{name}({head}j,k), rows j = 0..{T[-2]}, columns k = 0..{T[-1]}:")
         for j in range(T[-2] + 1):
             cells = [str(table.values[prefix + (j, k)]) for k in range(T[-1] + 1)]
             print("  " + " ".join(cells))
@@ -312,9 +304,8 @@ def _structure_failures(X: PointSet) -> list[str]:
 
 
 class _Verdicts(NamedTuple):
-    """What one CSV row reports about a configuration, agreement aside."""
+    """What one CSV row reports about a configuration, besides size and agreement."""
 
-    size: int
     star_acm: bool
     reisner_cm: bool
     inclusion: tuple[bool, ...]
@@ -336,11 +327,11 @@ def _evaluate(X: PointSet) -> tuple[_Verdicts, list[str]]:
     problems = []
     if star != cm:
         problems.append(f"star={star} but reisner={cm}")
-    if star:
+    if star and X.n >= 2:  # one direction: every union and interface is ACM
         problems.extend(_structure_failures(X))
-    elif any(incl):
+    if not star and any(incl):
         problems.append("inclusion holds but configuration is not ACM")
-    return _Verdicts(X.size, star, cm, incl), problems
+    return _Verdicts(star, cm, incl), problems
 
 
 def _grid_symmetries(
@@ -352,8 +343,8 @@ def _grid_symmetries(
 
     The group permutes the levels of every direction and the directions of
     equal length.  In a pair, new direction ``k`` is old direction
-    ``dperm[k]`` (0-based, as in ``relabel``), and cell ``b`` of the
-    lexicographically sorted cell list goes to cell ``perm[b]``.
+    ``dperm[k]`` (0-based, as in ``relabel``), and cell ``b`` of
+    ``grid_cells(dims)`` goes to cell ``perm[b]``.
     """
     n = len(dims)
     order = math.prod(math.factorial(r) for r in dims) * math.prod(
@@ -361,13 +352,13 @@ def _grid_symmetries(
     )
     if order > limit:
         return [(tuple(range(n)), list(range(math.prod(dims))))]
-    cells = list(itertools.product(*[range(r) for r in dims]))
+    cells = grid_cells(dims)
     index = {cell: b for b, cell in enumerate(cells)}
     return [
-        (dperm, [index[tuple(lperms[d][cell[d]] for d in dperm)] for cell in cells])
+        (dperm, [index[tuple(lperms[d][cell[d] - 1] for d in dperm)] for cell in cells])
         for dperm in itertools.permutations(range(n))
         if all(dims[d] == r for d, r in zip(dperm, dims))
-        for lperms in itertools.product(*[itertools.permutations(range(r)) for r in dims])
+        for lperms in itertools.product(*[itertools.permutations(range(1, r + 1)) for r in dims])
     ]
 
 
@@ -386,7 +377,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     dims = _parse_int_list(args.grid, "grid")
     if any(r < 1 for r in dims):
         raise InputError("grid entries must be positive")
-    cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
+    cells = grid_cells(dims)
     ncells = len(cells)
     if args.random is None:
         if args.seed is not None:
@@ -435,7 +426,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             agree_count += agree
             acm_count += verdicts.star_acm
             writer.writerow([
-                grid_txt, mask, verdicts.size, _fmt_bool(verdicts.star_acm),
+                grid_txt, mask, mask.bit_count(), _fmt_bool(verdicts.star_acm),
                 _fmt_bool(verdicts.reisner_cm), ";".join(map(_fmt_bool, verdicts.inclusion)),
                 _fmt_bool(agree),
             ])
@@ -496,10 +487,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: let the interpreter's final flush go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

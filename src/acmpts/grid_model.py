@@ -72,13 +72,14 @@ class PointSet:
     def sorted_points(self) -> list[GridPoint]:
         return sorted(self.points)
 
-    def grid_cells(self) -> list[GridPoint]:
-        """All cells of the ambient dims box, in lexicographic order."""
-        return list(itertools.product(*[range(1, r + 1) for r in self.dims]))
-
     def __repr__(self) -> str:  # compact, deterministic
         pts = ",".join(str(p) for p in self.sorted_points())
         return f"PointSet(n={self.n}, dims={self.dims}, points=[{pts}])"
+
+
+def grid_cells(dims: Sequence[int]) -> list[GridPoint]:
+    """All cells of the box with ``dims`` levels per direction, lexicographically."""
+    return list(itertools.product(*[range(1, r + 1) for r in dims]))
 
 
 def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:

@@ -28,7 +28,6 @@ class LevelDecomposition:
     the subsets are nonempty, pairwise disjoint and cover X.
     """
 
-    direction: int
     levels: tuple[tuple[int, frozenset[GridPoint]], ...]
 
     def sizes(self) -> list[int]:
@@ -47,15 +46,11 @@ def level_sets(X: PointSet, i: int) -> LevelDecomposition:
     for p in X.points:
         groups[p[i - 1]].add(p)
     levels = tuple((j, frozenset(groups[j])) for j in sorted(groups))
-    return LevelDecomposition(direction=i, levels=levels)
+    return LevelDecomposition(levels=levels)
 
 
 def _shadow(points: frozenset[GridPoint], i: int) -> frozenset[GridPoint]:
     return frozenset(drop_coordinate(p, i) for p in points)
-
-
-def _acm_of_shadow(shadow: frozenset[GridPoint]) -> bool:
-    return is_acm(canonicalize(sorted(shadow)))
 
 
 def inclusion_property(X: PointSet, i: int) -> bool:
@@ -69,13 +64,12 @@ def inclusion_property(X: PointSet, i: int) -> bool:
     """
     if X.n < 2:
         raise BadDirection("inclusion property needs at least two directions")
-    _check_direction(X, i)
     shadows = [_shadow(part, i) for _, part in level_sets(X, i).levels]
     shadows.sort(key=len)
     for small, big in zip(shadows, shadows[1:]):
         if not small <= big:
             return False
-    return all(_acm_of_shadow(sh) for sh in shadows)
+    return all(is_acm(canonicalize(sh)) for sh in shadows)
 
 
 def _check_level(X: PointSet, i: int, j: int) -> None:

@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariantViolation,
     PathPreconditionFailed,
 )
-from .grid_model import GridPoint, PointSet
+from .grid_model import GridPoint, PointSet, grid_cells
 
 TYPE_I = "type-i"
 TYPE_II = "type-ii"
@@ -82,7 +82,7 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
     if not 2 <= s <= X.n:
         raise BadLevel(f"star level {s} outside 2..{X.n}")
     pts = X.points
-    cells = X.grid_cells()
+    cells = grid_cells(X.dims)
     witnesses: list[Witness] = []
     for a, P in enumerate(cells):
         p_in = P in pts
@@ -105,26 +105,24 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
     return not witnesses, witnesses
 
 
-def is_acm(X: PointSet) -> bool:
-    """ACM verdict: the star property at level n (always true for n = 1)."""
-    if X.size == 0:
-        raise EmptyConfiguration("ACM verdict needs a nonempty configuration")
-    if X.n == 1:
-        return True
-    verdict, _ = check_star(X, X.n)
-    return verdict
-
-
 @functools.lru_cache(maxsize=128)
 def _star_holds(X: PointSet, s: int) -> bool:
     """The star verdict at level s, cached for the 128 most recent (X, s).
 
-    Only booleans are stored; an exception from ``check_star`` propagates
-    and is not cached.
+    ``is_acm`` and ``find_path``'s precondition both read it, so they share
+    one ``check_star`` run per (X, s).  Only booleans are stored; an
+    exception from ``check_star`` propagates and is not cached.
     ``check_star`` is looked up as a module global at each miss, so a
     wrapper installed on the module sees every call.
     """
     return check_star(X, s)[0]
+
+
+def is_acm(X: PointSet) -> bool:
+    """ACM verdict: the cached star property at level n (true for n = 1)."""
+    if X.size == 0:
+        raise EmptyConfiguration("ACM verdict needs a nonempty configuration")
+    return X.n == 1 or _star_holds(X, X.n)
 
 
 def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint]:
@@ -133,10 +131,11 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     Requires X to satisfy the star property at level s, P, Q in X and
     d(P, Q) <= s; then a chain u_0 = P, ..., u_r = Q with r = d(P, Q),
     every u_k in X inside the box and consecutive Hamming distance 1 is
-    guaranteed to exist.  The star precondition is decided once per
-    (X, s) and held in a bounded cache (``_star_holds``), so the pairs of
-    one configuration share one ``check_star`` run; a configuration that
-    fails it raises on every call, even when a chain exists.
+    guaranteed to exist.  The star precondition is read from the cache
+    behind ``is_acm`` (``_star_holds``), so the pairs of one configuration
+    and its ACM verdict share one ``check_star`` run per level; a
+    configuration that fails it raises on every call, even when a chain
+    exists.
     Breadth-first search over the flips of one coordinate where P and Q
     differ, taken in lexicographic order, returns one deterministically;
     failure to find a chain of exactly r steps would contradict the
@@ -183,21 +182,3 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
             f"shortest chain from {P} to {Q} has {len(path) - 1} steps, expected {r}"
         )
     return path
-
-
-def find_step_pair(
-    X: PointSet, v: GridPoint, w: GridPoint, s: int
-) -> tuple[GridPoint, GridPoint]:
-    """Two X-points at Hamming distance 1 differing in the first coordinate,
-    with all coordinates drawn from {v_i, w_i}.
-
-    Extracted from a chain between v and w; requires v_1 != w_1 besides
-    the chain preconditions.
-    """
-    if v[0] == w[0]:
-        raise PathPreconditionFailed("first coordinates must differ")
-    path = find_path(X, v, w, s)
-    for a, b in zip(path, path[1:]):
-        if a[0] != b[0]:
-            return a, b
-    raise InternalInvariantViolation("chain never switched its first coordinate")

@@ -1,11 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from acmpts import canonicalize, fixture_path
-from acmpts.cli import load_configuration, main, save_configuration
+from acmpts.cli import _write_configuration, load_configuration, main
 from acmpts.errors import InputError
-from conftest import ELEVEN_POINTS, SIX_POINTS
+from conftest import ELEVEN_POINTS, SIX_POINTS, STAR_BLIND_EIGHT
 
 
 def write_config(tmp_path, name, n, points, labels=None):
@@ -18,14 +23,14 @@ def write_config(tmp_path, name, n, points, labels=None):
 
 
 def test_round_trip(tmp_path):
-    X = canonicalize(ELEVEN_POINTS)
     path = tmp_path / "cfg.json"
-    save_configuration(X, path)
-    assert load_configuration(path).point_set() == X
+    config = str(fixture_path("liaison_eleven_config.json"))
+    assert main(["construct", config, "--out", str(path)]) == 0
+    assert load_configuration(path).point_set() == canonicalize(ELEVEN_POINTS)
     # serializing the parsed canonical file reproduces it byte for byte
-    first = path.read_bytes()
-    save_configuration(load_configuration(path).point_set(), path)
-    assert path.read_bytes() == first
+    again = io.StringIO()
+    _write_configuration(load_configuration(path).point_set(), again)
+    assert again.getvalue().encode("utf-8") == path.read_bytes()
 
 
 def test_load_rejects_bad_files(tmp_path):
@@ -277,6 +282,14 @@ def test_strict_input_exits_two(tmp_path, capsys, command, data):
     assert captured.err
 
 
+# Configurations in one, two and four directions, written per test run;
+# every other ``GOLDEN`` file name is a bundled fixture.
+INLINE = {
+    'line_three.json': (1, [(1,), (3,), (4,)]),
+    'two_four.json': (2, [(1, 1), (1, 2), (2, 1), (3, 3)]),
+    'star_blind_eight.json': (4, STAR_BLIND_EIGHT),
+}
+
 GOLDEN = {
     ('check', 'chain_twelve.json'): (
         'configuration: 12 points on grid 4x3x3\n'
@@ -447,6 +460,66 @@ GOLDEN = {
         '  0 0 0 0 0 0 0\n'
         '  0 0 0 0 0 0 0\n'
     ),
+    ('hilbert', 'line_three.json', '--box', '5'): (
+        'h(t), t = 0..5: 1 2 3 3 3 3\n'
+    ),
+    ('hilbert', 'line_three.json', '--box', '5', '--delta'): (
+        'delta_h(t), t = 0..5: 1 1 1 0 0 0\n'
+    ),
+    ('hilbert', 'two_four.json', '--box', '3,4'): (
+        'h(j,k), rows j = 0..3, columns k = 0..4:\n'
+        '  1 2 3 3 3\n'
+        '  2 4 4 4 4\n'
+        '  3 4 4 4 4\n'
+        '  3 4 4 4 4\n'
+    ),
+    ('hilbert', 'two_four.json', '--box', '3,4', '--delta'): (
+        'delta_h(j,k), rows j = 0..3, columns k = 0..4:\n'
+        '  1 1 1 0 0\n'
+        '  1 1 -1 0 0\n'
+        '  1 -1 0 0 0\n'
+        '  0 0 0 0 0\n'
+    ),
+    ('hilbert', 'star_blind_eight.json', '--box', '1,2,1,2'): (
+        'h(0,0,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  1 2 2\n'
+        '  2 4 4\n'
+        'h(0,1,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  2 4 4\n'
+        '  4 6 6\n'
+        'h(0,2,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  2 4 4\n'
+        '  4 6 6\n'
+        'h(1,0,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  2 4 4\n'
+        '  4 6 6\n'
+        'h(1,1,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  4 6 6\n'
+        '  6 8 8\n'
+        'h(1,2,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  4 6 6\n'
+        '  6 8 8\n'
+    ),
+    ('hilbert', 'star_blind_eight.json', '--box', '1,2,1,2', '--delta'): (
+        'delta_h(0,0,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  1 1 0\n'
+        '  1 1 0\n'
+        'delta_h(0,1,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  1 1 0\n'
+        '  1 -1 0\n'
+        'delta_h(0,2,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  0 0 0\n'
+        '  0 0 0\n'
+        'delta_h(1,0,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  1 1 0\n'
+        '  1 -1 0\n'
+        'delta_h(1,1,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  1 -1 0\n'
+        '  -1 1 0\n'
+        'delta_h(1,2,j,k), rows j = 0..1, columns k = 0..2:\n'
+        '  0 0 0\n'
+        '  0 0 0\n'
+    ),
     ('path', 'liaison_eleven.json', '--from', '1,1,1', '--to', '2,2,2'): (
         '(1,1,1) -> (2,1,1) -> (2,1,2) -> (2,2,2)\n'
     ),
@@ -458,7 +531,34 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-def test_golden_text_output(capsys, argv):
+def test_golden_text_output(tmp_path, capsys, argv):
     command, name, *rest = argv
-    assert main([command, str(fixture_path(name)), *rest]) == 0
+    path = write_config(tmp_path, name, *INLINE[name]) if name in INLINE else fixture_path(name)
+    assert main([command, str(path), *rest]) == 0
     assert capsys.readouterr().out == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(fixture_path("liaison_eleven.json"))],
+        ["enumerate", "--grid", "2,2,2", "--out", "/dev/stdout"],
+    ],
+    ids=["check", "enumerate"],
+)
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    """A reader that is gone before anything is written ends the run with
+    128 + SIGPIPE and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "acmpts", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == 141, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -105,9 +105,11 @@ def test_enumerate_matches_reference_loop(tmp_path, capsys, dims, argv, masks):
     assert stdout == [summary]
 
 
-# sha256 of the CSV bytes and of stdout of eight fast reports: any change
+# sha256 of the CSV bytes and of stdout of nine fast reports: any change
 # to a report's bytes, the masks ``--random`` draws included, shows here.
 REPORT_DIGESTS = {
+    "6": ("0188b0bb8c1ac206f602d6c4d78e6c19bb0fbc3843948ce08da8cebabb6a306f",
+          "39bb82b3fbd443eeda0d5ae8eea0cc700f0f32b1f03b010f91bb341a7a9a675b"),
     "2,2": ("949a61d2c545fdfba9d283e01d3851f9d9f2f7e57cb397684fb8e69c760a1602",
             "8f02516e4713f4ead9f8d7d4126fd487966cb1b209aba2ee94fae2a926ad6083"),
     "2,3": ("9ae15d7f5f051f385996a42090326b974c2d252e0c7418bc092c6a569872a7a3",
@@ -226,10 +228,10 @@ def test_group_is_built_only_when_smaller_than_mask_count(tmp_path, capsys, monk
     grid_symmetries = cli._grid_symmetries
     monkeypatch.setattr(cli, "_grid_symmetries", counting)
     # The subsets of a line with k points share one canonical form, whose
-    # Reisner complex is a simplex boundary with 3^k faces in its links
-    # and which has 2^k - 2 proper level unions to check: the 4095 subsets
-    # of the 12-level line take about a minute.  Both are pure functions
-    # of the configuration, so a memo changes no output.
+    # Reisner complex is a simplex boundary with 3^k faces in its links:
+    # the 4095 subsets of the 12-level line take about a minute.  (One
+    # direction has no level unions to check.)  Both memoized functions
+    # depend on the configuration only, so a memo changes no output.
     monkeypatch.setattr(cli, "is_cm", functools.cache(is_cm))
     monkeypatch.setattr(cli, "_structure_failures", functools.cache(cli._structure_failures))
     code, rows, stdout = run_enumerate(tmp_path, capsys, argv)

@@ -10,7 +10,6 @@ from acmpts import (
     combinatorial_box,
     delta_table,
     find_path,
-    find_step_pair,
     hamming_distance,
     is_acm,
     relabel,
@@ -265,7 +264,9 @@ def test_find_path_star_verdict_keyed_on_level(six_points, levels):
                 find_path(six_points, P, Q, s)
 
 
-def test_find_path_checks_star_once_per_level(eleven_points, monkeypatch):
+@pytest.fixture
+def star_calls(monkeypatch):
+    """The (X, s) of every ``check_star`` call, starting from an empty cache."""
     calls = []
 
     def counting(X, s, exhaustive=False):
@@ -274,6 +275,10 @@ def test_find_path_checks_star_once_per_level(eleven_points, monkeypatch):
 
     monkeypatch.setattr(star_property, "check_star", counting)
     star_property._star_holds.cache_clear()
+    return calls
+
+
+def test_find_path_checks_star_once_per_level(eleven_points, star_calls):
     chains = 0
     for s in (2, 3):
         for P, Q in itertools.product(eleven_points.sorted_points(), repeat=2):
@@ -281,28 +286,13 @@ def test_find_path_checks_star_once_per_level(eleven_points, monkeypatch):
                 find_path(eleven_points, P, Q, s)
                 chains += 1
     assert chains > 100
-    assert calls == [(eleven_points, 2), (eleven_points, 3)]
+    assert star_calls == [(eleven_points, 2), (eleven_points, 3)]
 
 
-def test_find_step_pair(eleven_points):
-    # distance-one pair with distinct first coordinates returns itself
-    a, b = find_step_pair(eleven_points, (2, 1, 1), (3, 1, 1), 3)
-    assert (a, b) == ((2, 1, 1), (3, 1, 1))
-    a, b = find_step_pair(eleven_points, (1, 1, 1), (2, 2, 2), 3)
-    assert (a, b) == ((1, 1, 1), (2, 1, 1))
-    assert a[0] != b[0]
-    assert hamming_distance(a, b) == 1
-
-
-def test_find_step_pair_on_full_grid():
-    X = canonicalize([(1, 1), (1, 2), (2, 1), (2, 2)])
-    a, b = find_step_pair(X, (1, 1), (2, 2), 2)
-    assert a in X.points and b in X.points
-    assert a[0] != b[0]
-    assert hamming_distance(a, b) == 1
-    assert all(x in (1, 2) for x in a + b)
-
-
-def test_find_step_pair_requires_distinct_first_coordinates(eleven_points):
-    with pytest.raises(PathPreconditionFailed):
-        find_step_pair(eleven_points, (2, 1, 1), (2, 1, 2), 3)
+def test_is_acm_and_find_path_share_one_check_star(eleven_points, star_calls):
+    assert is_acm(eleven_points)
+    assert star_calls == [(eleven_points, 3)]
+    for P, Q in itertools.combinations(eleven_points.sorted_points(), 2):
+        find_path(eleven_points, P, Q, 3)
+    assert is_acm(eleven_points)
+    assert star_calls == [(eleven_points, 3)]

@@ -93,8 +93,19 @@ def _read_json_object(path: str | Path) -> dict:
     return data
 
 
+def _reject_unknown_keys(data: dict, allowed: tuple[str, ...], where: str) -> None:
+    """A misspelled key would otherwise fall back to a default unnoticed."""
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise InputError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+
+
 def load_configuration(path: str | Path) -> ConfigurationFile:
     data = _read_json_object(path)
+    _reject_unknown_keys(data, ("n", "points", "labels"), str(path))
     n = data.get("n")
     pts = data.get("points")
     if not _is_int(n) or n < 1:
@@ -270,9 +281,15 @@ def _construct_layer(data: dict) -> tuple[PointSet, bool]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     data = _read_json_object(args.config)
-    build = {"liaison": _construct_liaison, "layer": _construct_layer}.get(data.get("mode"))
-    if build is None:
+    builders = {
+        "liaison": (_construct_liaison, ("mode", "summands", "supports", "box")),
+        "layer": (_construct_layer, ("mode", "points", "direction", "fresh", "box")),
+    }
+    mode = data.get("mode")
+    if not isinstance(mode, str) or mode not in builders:
         raise InputError(f"{args.config}: 'mode' must be 'liaison' or 'layer'")
+    build, keys = builders[mode]
+    _reject_unknown_keys(data, keys, str(args.config))
     if args.out is None:
         _, ok = build(data)
     else:

@@ -271,6 +271,15 @@ LAYER = {"mode": "layer", "points": [[1, 1, 1], [2, 1, 1]], "direction": 1}
         ("construct", {**LAYER, "points": [[1, True, 1]]}),
         ("construct", {"mode": "other"}),
         ("construct", {**ELEVEN_LIAISON, "supports": [[2, 3, 3], [1, 3], [1, 2]]}),
+        ("construct", {"mode": ["layer"]}),
+        # unknown keys: each of these would otherwise run with a default
+        ("construct", {**LAYER, "frsh": False}),
+        ("construct", {**LAYER, "bx": [3, 3, 3]}),
+        ("construct", {**LAYER, "supports": [[1], [1], [1]]}),
+        ("construct", {**ELEVEN_LIAISON, "bxo": [1, 1, 1]}),
+        ("construct", {**ELEVEN_LIAISON, "fresh": True}),
+        ("check", {"n": 1, "points": [[1], [2]], "lables": ["a", "b"]}),
+        ("oracle", {"n": 1, "points": [[1]], "mode": "layer"}),
     ],
 )
 def test_strict_input_exits_two(tmp_path, capsys, command, data):
@@ -280,6 +289,21 @@ def test_strict_input_exits_two(tmp_path, capsys, command, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        ("construct", {**LAYER, "frsh": False}, "frsh"),
+        ("construct", {**ELEVEN_LIAISON, "bxo": [1, 1, 1]}, "bxo"),
+        ("check", {"n": 1, "points": [[1], [2]], "lables": ["a", "b"]}, "lables"),
+    ],
+)
+def test_unknown_key_is_named(tmp_path, capsys, command, data, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert f"unknown key(s) {key!r}" in capsys.readouterr().err
 
 
 # Configurations in one, two and four directions, written per test run;

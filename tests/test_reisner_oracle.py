@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,52 @@ def test_homology_matches_unreduced_reference_on_small_complexes(six_points):
         (1,),
         (1,),
     ]
+
+
+def memo_free_first_failure(X):
+    """``first_cm_failure`` without the link-class memo: every face in
+    order, the same two skips, and ``homology`` on the link itself."""
+    delta = sr_complex(X)
+    for sigma in delta.faces():
+        lk = link(delta, sigma)
+        if lk.dim <= 0 or frozenset.intersection(*lk.facets):
+            continue  # vacuous below dimension 0, or a cone
+        for i, r in enumerate(homology(lk).ranks[:-1], start=-1):
+            if r:
+                return sigma, i, r
+    return None
+
+
+def test_link_class_memo_matches_memo_free_scan(
+    six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight
+):
+    """Links that share a key share one reduction; any key that merges two
+    complexes with different homology changes some first failure here."""
+    cells = sorted(itertools.product((1, 2, 3), repeat=3))
+    rng = random.Random(13)
+    sampled = [canonicalize(rng.sample(cells, rng.randint(1, 27))) for _ in range(40)]
+    fixtures = [six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight]
+    for X in fixtures + list(subset_configurations((2, 2, 2), (3, 3))) + sampled:
+        assert first_cm_failure(X) == memo_free_first_failure(X), X
+
+
+def test_collinear_points_reduce_one_link_per_face_size(monkeypatch):
+    """The complex of k points on a line is the boundary of a (k-1)-simplex.
+    Its links of one face size are one class, and sizes k - 2 and up have
+    links of dimension at most 0, so k - 2 reductions decide it instead of
+    one per face (about 3^k cells in all)."""
+    calls = []
+
+    def counting(facets):
+        calls.append(facets)
+        return reduced_betti(facets)
+
+    reduced_betti = reisner_oracle._reduced_betti
+    monkeypatch.setattr(reisner_oracle, "_reduced_betti", counting)
+    for k in range(1, 13):
+        calls.clear()
+        assert is_cm(canonicalize([(i,) for i in range(1, k + 1)])) is True
+        assert len(calls) == max(k - 2, 0), k
 
 
 def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):

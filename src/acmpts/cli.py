@@ -30,6 +30,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -144,18 +145,33 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+# An optional minus sign and ASCII digits, nothing else: bare ``int``
+# would also take ``1_0``, spaces, ``+`` and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str | None, what: str) -> int | None:
+    """An integer option's value, or None when the option is absent."""
+    if text is None:
+        return None
+    if not _INTEGER.fullmatch(text):
+        raise InputError(f"bad {what} {text!r}: expected an integer")
+    return int(text)
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as e:
-        raise InputError(f"bad {what} {text!r}: expected comma-separated integers") from e
+    parts = text.split(",")
+    if not all(map(_INTEGER.fullmatch, parts)):
+        raise InputError(f"bad {what} {text!r}: expected comma-separated integers")
+    return tuple(map(int, parts))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = load_configuration(args.file)
     X = cfg.point_set()
-    top = args.star_level if args.star_level is not None else X.n
-    if args.star_level is not None and X.n < 2:
+    star_level = _parse_int(args.star_level, "--star-level")
+    top = star_level if star_level is not None else X.n
+    if star_level is not None and X.n < 2:
         raise InputError("star levels are undefined for a single direction")
     if X.n >= 2 and not 2 <= top <= X.n:
         raise InputError(f"star level {top} outside 2..{X.n}")
@@ -396,21 +412,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise InputError("grid entries must be positive")
     cells = grid_cells(dims)
     ncells = len(cells)
-    if args.random is None:
-        if args.seed is not None:
+    count = _parse_int(args.random, "--random")
+    seed = _parse_int(args.seed, "--seed")
+    if count is None:
+        if seed is not None:
             raise InputError("--seed needs --random")
         if ncells > 27:
             raise InputError(f"exhaustive run over {ncells} cells exceeds the 27-cell cap")
         masks = targets = range(1, 1 << ncells)
     else:
-        if args.random < 1:
-            raise InputError(f"--random {args.random}: need at least one configuration")
-        if args.seed is None:
+        if count < 1:
+            raise InputError(f"--random {count}: need at least one configuration")
+        if seed is None:
             raise InputError("--random requires --seed")
-        rng = random.Random(args.seed)
+        rng = random.Random(seed)
         masks = [
             sum(1 << b for b in rng.sample(range(ncells), rng.randint(1, ncells)))
-            for _ in range(args.random)
+            for _ in range(count)
         ]
         # Images that are never visited are not recorded, so the table
         # stays within the sample's size.
@@ -466,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="star levels, ACM verdict, level sizes, inclusion")
     p.add_argument("file")
-    p.add_argument("--star-level", type=int, default=None)
+    p.add_argument("--star-level", default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hilbert", help="Hilbert function or first-difference table")
@@ -492,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustive or random cross-validation harness")
     p.add_argument("--grid", required=True, help="comma-separated level counts, e.g. 2,2,2")
-    p.add_argument("--random", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--random", default=None, metavar="N")
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", required=True, help="CSV report path")
     p.set_defaults(func=cmd_enumerate)
 

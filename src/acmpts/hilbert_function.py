@@ -15,9 +15,32 @@ a polynomial of degree <= t_i restricted to the d_i nodes of coordinate
 i, and by Lagrange interpolation on those nodes every function on them is
 such a polynomial once t_i >= d_i - 1.  Raising t_i further leaves the
 column space, hence the rank, unchanged; this is exact for any distinct
-integer nodes, compressed or not.  Tables and identity checks therefore
-build one evaluation matrix per point set, at the largest degree they can
-need, and rank each clamped degree once, on its subset of columns.
+integer nodes, compressed or not.
+
+Tables and identity checks rank every clamped degree of a box in one
+pass per point set.  The pass evaluates the Newton basis in place of
+the monomials: with x_0 < x_1 < ... the distinct nodes of coordinate i,
+N_a(x) = prod_{k<a} (x - x_k) is monic of degree a, so N_0, ..., N_t
+span the same polynomials as 1, x, ..., x^t for every t.  Each degree
+therefore has exactly the column space, and the rank, of its monomial
+matrix, on gapped or negative nodes too.  N_a vanishes on the first a
+nodes, so column a is zero at every point whose coordinate i is one of
+the first a_i nodes, for some i: the columns are sparse, and on a full
+grid the matrix is triangular.
+
+The pass walks the clamped degrees 0 <= k <= caps depth first, raising
+one coordinate per step, never one before the coordinate raised last,
+so every degree is reached by exactly one path.  A step from k to
+k + e_d adds only the new slab of columns (a_d = k_d + 1, a <= k
+elsewhere) to an echelon basis of integer vectors; a column is reduced
+against the basis by integer combinations scaled by a gcd, as in
+``rank_int``, and kept if anything is left.  The basis size is the rank
+at k + e_d.  Inserting never changes a vector already in the basis, so
+going back up the walk is a truncation to the size the basis had there.
+Once the basis has one vector per point, no column can add to it and
+the rest of the subtree inserts nothing.  ``evaluation_rank`` stays
+on monomials and ``rank_int``, one matrix per degree, as the
+independent reference.
 
 The first difference is the alternating sum of h_X over all 2^n unit
 down-shifts, with h identically zero at any negative degree; this
@@ -94,40 +117,83 @@ def evaluation_rank(points: Iterable[GridPoint], t: Sequence[int]) -> int:
     return rank_int(_evaluation_rows(pts, t))
 
 
+def _newton_columns(
+    pts: Sequence[GridPoint], nodes: Sequence[Sequence[int]]
+) -> dict[MultiDegree, list[int]]:
+    """The Newton evaluation matrix by columns: entry j of column a is
+    prod_i N_{a_i}(pts[j][i]), with N_a(x) = prod_{k<a} (x - nodes[i][k])
+    for 0 <= a_i <= len(nodes[i])."""
+    factors = []
+    for i, xs in enumerate(nodes):
+        values = [[1] * len(pts)]
+        for x in xs:
+            values.append([v * (p[i] - x) for v, p in zip(values[-1], pts)])
+        factors.append(values)
+    columns = {(): [1] * len(pts)}
+    for values in factors:
+        columns = {
+            a + (ai,): [u * v for u, v in zip(column, values[ai])]
+            for a, column in columns.items()
+            for ai in range(len(values))
+        }
+    return columns
+
+
 def _saturated_ranker(
     points: Iterable[GridPoint], box: Sequence[int]
 ) -> Callable[[MultiDegree], int]:
-    """evaluation_rank(points, t) for degrees 0 <= t <= box, each saturated
-    degree ranked once.
+    """evaluation_rank(points, t) for degrees 0 <= t <= box, from one
+    echelon walk over the clamped degrees.
 
     caps[i] is the number of distinct values of coordinate i, minus 1, or
     box[i] if smaller, so a small box never builds more columns than its
-    corner has.  One evaluation matrix is built at degree caps; a
-    degree t is clamped to min(t, caps) and ranked on that degree's
-    columns, which are its mixed-radix indices in the caps matrix.  The
-    memo lives as long as the returned function.
+    corner has.  The walk ranks every degree 0 <= k <= caps once; a
+    degree t is looked up at min(t, caps).
     """
     box = _check_degree(box)
     pts = _nodes(points, box)
     if not pts:
         return lambda t: 0
-    caps = tuple(
-        min(len({p[i] for p in pts}) - 1, Ti) for i, Ti in enumerate(box)
-    )
-    rows = _evaluation_rows(pts, caps)
-    strides = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(len(caps))]
-    memo: dict[MultiDegree, int] = {}
+    nodes = [sorted({p[i] for p in pts}) for i in range(len(box))]
+    caps = tuple(min(len(xs) - 1, Ti) for xs, Ti in zip(nodes, box))
+    columns = _newton_columns(pts, [xs[:cap] for xs, cap in zip(nodes, caps)])
+    full = len(pts)
+    # (pivot, vector): each vector is zero at the pivots of those before it.
+    basis: list[tuple[int, list[int]]] = []
+    ranks: dict[MultiDegree, int] = {}
 
-    def rank(t: MultiDegree) -> int:
-        k = tuple(map(min, t, caps))
-        if k not in memo:
-            cols = [0]
-            for ki, stride in zip(k, strides):
-                cols = [c + a * stride for c in cols for a in range(ki + 1)]
-            memo[k] = rank_int([[row[j] for j in cols] for row in rows])
-        return memo[k]
-
-    return rank
+    # Depth first: a degree is popped only after its parent and every
+    # earlier sibling's subtree, so truncating the basis to the size it
+    # had at the parent restores the parent's basis.  The entry for k
+    # holds the direction d raised last and adds the columns a <= k with
+    # a_d = k_d; at the root that is the constant column.
+    stack = [((0,) * len(caps), 0, 0)]
+    while stack:
+        k, d, top = stack.pop()
+        del basis[top:]
+        slab = [range(ki + 1) for ki in k]
+        slab[d] = (k[d],)
+        for a in itertools.product(*slab):
+            if len(basis) == full:
+                break
+            v = columns[a]
+            for pivot, b in basis:
+                f = v[pivot]
+                if f:
+                    g = math.gcd(b[pivot], f)
+                    x, y = b[pivot] // g, f // g
+                    v = [vj * x - bj * y for vj, bj in zip(v, b)]
+            for j, vj in enumerate(v):
+                if vj:
+                    basis.append((j, v))
+                    break
+        ranks[k] = top = len(basis)
+        stack.extend(
+            (k[:e] + (k[e] + 1,) + k[e + 1 :], e, top)
+            for e in range(d, len(k))
+            if k[e] < caps[e]
+        )
+    return lambda t: ranks[tuple(map(min, t, caps))]
 
 
 def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:

@@ -6,18 +6,18 @@ whose entry is already zero are left alone, and only the columns right
 of the pivot are written, since later pivots are searched there.  Every
 entry stays an integer, so ranks over the rationals come out exact with
 no tolerance questions.  Two kinds of matrix reach this routine:
-boundary matrices of Stanley-Reisner links, and evaluation matrices,
-dense.  Boundary matrices are taken between the cells that survive
-coreductions, so they are few and small: ``first_cm_failure`` on the
-seed-42 ``sample_3x3x3`` benchmark inputs needs the homology of 8473
-links, reduces 1621 of them (one per link class) and ranks 484 matrices
-of at most 17x17, 11733 entries in all (35% nonzero).  Hilbert tables rank each saturated degree once, so a
-matrix has at most prod_i d_i columns for d_i distinct values per
-coordinate: on the seed-42 ``hilbert_tables`` benchmark inputs (delta
-tables at box (3,3,3), layer checks at (2,2,2)) that is 28868 matrices
-of at most 36x27 with 3.6 million entries.  On seeded 3x3x3 samples
-of both kinds, eliminated entries grew by at most one bit over the
-input's, so rows are not divided by the gcd of their entries.
+boundary matrices of Stanley-Reisner links, and the dense evaluation
+matrices of ``evaluation_rank``, one per degree.  Boundary matrices are
+taken between the cells that survive coreductions, so they are few and
+small: ``first_cm_failure`` on the seed-42 ``sample_3x3x3`` benchmark
+inputs needs the homology of 8473 links, reduces 1621 of them (one per
+link class) and ranks 484 matrices of at most 17x17, 11733 entries in
+all (35% nonzero).  Hilbert tables and the construction identities do
+not call this routine: they rank a whole box in one incremental echelon
+walk (see ``hilbert_function``), and ``evaluation_rank`` remains as its
+independent per-degree reference.  On seeded 3x3x3 samples of both
+kinds, eliminated entries grew by at most one bit over the input's, so
+rows are not divided by the gcd of their entries.
 """
 
 from __future__ import annotations

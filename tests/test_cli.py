@@ -227,6 +227,39 @@ def test_enumerate_error_exits(tmp_path, capsys):
     assert "agreement" not in capsys.readouterr().out
 
 
+ELEVEN_FILE = str(fixture_path("liaison_eleven.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", ELEVEN_FILE, "--box", "1_0,0,0"],
+        ["hilbert", ELEVEN_FILE, "--box", "3,3,\u0663"],  # Arabic-Indic three
+        ["hilbert", ELEVEN_FILE, "--box", "3, 3,3"],
+        ["hilbert", ELEVEN_FILE, "--box", "+3,3,3"],
+        ["hilbert", ELEVEN_FILE, "--box", "3,3,3,"],
+        ["path", ELEVEN_FILE, "--from", "1,1,1", "--to", "2,2,\uff12"],  # fullwidth two
+        ["check", ELEVEN_FILE, "--star-level", "\u0663"],
+        ["check", ELEVEN_FILE, "--star-level", "3.0"],
+        ["enumerate", "--grid", "2_2"],
+        ["enumerate", "--grid", "2,2", "--random", "\u0661", "--seed", "1"],
+        ["enumerate", "--grid", "2,2", "--random", "five", "--seed", "1"],
+        ["enumerate", "--grid", "2,2", "--random", "5", "--seed", "1_1"],
+        ["enumerate", "--grid", "2,2", "--random", "5", "--seed", " 1"],
+    ],
+)
+def test_integer_arguments_are_ascii_digits_only(tmp_path, capsys, argv):
+    """Bare ``int`` would read ``1_0`` as 10 and ``\u0663`` as 3."""
+    out = tmp_path / "x.csv"
+    if argv[0] == "enumerate":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InputError: bad ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing/out", "."])
 @pytest.mark.parametrize(
     "argv",

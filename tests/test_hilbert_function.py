@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from acmpts import (
     hilbert_table,
     relabel,
 )
-from acmpts.constructions import verify_layer_hf
+from acmpts.constructions import _layer_pieces, verify_layer_hf
 from acmpts.errors import BadDegree
 from acmpts.level_structure import max_level_size
 from conftest import (
@@ -239,17 +240,57 @@ def test_saturated_ranker_on_raw_nodes_with_gaps():
 
 
 def test_full_grid_table_ranks_each_saturated_degree_once(monkeypatch):
-    calls = []
-    original = hilbert_function.rank_int
+    # The table comes from one echelon walk over the 27 clamped degrees,
+    # with no per-degree matrix left to hand to rank_int.
+    def forbidden(matrix):
+        raise AssertionError("hilbert_table called rank_int")
 
-    def counting(matrix):
-        calls.append((len(matrix), len(matrix[0])))
-        return original(matrix)
-
-    monkeypatch.setattr(hilbert_function, "rank_int", counting)
+    monkeypatch.setattr(hilbert_function, "rank_int", forbidden)
     X = canonicalize(itertools.product((1, 2, 3), repeat=3))
     ht = hilbert_table(X, (5, 5, 5))
-    assert len(calls) == 27
-    assert max(calls) == (27, 27)
+    assert len(ht.values) == 216
     for t, v in ht.values.items():
         assert v == min(t[0] + 1, 3) * min(t[1] + 1, 3) * min(t[2] + 1, 3)
+
+
+def random_raw_points(rng, n):
+    """Up to 12 points on 1-4 seeded integer nodes per coordinate, drawn
+    from -6..9, so nodes can be negative and gapped."""
+    nodes = [rng.sample(range(-6, 10), rng.randint(1, 4)) for _ in range(n)]
+    cells = list(itertools.product(*nodes))
+    return rng.sample(cells, rng.randint(1, min(len(cells), 12)))
+
+
+def assert_ranker_matches_evaluation_rank(points, box):
+    """The walk against independent per-degree ranks on monomials, at
+    every degree of the box."""
+    rank = hilbert_function._saturated_ranker(points, box)
+    for t in hilbert_function.box_degrees(box):
+        assert rank(t) == evaluation_rank(points, t), (points, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ranker_matches_evaluation_rank_on_random_raw_nodes(n):
+    rng = random.Random(1400 + n)
+    for _ in range(60):
+        box = [rng.randint(0, 4) for _ in range(n)]
+        assert_ranker_matches_evaluation_rank(random_raw_points(rng, n), box)
+
+
+def test_ranker_matches_evaluation_rank_on_layer_pieces():
+    # Both placements of the layer: fresh=False shifts the base up one
+    # level and puts the layer at level 1; every set the identity ranks
+    # is checked, at the boxes it ranks them on.
+    rng = random.Random(1405)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        X = canonicalize(random_raw_points(rng, n))
+        i = rng.randint(1, n)
+        T = [rng.randint(0, 3) for _ in range(n)]
+        below = [max(ti - (k == i - 1), 0) for k, ti in enumerate(T)]
+        for fresh in (True, False):
+            base, layer = _layer_pieces(X, i, fresh)
+            assert_ranker_matches_evaluation_rank(base | layer, T)
+            assert_ranker_matches_evaluation_rank(layer, T)
+            assert_ranker_matches_evaluation_rank(base, below)
+            assert verify_layer_hf(X, i, T, fresh)

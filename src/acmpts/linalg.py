@@ -8,11 +8,11 @@ entry stays an integer, so ranks over the rationals come out exact with
 no tolerance questions.  Two kinds of matrix reach this routine:
 boundary matrices of Stanley-Reisner links, and the dense evaluation
 matrices of ``evaluation_rank``, one per degree.  Boundary matrices are
-taken between the cells that survive coreductions, so they are few and
-small: ``first_cm_failure`` on the seed-42 ``sample_3x3x3`` benchmark
-inputs needs the homology of 8473 links, reduces 1621 of them (one per
-link class) and ranks 484 matrices of at most 17x17, 11733 entries in
-all (35% nonzero).  Hilbert tables and the construction identities do
+taken between the cells that survive excision and coreductions, so they
+are few and small: ``first_cm_failure`` on the seed-42 ``sample_3x3x3``
+benchmark inputs needs the homology of 8473 links, reduces 1621 of them
+(one per link class) and ranks 484 matrices of at most 17x17, 11581
+entries in all (35% nonzero).  Hilbert tables and the construction identities do
 not call this routine: they rank a whole box in one incremental echelon
 walk (see ``hilbert_function``), and ``evaluation_rank`` remains as its
 independent per-degree reference.  On seeded 3x3x3 samples of both

@@ -17,7 +17,9 @@ submasks of its facet masks.  The link of a face sigma has the facet masks
 link.  The scan decides from those facets whether a link needs homology
 at all: a link of dimension at most 0 has no condition to check, and a
 link whose facets share a vertex outside the face (their AND exceeds
-sigma) is a cone, hence acyclic.
+sigma) is a cone, hence acyclic.  Every link of a face with at least
+top - 1 vertices, top the largest facet size, has dimension at most 0,
+so those faces are dropped before the rest are sorted.
 
 Every other link is reduced once per class within one ``cm_obstruction``
 call.  Its key is its facet masks with the vertices they use renumbered
@@ -32,16 +34,29 @@ boundary) the links of each face size are one class, k - 2 reductions in
 all.  The memo lives for one call only; the scan order and the reported
 face do not depend on it.
 
-Reduced homology comes from one reducer.  It takes every face, the empty
-face included as the single cell of degree -1, and runs coreductions
-(Mrozek and Batko, *Coreduction homology algorithm*, DCG 41, 2009)
-starting from the empty face: a cell whose boundary within the remaining
-cells is a single cell is removed together with that cell.  The pair is
-joined by a coefficient of +-1, a unit, so the removal preserves
-homology over the integers, and the surviving cells with the boundary
-restricted to them still form a chain complex with the same homology.
-Only the survivors' boundary matrices reach the exact integer rank; on
-3x3x3 samples coreductions cancel nearly every cell first.
+Reduced homology comes from one reducer.  Its chain complex has every
+face as a cell, the empty face included as the single cell of degree -1.
+It first excises the lowest vertex v: the closed star of v (the faces
+sigma with sigma + v a face) is a cone with apex v, so its reduced
+homology vanishes, and the exact sequence of the pair followed by
+excision gives H~_i(Delta) = H_i(Delta, st v) = H_i(del v, lk v)
+(Munkres, *Elements of Algebraic Topology*, sections 9 and 70).  The
+cells left are the faces sigma without v for which sigma + v is not a
+face, with the boundary restricted to them.  The star's cells come in
+pairs sigma, sigma + v of adjacent degrees, so the excision keeps the
+Euler characteristic, and the reducer's check still compares the
+original face counts with the Betti numbers it returns.  The complex
+whose only face is empty has no vertex to excise, and its one cell, the
+empty face, stays.  Then coreductions (Mrozek and Batko, *Coreduction
+homology algorithm*, DCG 41, 2009) start from every cell whose boundary
+within the remaining cells is a single cell, and remove it together
+with that cell.  The pair is joined by a coefficient of +-1, a unit, so
+the removal preserves homology over the integers, and the surviving
+cells with the boundary restricted to them still form a chain complex
+with the same homology.  Only the survivors' boundary matrices reach the
+exact integer rank; on 3x3x3 samples excision and coreductions cancel
+nearly every cell first, and on a simplex boundary excision alone
+leaves a single cell.
 """
 
 from __future__ import annotations
@@ -57,6 +72,8 @@ from .grid_model import PointSet
 from .linalg import rank_int
 
 Face = frozenset
+
+NO_FACETS = "no facets (the complex whose only face is empty has facets [[]])"
 
 
 class GridVariable(NamedTuple):
@@ -100,7 +117,7 @@ class SimplicialComplex:
             raise ValueError("repeated vertex")
         fs = {frozenset(f) for f in facets}
         if not fs:
-            raise ValueError("no facets (the complex whose only face is empty has facets [[]])")
+            raise ValueError(NO_FACETS)
         for f in fs:
             if not f <= index.keys():
                 raise ValueError(f"facet {set(f)} uses unknown vertices")
@@ -110,40 +127,49 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return max(f.bit_count() for f in _facet_masks(self)) - 1
 
     def faces(self) -> list[Face]:
         """All faces, sorted by size then vertex order (empty face first)."""
-        return [_vertex_set(self.vertices, m) for m in _faces_in_order(_facet_masks(self))]
+        faces = _face_masks(_facet_masks(self))
+        return [_vertex_set(self.vertices, m) for m in _in_face_order(faces)]
 
 
 def _facet_masks(delta: SimplicialComplex) -> list[int]:
     """The facets as bitmasks.  Vertex k of n is bit n - 1 - k, so of two
     faces of one size the one earlier in vertex-index order has the larger
-    mask: the first vertex where they differ is its, and sets the higher bit."""
+    mask: the first vertex where they differ is its, and sets the higher bit.
+
+    Every entry point reads the facets through here once per call, so a
+    complex built directly with no facets is rejected here, not per link."""
+    if not delta.facets:
+        raise ValueError(NO_FACETS)
     top = len(delta.vertices) - 1
     bit = {v: 1 << (top - k) for k, v in enumerate(delta.vertices)}
     return [sum(bit[v] for v in f) for f in delta.facets]
-
-
-def _indices(mask: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _renumbered(facets: Sequence[int]) -> tuple[int, ...]:
     """The facet masks with the vertices they use renumbered 0..m-1 in bit
     order, sorted: one key for every complex that differs from this one by
     an order-preserving relabeling, which keeps face counts and boundary
-    signs and hence the Betti numbers."""
-    positions = _indices(reduce(or_, facets, 0))
-    return tuple(sorted(sum((f >> p & 1) << k for k, p in enumerate(positions)) for f in facets))
+    signs and hence the Betti numbers.  Each unused position below the
+    highest used one is squeezed out of every mask, highest first."""
+    used = reduce(or_, facets, 0)
+    gaps = ~used & ((1 << used.bit_length()) - 1)
+    masks = list(facets)
+    while gaps:
+        gap = 1 << (gaps.bit_length() - 1)
+        gaps ^= gap
+        below = gap - 1
+        masks = [f >> 1 & ~below | f & below for f in masks]
+    return tuple(sorted(masks))
 
 
 def _vertex_set(vertices: Sequence[Hashable], mask: int) -> Face:
     """The vertices of a face mask made by ``_facet_masks``."""
     top = len(vertices) - 1
-    return frozenset(vertices[top - k] for k in _indices(mask))
+    return frozenset(vertices[top - k] for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def _face_masks(facets: Iterable[int]) -> set[int]:
@@ -157,9 +183,10 @@ def _face_masks(facets: Iterable[int]) -> set[int]:
     return faces
 
 
-def _faces_in_order(facets: Iterable[int]) -> list[int]:
-    """Face masks by size, then by increasing vertex-index tuple."""
-    return sorted(_face_masks(facets), key=lambda m: (m.bit_count(), -m))
+def _in_face_order(faces: Iterable[int]) -> list[int]:
+    """Face masks by size, then by increasing vertex-index tuple, which is
+    decreasing mask order (``_facet_masks``) kept by the stable size sort."""
+    return sorted(sorted(faces, reverse=True), key=int.bit_count)
 
 
 @dataclass(frozen=True)
@@ -211,33 +238,55 @@ def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialCompl
 
 def _reduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
     """Reduced rational Betti numbers, degree -1 up to the dimension, of
-    the complex with these facet masks, after coreductions (module
-    docstring).
+    the complex with these facet masks: the lowest vertex's closed star
+    is excised, the remaining cells are coreduced and the survivors'
+    boundary matrices ranked (module docstring).
 
     The reduced Euler characteristic of the original face counts must
     equal the alternating sum of the Betti numbers of the surviving
-    cells, which fails if a reduction drops a cell without its partner;
-    a negative Betti number means a rank exceeded its matrix's.
+    cells, which fails if the excision or a reduction drops a cell
+    without its partner; a negative Betti number means a rank exceeded
+    its matrix's.
     """
-    # each cell mapped to the number of its boundary cells still present
-    cells = {c: c.bit_count() for c in _face_masks(facets)}
-    top = max(f.bit_count() for f in facets)  # cells have sizes 0 .. top
+    faces = _face_masks(facets)
+    top = max(f.bit_count() for f in facets)  # faces have sizes 0 .. top
     counts = [0] * (top + 1)
-    for size in cells.values():
-        counts[size] += 1
-    verts = [1 << k for k in _indices(reduce(or_, facets, 0))]
+    for c in faces:
+        counts[c.bit_count()] += 1
+    full = reduce(or_, facets, 0)
+    v = full & -full  # the excised vertex; 0 when the only face is empty
+    others = full ^ v
+    # each cell, a face outside the closed star of v (so without v, as
+    # c | v = c for a face through v), mapped to the number of its
+    # boundary faces that are cells and still present
+    cells = dict.fromkeys((c for c in faces if c | v not in faces), 0) if v else {0: 0}
+    for c in cells:
+        n, rest = 0, c
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            n += c ^ u in cells
+        cells[c] = n
 
-    queue = deque(verts)  # a vertex's boundary is the empty face
+    queue = deque(c for c, n in cells.items() if n == 1)
     while queue:
         b = queue.popleft()
         if cells.get(b) != 1:
             continue
-        a = next(b ^ v for v in verts if b & v and b ^ v in cells)
+        rest = b
+        u = rest & -rest
+        while b ^ u not in cells:
+            rest ^= u
+            u = rest & -rest
+        a = b ^ u
         del cells[a], cells[b]
         for c in (a, b):
-            for v in verts:
-                up = c | v
-                if up != c and up in cells:
+            rest = others & ~c
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                up = c | u
+                if up in cells:
                     cells[up] -= 1
                     if cells[up] == 1:
                         queue.append(up)
@@ -254,10 +303,13 @@ def _reduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
         row = {c: r for r, c in enumerate(lower)}
         matrix = [[0] * len(upper) for _ in lower]
         for col, b in enumerate(upper):
-            for v in verts:
-                r = row.get(b ^ v) if b & v else None
+            rest = b
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                r = row.get(b ^ u)
                 if r is not None:  # cells oriented by increasing bit
-                    matrix[r][col] = -1 if (b & (v - 1)).bit_count() & 1 else 1
+                    matrix[r][col] = -1 if (b & (u - 1)).bit_count() & 1 else 1
         rank[k] = rank_int(matrix)
 
     betti = tuple(len(by_size[k]) - rank[k] - rank[k + 1] for k in range(top + 1))
@@ -294,11 +346,14 @@ def cm_obstruction(
     (face, homology degree, rank) or None when the complex satisfies
     Reisner's criterion.
     """
-    facets = _facet_masks(delta)
+    facets = sorted(_facet_masks(delta), key=int.bit_count, reverse=True)
+    top = facets[0].bit_count()
+    # the links of a face of size top - 1 or more have dimension <= 0
+    candidates = [m for m in _face_masks(facets) if m.bit_count() < top - 1]
     reduced: dict[tuple[int, ...], tuple[int, ...]] = {}  # link class -> Betti numbers
-    for sigma in _faces_in_order(facets):
-        over = [f for f in facets if f & sigma == sigma]
-        if max(f.bit_count() for f in over) - sigma.bit_count() <= 1:
+    for sigma in _in_face_order(candidates):
+        over = [f for f in facets if f & sigma == sigma]  # largest first
+        if over[0].bit_count() - sigma.bit_count() <= 1:
             continue  # link of dimension <= 0: the conditions below it are vacuous
         if reduce(and_, over) != sigma:
             continue  # the link is a cone over a shared vertex, so acyclic

@@ -230,7 +230,7 @@ def test_group_is_built_only_when_smaller_than_mask_count(tmp_path, capsys, monk
     # The subsets of a line with k points share one canonical form, whose
     # Reisner complex is a simplex boundary: one reduction per face size,
     # but still 2^k faces to scan.  The 4095 subsets of the 12-level line
-    # take about 10 s without a memo and under 1 s with one, so the memo
+    # take about 5 s without a memo and under 1 s with one, so the memo
     # stays to keep the suite fast.  (One direction has no level unions to
     # check.)  Both memoized functions depend on the configuration only,
     # so a memo changes no output.

@@ -142,6 +142,16 @@ def test_from_facets_rejects_no_facets():
         SimplicialComplex.from_facets("ab", [])
 
 
+@pytest.mark.parametrize("vertices", [(), ("a", "b")])
+def test_complex_built_with_no_facets_is_rejected(vertices):
+    """A complex constructed directly, bypassing ``from_facets``, gets the
+    same explicit error from every entry point instead of an empty max()."""
+    delta = SimplicialComplex(vertices, ())
+    for entry in (homology, cm_obstruction, SimplicialComplex.faces, lambda d: d.dim):
+        with pytest.raises(ValueError, match=r"no facets \(the complex whose only face is empty"):
+            entry(delta)
+
+
 def test_homology_triangle_boundary():
     tri = SimplicialComplex.from_facets("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
     assert homology(tri).ranks == (0, 0, 1)
@@ -191,6 +201,43 @@ def reference_homology(delta):
     return tuple(counts[k] - boundary_rank[k] - boundary_rank[k + 1] for k in range(-1, top + 1))
 
 
+def random_complexes(seed, count):
+    """Seeded complexes on two to seven vertices, built by ``from_facets``.
+    Facets have mixed sizes, none spanning all the vertices it may use, and
+    many vertices are in no facet; every third complex is a cone whose apex
+    is its last used vertex, the lowest bit, which the reducer excises."""
+    rng = random.Random(seed)
+    for t in range(count):
+        vertices = "abcdefg"[: rng.randint(2, 7)]
+        used = rng.sample(vertices, rng.randint(max(1, len(vertices) - 2), len(vertices)))
+        size = max(1, len(used) - 1)
+        facets = [rng.sample(used, rng.randint(1, size)) for _ in range(rng.randint(1, 6))]
+        if t % 3 == 2:
+            apex = max(used, key=vertices.index)
+            facets = [f + [apex] for f in facets]
+        yield SimplicialComplex.from_facets(vertices, facets)
+
+
+def test_reducer_matches_unreduced_reference_on_random_complexes():
+    """Excision and coreductions against the plain boundary ranks, on
+    non-pure complexes, complexes with unused vertices, cones over the
+    excised vertex, the complex whose only face is empty, a single vertex
+    and solid simplices."""
+    special = [
+        SimplicialComplex.from_facets([], [[]]),
+        SimplicialComplex.from_facets("ab", [[]]),
+        SimplicialComplex.from_facets("a", ["a"]),
+        SimplicialComplex.from_facets("ab", ["a"]),
+        SimplicialComplex.from_facets("ab", ["b"]),
+    ] + [SimplicialComplex.from_facets("abcdef"[:k], ["abcdef"[:k]]) for k in range(1, 7)]
+    complexes = special + list(random_complexes(5, 400))
+    assert any(len({len(f) for f in d.facets}) > 1 for d in complexes)
+    assert any(set(d.vertices) - set().union(*d.facets) for d in complexes)
+    for delta in complexes:
+        assert homology(delta).ranks == reference_homology(delta), delta
+    assert [homology(d).ranks for d in special[:5]] == [(1,), (1,), (0, 0), (0, 0), (0, 0)]
+
+
 def subset_configurations(*grids):
     for dims in grids:
         cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
@@ -231,9 +278,13 @@ def test_homology_matches_unreduced_reference_on_small_complexes(six_points):
 
 
 def memo_free_first_failure(X):
-    """``first_cm_failure`` without the link-class memo: every face in
-    order, the same two skips, and ``homology`` on the link itself."""
-    delta = sr_complex(X)
+    return memo_free_obstruction(sr_complex(X))
+
+
+def memo_free_obstruction(delta):
+    """``cm_obstruction`` without the link-class memo or the face-size
+    prefilter: every face in order, the same two skips, and ``homology``
+    on the link itself."""
     for sigma in delta.faces():
         lk = link(delta, sigma)
         if lk.dim <= 0 or frozenset.intersection(*lk.facets):
@@ -255,6 +306,18 @@ def test_link_class_memo_matches_memo_free_scan(
     fixtures = [six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight]
     for X in fixtures + list(subset_configurations((2, 2, 2), (3, 3))) + sampled:
         assert first_cm_failure(X) == memo_free_first_failure(X), X
+
+
+def test_scan_matches_memo_free_scan_on_non_pure_complexes():
+    """On complexes with mixed facet sizes the scan's prefilter (faces with
+    at least top - 1 vertices) and its per-face skip (links of dimension
+    at most 0) differ; together they must drop exactly the faces the
+    reference skips, and no failure the reference reports."""
+    complexes = list(random_complexes(11, 300))
+    failures = [memo_free_obstruction(delta) for delta in complexes]
+    assert sum(f is not None for f in failures) > 30
+    for delta, failure in zip(complexes, failures):
+        assert cm_obstruction(delta) == failure, delta
 
 
 def test_collinear_points_reduce_one_link_per_face_size(monkeypatch):

@@ -47,7 +47,7 @@ from .constructions import (
     verify_layer_hf,
 )
 from .errors import InputError
-from .grid_model import GridPoint, PointSet, canonicalize, grid_cells
+from .grid_model import GridPoint, PointSet, canonicalize, grid_cells, is_int
 from .hilbert_function import HilbertTable, delta_table, hilbert_table
 from .level_structure import inclusion_property, interface_set, level_sets
 from .reisner_oracle import first_cm_failure, is_cm
@@ -65,16 +65,12 @@ class ConfigurationFile:
         return canonicalize(self.points)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_tuple(value: object, what: str, length: int | None = None) -> tuple[int, ...]:
     """A JSON list of integers, rejecting bools, floats and strings."""
     if (
         not isinstance(value, list)
         or (length is not None and len(value) != length)
-        or not all(map(_is_int, value))
+        or not all(map(is_int, value))
     ):
         count = "" if length is None else f"{length} "
         raise InputError(f"bad {what} {value!r}; expected a list of {count}integers")
@@ -109,7 +105,7 @@ def load_configuration(path: str | Path) -> ConfigurationFile:
     _reject_unknown_keys(data, ("n", "points", "labels"), str(path))
     n = data.get("n")
     pts = data.get("points")
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError(f"{path}: 'n' must be a positive integer")
     if not isinstance(pts, list) or not pts:
         raise InputError(f"{path}: 'points' must be a nonempty list")
@@ -284,7 +280,7 @@ def _construct_layer(data: dict) -> tuple[PointSet, bool]:
     pts = data.get("points")
     direction = data.get("direction")
     fresh = data.get("fresh", True)
-    if not isinstance(pts, list) or not _is_int(direction) or not isinstance(fresh, bool):
+    if not isinstance(pts, list) or not is_int(direction) or not isinstance(fresh, bool):
         raise InputError("layer config needs 'points', integer 'direction', boolean 'fresh'")
     X = canonicalize([_int_tuple(p, "layer point") for p in pts])
     box = _int_tuple(data["box"], "box", X.n) if "box" in data else (2,) * X.n

@@ -32,7 +32,7 @@ from .errors import (
     ReducednessGuardViolated,
     VanishingConditionViolated,
 )
-from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate
+from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate, is_int
 from .hilbert_function import _saturated_ranker, box_degrees
 
 
@@ -44,10 +44,12 @@ class DirectionForm:
     support: frozenset[int]
 
     def __post_init__(self) -> None:
+        if not is_int(self.direction) or self.direction < 1:
+            raise InputError(f"form direction {self.direction!r} is not a positive integer")
         if not self.support:
             raise InputError("form support must be nonempty")
-        if any(j < 1 for j in self.support):
-            raise InputError("support levels must be positive")
+        if not all(is_int(j) and j >= 1 for j in self.support):
+            raise InputError("support levels must be positive integers")
 
     @property
     def degree(self) -> int:
@@ -220,8 +222,8 @@ def _layer_pieces(
         raise EmptyConfiguration("layer construction needs a nonempty configuration")
     if X.n < 2:
         raise BadDirection("layer construction needs at least two directions")
-    if not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i} outside 1..{X.n}")
+    if not is_int(i) or not 1 <= i <= X.n:
+        raise BadDirection(f"direction {i!r} outside 1..{X.n}")
     shadow = sorted({drop_coordinate(p, i) for p in X.points})
     if fresh:
         c = X.dims[i - 1] + 1

@@ -77,6 +77,11 @@ class PointSet:
         return f"PointSet(n={self.n}, dims={self.dims}, points=[{pts}])"
 
 
+def is_int(value: object) -> bool:
+    """Whether value is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def grid_cells(dims: Sequence[int]) -> list[GridPoint]:
     """All cells of the box with ``dims`` levels per direction, lexicographically."""
     return list(itertools.product(*[range(1, r + 1) for r in dims]))
@@ -99,7 +104,7 @@ def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
         if len(p) != n:
             raise DimensionMismatch(f"ragged input: {p} has length {len(p)}, expected {n}")
         for c in p:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise InputError(f"coordinate {c!r} is not an integer")
     maps = [
         {v: k + 1 for k, v in enumerate(sorted({p[i] for p in tuples}))}
@@ -112,8 +117,8 @@ def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
 
 def drop_coordinate(p: GridPoint, i: int) -> GridPoint:
     """The tuple with the i-th (1-based) coordinate deleted."""
-    if not 1 <= i <= len(p):
-        raise BadDirection(f"direction {i} outside 1..{len(p)}")
+    if not is_int(i) or not 1 <= i <= len(p):
+        raise BadDirection(f"direction {i!r} outside 1..{len(p)}")
     return p[: i - 1] + p[i:]
 
 
@@ -121,13 +126,13 @@ def project(X: PointSet, i: int) -> PointSet:
     """Image of X under deletion of coordinate i, with collisions merged."""
     if X.n < 2:
         raise BadDirection("projection needs at least two directions")
-    if not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i} outside 1..{X.n}")
+    if not is_int(i) or not 1 <= i <= X.n:
+        raise BadDirection(f"direction {i!r} outside 1..{X.n}")
     return canonicalize([drop_coordinate(p, i) for p in X.points])
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> None:
-    if sorted(perm) != list(range(1, size + 1)):
+    if not all(map(is_int, perm)) or sorted(perm) != list(range(1, size + 1)):
         raise BadPermutation(f"{what} {tuple(perm)} is not a permutation of 1..{size}")
 
 

@@ -32,15 +32,19 @@ The pass walks the clamped degrees 0 <= k <= caps depth first, raising
 one coordinate per step, never one before the coordinate raised last,
 so every degree is reached by exactly one path.  A step from k to
 k + e_d adds only the new slab of columns (a_d = k_d + 1, a <= k
-elsewhere) to an echelon basis of integer vectors; a column is reduced
-against the basis by integer combinations scaled by a gcd, as in
-``rank_int``, and kept if anything is left.  The basis size is the rank
-at k + e_d.  Inserting never changes a vector already in the basis, so
-going back up the walk is a truncation to the size the basis had there.
-Once the basis has one vector per point, no column can add to it and
-the rest of the subtree inserts nothing.  ``evaluation_rank`` stays
-on monomials and ``rank_int``, one matrix per degree, as the
-independent reference.
+elsewhere) to one echelon basis with ``linalg.echelon_insert``, which
+keeps a column if anything is left after reduction.  The basis size is
+the rank at k + e_d.  Inserting never changes a vector already in the
+basis, so going back up the walk is a truncation to the size the basis
+had there.  Once the basis has one vector per point, no column can add
+to it and the rest of the subtree inserts nothing.
+
+``evaluation_rank`` is the per-degree reference: it builds the monomial
+basis and one evaluation matrix per degree, with no Newton columns,
+slabs, walk or truncation, and hands the matrix to ``rank_int``.  That
+checks everything the walk adds on top of elimination, but not the
+elimination itself, which both reach through ``echelon_insert``; the
+tests compare that step with elimination over Fractions separately.
 
 The first difference is the alternating sum of h_X over all 2^n unit
 down-shifts, with h identically zero at any negative degree; this
@@ -56,8 +60,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BadDegree
-from .grid_model import GridPoint, MultiDegree, PointSet
-from .linalg import rank_int
+from .grid_model import GridPoint, MultiDegree, PointSet, is_int
+from .linalg import Basis, echelon_insert, rank_int
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class HilbertTable:
 
 def _check_degree(t: Sequence[int]) -> MultiDegree:
     t = tuple(t)
-    if any(isinstance(ti, bool) or not isinstance(ti, int) for ti in t):
+    if not all(map(is_int, t)):
         raise BadDegree(f"non-integer entry in degree {t}")
     if any(ti < 0 for ti in t):
         raise BadDegree(f"negative entry in degree {t}")
@@ -158,8 +162,7 @@ def _saturated_ranker(
     caps = tuple(min(len(xs) - 1, Ti) for xs, Ti in zip(nodes, box))
     columns = _newton_columns(pts, [xs[:cap] for xs, cap in zip(nodes, caps)])
     full = len(pts)
-    # (pivot, vector): each vector is zero at the pivots of those before it.
-    basis: list[tuple[int, list[int]]] = []
+    basis: Basis = []
     ranks: dict[MultiDegree, int] = {}
 
     # Depth first: a degree is popped only after its parent and every
@@ -176,17 +179,7 @@ def _saturated_ranker(
         for a in itertools.product(*slab):
             if len(basis) == full:
                 break
-            v = columns[a]
-            for pivot, b in basis:
-                f = v[pivot]
-                if f:
-                    g = math.gcd(b[pivot], f)
-                    x, y = b[pivot] // g, f // g
-                    v = [vj * x - bj * y for vj, bj in zip(v, b)]
-            for j, vj in enumerate(v):
-                if vj:
-                    basis.append((j, v))
-                    break
+            echelon_insert(basis, columns[a])
         ranks[k] = top = len(basis)
         stack.extend(
             (k[:e] + (k[e] + 1,) + k[e + 1 :], e, top)

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import BadDirection, BadLevel, EmptyConfiguration, WouldBeEmpty
-from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate
+from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate, is_int
 from .star_property import is_acm
 
 
@@ -35,8 +35,8 @@ class LevelDecomposition:
 
 
 def _check_direction(X: PointSet, i: int) -> None:
-    if not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i} outside 1..{X.n}")
+    if not is_int(i) or not 1 <= i <= X.n:
+        raise BadDirection(f"direction {i!r} outside 1..{X.n}")
 
 
 def level_sets(X: PointSet, i: int) -> LevelDecomposition:
@@ -75,8 +75,8 @@ def inclusion_property(X: PointSet, i: int) -> bool:
 def _check_level(X: PointSet, i: int, j: int) -> None:
     """Level j of direction i exists and is not the direction's only level."""
     _check_direction(X, i)
-    if not 1 <= j <= X.dims[i - 1]:
-        raise BadLevel(f"level {j} outside 1..{X.dims[i - 1]} in direction {i}")
+    if not is_int(j) or not 1 <= j <= X.dims[i - 1]:
+        raise BadLevel(f"level {j!r} outside 1..{X.dims[i - 1]} in direction {i}")
     if X.dims[i - 1] < 2:
         raise WouldBeEmpty(f"direction {i} has a single level")
 

@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariantViolation,
     PathPreconditionFailed,
 )
-from .grid_model import GridPoint, PointSet, grid_cells
+from .grid_model import GridPoint, PointSet, grid_cells, is_int
 
 TYPE_I = "type-i"
 TYPE_II = "type-ii"
@@ -79,8 +79,8 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
     """
     if X.size == 0:
         raise EmptyConfiguration("star property needs a nonempty configuration")
-    if not 2 <= s <= X.n:
-        raise BadLevel(f"star level {s} outside 2..{X.n}")
+    if not is_int(s) or not 2 <= s <= X.n:
+        raise BadLevel(f"star level {s!r} outside 2..{X.n}")
     pts = X.points
     cells = grid_cells(X.dims)
     witnesses: list[Witness] = []
@@ -148,8 +148,8 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
         return [P]
     if r == 1:
         return [P, Q]
-    if not 2 <= s <= X.n:
-        raise PathPreconditionFailed(f"star level {s} outside 2..{X.n}")
+    if not is_int(s) or not 2 <= s <= X.n:
+        raise PathPreconditionFailed(f"star level {s!r} outside 2..{X.n}")
     if r > s:
         raise PathPreconditionFailed(f"d(P,Q) = {r} exceeds s = {s}")
     if not _star_holds(X, s):

@@ -196,6 +196,24 @@ def test_add_layer_prepend_variant():
     assert {p[1:] for p in prepended.points if p[0] == 1} == shadow
 
 
+@pytest.mark.parametrize(
+    "direction, support",
+    [(1, {1.5}), (1, {True}), (1, {2, 3.0}), (1.0, {2}), (True, {2}), (0, {2})],
+)
+def test_direction_form_rejects_non_integers(direction, support):
+    with pytest.raises(InputError):
+        DirectionForm(direction, frozenset(support))
+
+
+@pytest.mark.parametrize("i", [1.0, True])
+def test_layer_direction_must_be_an_int(i):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    with pytest.raises(BadDirection):
+        add_layer(X, i)
+    with pytest.raises(BadDirection):
+        verify_layer_hf(X, i, (1, 1))
+
+
 def test_add_layer_errors():
     with pytest.raises(BadDirection):
         add_layer(canonicalize([(1, 1)]), 3)

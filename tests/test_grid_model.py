@@ -8,6 +8,7 @@ from acmpts.errors import (
     DimensionMismatch,
     EmptyConfiguration,
 )
+from acmpts.grid_model import drop_coordinate
 from conftest import ELEVEN_POINTS, grid_configurations
 
 
@@ -74,6 +75,15 @@ def test_project_bad_direction(six_points):
         project(canonicalize([(1,)]), 1)
 
 
+@pytest.mark.parametrize("i", [1.0, True])
+def test_direction_must_be_an_int(i):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    with pytest.raises(BadDirection):
+        project(X, i)
+    with pytest.raises(BadDirection):
+        drop_coordinate((1, 2), i)
+
+
 @given(grid_configurations())
 def test_project_size_bound(X):
     if X.n < 2:
@@ -108,6 +118,22 @@ def test_relabel_rejects_bad_permutations(six_points):
         relabel(six_points, direction_perm=[1, 1, 2])
     with pytest.raises(BadPermutation):
         relabel(six_points, level_perms=[[1], [1, 2], [1, 2]])
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        {"level_perms": [[2.0, 1], [1, 2]]},
+        {"level_perms": [[2, 1], [True, 2]]},
+        {"direction_perm": [2.0, 1]},
+        {"direction_perm": [True, 2]},
+        {"direction_perm": ["1", 2]},
+    ],
+)
+def test_relabel_rejects_non_integer_entries(perms):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    with pytest.raises(BadPermutation):
+        relabel(X, **perms)
 
 
 @given(grid_configurations())

@@ -23,6 +23,7 @@ from conftest import (
     TWELVE_CHAIN,
     grid_configurations,
 )
+from test_linalg import reference_rank
 
 KNOWN_SLICES = {
     0: [(1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)],
@@ -275,6 +276,21 @@ def test_ranker_matches_evaluation_rank_on_random_raw_nodes(n):
     for _ in range(60):
         box = [rng.randint(0, 4) for _ in range(n)]
         assert_ranker_matches_evaluation_rank(random_raw_points(rng, n), box)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ranker_matches_fraction_elimination_on_monomials(n):
+    # The walk and evaluation_rank share echelon_insert, so a fault in it
+    # could hide from the comparison above; this one ranks the monomial
+    # matrices by elimination over Fractions instead.
+    rng = random.Random(1600 + n)
+    for _ in range(30):
+        points = random_raw_points(rng, n)
+        box = [rng.randint(0, 5 - n) for _ in range(n)]
+        rank = hilbert_function._saturated_ranker(points, box)
+        pts = sorted(set(points))
+        for t in hilbert_function.box_degrees(box):
+            assert rank(t) == reference_rank(hilbert_function._evaluation_rows(pts, t)), (points, t)
 
 
 def test_ranker_matches_evaluation_rank_on_layer_pieces():

@@ -26,6 +26,22 @@ def test_level_sets_bad_direction(six_points):
         level_sets(six_points, 0)
 
 
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        (level_sets, (1.0,), BadDirection),
+        (level_sets, (True,), BadDirection),
+        (remove_level, (True, 1), BadDirection),
+        (remove_level, (1, 1.0), BadLevel),
+        (interface_set, (1, 1.0), BadLevel),
+        (interface_set, (1, True), BadLevel),
+    ],
+)
+def test_direction_and_level_must_be_ints(fn, args, error):
+    with pytest.raises(error):
+        fn(canonicalize([(1, 1), (2, 2), (1, 2)]), *args)
+
+
 @given(grid_configurations())
 @settings(max_examples=60)
 def test_level_sets_partition(X):

@@ -1,11 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from acmpts import canonicalize, hilbert_function, reisner_oracle
-from acmpts.linalg import rank_int
+from acmpts.linalg import echelon_insert, rank_int
 
 
 def reference_rank(matrix):
@@ -78,6 +79,32 @@ matrices = st.integers(0, 6).flatmap(
 @given(matrices)
 def test_matches_fraction_elimination(m):
     assert rank_int(m) == reference_rank(m)
+
+
+def test_echelon_insert_keeps_its_contract():
+    # Each insert leaves its argument and the earlier basis untouched,
+    # appends at most one vector, pivoted at its first nonzero entry and
+    # zero at every earlier pivot, and the basis size is the rank so far.
+    rng = random.Random(1601)
+    for _ in range(300):
+        cols = rng.randint(0, 6)
+        basis, rows = [], []
+        for _ in range(rng.randint(1, 8)):
+            v = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)]
+            if rows and rng.random() < 0.3:  # a combination of earlier rows
+                u, w = rng.choice(rows), rng.choice(rows)
+                v = [2 * a - 3 * b for a, b in zip(u, w)]
+            rows.append(v)
+            before = [(p, list(b)) for p, b in basis]
+            v_before = list(v)
+            added = echelon_insert(basis, v)
+            assert v == v_before
+            assert [(p, list(b)) for p, b in basis[: len(before)]] == before
+            assert len(basis) == len(before) + added == reference_rank(rows)
+            if added:
+                pivot, b = basis[-1]
+                assert pivot == next(j for j, x in enumerate(b) if x)
+                assert all(b[p] == 0 for p, _ in before)
 
 
 def captured_matrices(monkeypatch, module, compute):

@@ -172,6 +172,15 @@ def test_find_path_through_eleven_points(eleven_points):
     path_is_valid(eleven_points, (1, 1, 1), (2, 2, 2), path)
 
 
+@pytest.mark.parametrize("s", [2.0, True])
+def test_star_level_must_be_an_int(s):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    with pytest.raises(BadLevel):
+        check_star(X, s)
+    with pytest.raises(PathPreconditionFailed):
+        find_path(X, (1, 1), (2, 2), s)
+
+
 def test_find_path_preconditions(eleven_points):
     with pytest.raises(PathPreconditionFailed):
         find_path(eleven_points, (1, 1, 1), (1, 2, 2), 3)  # endpoint not in X

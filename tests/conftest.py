@@ -1,5 +1,7 @@
 """Shared example configurations and hypothesis strategies."""
 
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -70,3 +72,12 @@ def grid_configurations(max_n: int = 3, max_levels: int = 3, max_size: int = 9):
         return st.lists(point, min_size=1, max_size=max_size).map(canonicalize)
 
     return st.integers(1, max_n).flatmap(build)
+
+
+def subset_configurations(*grids, step=1):
+    """Every step-th nonempty subset of each grid, by bitmask over its
+    cells in lexicographic order, canonicalized."""
+    for dims in grids:
+        cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
+        for mask in range(1, 1 << len(cells), step):
+            yield canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])

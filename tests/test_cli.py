@@ -580,6 +580,9 @@ GOLDEN = {
     ('path', 'liaison_eleven.json', '--from', '1,1,1', '--to', '2,2,2'): (
         '(1,1,1) -> (2,1,1) -> (2,1,2) -> (2,2,2)\n'
     ),
+    ('path', 'line_three.json', '--from', '1', '--to', '3'): (
+        '(1) -> (3)\n'
+    ),
     ('construct', 'liaison_eleven_config.json'): (
         'liaison addition: 11 points (V1: 1 point(s), V2: 1 point(s), V3: 1 point(s), box: 8 point(s))\n'
         'hf additivity: verified on box (3,3,3)\n'

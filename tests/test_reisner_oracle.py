@@ -18,7 +18,7 @@ from acmpts.reisner_oracle import (
     link,
     sr_complex,
 )
-from conftest import grid_configurations
+from conftest import grid_configurations, subset_configurations
 from ideal_reference import configuration_ideal
 
 
@@ -238,13 +238,6 @@ def test_reducer_matches_unreduced_reference_on_random_complexes():
     assert [homology(d).ranks for d in special[:5]] == [(1,), (1,), (0, 0), (0, 0), (0, 0)]
 
 
-def subset_configurations(*grids):
-    for dims in grids:
-        cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
-        for mask in range(1, 1 << len(cells)):
-            yield canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
-
-
 def test_homology_matches_unreduced_reference_on_every_link(
     six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight
 ):
@@ -335,6 +328,7 @@ def test_collinear_points_reduce_one_link_per_face_size(monkeypatch):
     monkeypatch.setattr(reisner_oracle, "_reduced_betti", counting)
     for k in range(1, 13):
         calls.clear()
+        reisner_oracle._class_betti.cache_clear()
         assert is_cm(canonicalize([(i,) for i in range(1, k + 1)])) is True
         assert len(calls) == max(k - 2, 0), k
 
@@ -351,11 +345,35 @@ def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
         return len(matrix) + 1
 
     monkeypatch.setattr(reisner_oracle, "rank_int", too_large)
+    reisner_oracle._class_betti.cache_clear()
     with pytest.raises(InternalInvariantViolation):
         homology(sr_complex(X))
     with pytest.raises(InternalInvariantViolation):
         is_cm(X)
     assert calls
+
+
+def test_second_pass_over_the_same_configurations_reduces_nothing(monkeypatch):
+    """Link classes are shared across calls: once a pass has reduced every
+    class its configurations need, a second pass over them takes each
+    class's Betti numbers from the memo and reports the same failures."""
+    cells = sorted(itertools.product((1, 2, 3), repeat=3))
+    rng = random.Random(29)
+    configs = [canonicalize(rng.sample(cells, rng.randint(1, 27))) for _ in range(30)]
+    calls = []
+
+    def counting(facets):
+        calls.append(facets)
+        return reduced_betti(facets)
+
+    reduced_betti = reisner_oracle._reduced_betti
+    monkeypatch.setattr(reisner_oracle, "_reduced_betti", counting)
+    reisner_oracle._class_betti.cache_clear()
+    first = [first_cm_failure(X) for X in configs]
+    assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    assert [first_cm_failure(X) for X in configs] == first
+    assert calls == []
 
 
 def test_is_cm_verdicts(six_points, eleven_points):

@@ -19,11 +19,13 @@ from acmpts.errors import (
     BadLevel,
     DimensionMismatch,
     EmptyConfiguration,
+    InternalInvariantViolation,
     PathPreconditionFailed,
 )
+from acmpts.grid_model import grid_cells
 from acmpts.reisner_oracle import first_cm_failure
-from acmpts.star_property import TYPE_I, TYPE_II
-from conftest import grid_configurations
+from acmpts.star_property import TYPE_I, TYPE_II, Witness
+from conftest import STAR_BLIND_EIGHT, grid_configurations, subset_configurations
 
 
 def test_hamming_distance():
@@ -48,6 +50,92 @@ def test_combinatorial_box():
     }
     with pytest.raises(DimensionMismatch):
         combinatorial_box((1,), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "P, Q", [((1, 1), (2, 2.5)), ([1, 1], (2, 2)), ((True, 1), (2, 2)), ((1, 1), "12")]
+)
+def test_box_and_distance_reject_points_that_are_not_int_tuples(P, Q):
+    for function in (combinatorial_box, hamming_distance):
+        with pytest.raises(BadLevel):
+            function(P, Q)
+        with pytest.raises(BadLevel):
+            function(Q, P)
+
+
+def reference_check_star(X, s):
+    """The star scan as a plain loop: every ordered pair of grid cells, its
+    box built as a set of points and intersected with X."""
+    pts = X.points
+    cells = sorted(itertools.product(*[range(1, r + 1) for r in X.dims]))
+    witnesses = []
+    for a, P in enumerate(cells):
+        p_in = P in pts
+        for Q in cells[a + 1 :]:
+            if (Q in pts) != p_in:
+                continue
+            d = hamming_distance(P, Q)
+            if d < 2 or d > s:
+                continue
+            box = combinatorial_box(P, Q)
+            met = box & pts
+            if p_in and met == {P, Q}:
+                witnesses.append(Witness(TYPE_I, P, Q, d, box))
+            elif not p_in and met == box - {P, Q}:
+                witnesses.append(Witness(TYPE_II, P, Q, d, box))
+    return not witnesses, witnesses
+
+
+TESSERACT = list(itertools.product((1, 2), repeat=4))
+ANTIPODES = [(1, 1, 1, 1), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "grids, step, extra",
+    [
+        ([(2, 2, 2), (2, 2, 3)], 1, []),
+        ([(2, 2, 2, 2)], 61, [STAR_BLIND_EIGHT, ANTIPODES, sorted(set(TESSERACT) - set(ANTIPODES))]),
+    ],
+    ids=["2x2x2-2x2x3-every-subset", "2x2x2x2-strided"],
+)
+def test_check_star_matches_reference_scan(grids, step, extra):
+    """Every witness, in order, at every level, and the first one alone
+    when the scan is not exhaustive.  Witnesses at distance 4 need a
+    pair of antipodes alone or missing, which the stride skips, so those
+    two sets are added."""
+    configs = [canonicalize(points) for points in extra]
+    configs += [X for X in subset_configurations(*grids, step=step) if X.n >= 2]
+    kinds = set()
+    for X in configs:
+        for s in range(2, X.n + 1):
+            verdict, witnesses = reference_check_star(X, s)
+            assert check_star(X, s, exhaustive=True) == (verdict, witnesses), (X, s)
+            assert check_star(X, s) == (verdict, witnesses[:1]), (X, s)
+            kinds.update((w.kind, w.s_prime) for w in witnesses)
+    n = max(len(dims) for dims in grids)
+    assert kinds == {(kind, d) for kind in (TYPE_I, TYPE_II) for d in range(2, n + 1)}
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
+def test_pair_table_boxes_are_the_corner_sets(dims):
+    """Where P and Q share a coordinate, product(*zip(P, Q)) lists every
+    corner more than once, so a box mask summed over it carries into other
+    bits; the table must hold the mask of the corner set."""
+    cells = grid_cells(dims)
+    bit = {c: 1 << k for k, c in enumerate(cells)}
+    expected = []
+    summed_differs = 0
+    for (a, P), (b, Q) in itertools.combinations(enumerate(cells), 2):
+        d = hamming_distance(P, Q)
+        if d >= 2:
+            corners = list(itertools.product(*zip(P, Q)))
+            box = 0
+            for c in set(corners):
+                box |= bit[c]
+            expected.append((d, a, b, box))
+            summed_differs += sum(bit[c] for c in corners) != box
+    assert star_property._pair_table(dims) == tuple(expected)
+    assert summed_differs > 0
 
 
 def test_star_verdicts_on_six_points(six_points):
@@ -181,6 +269,35 @@ def test_star_level_must_be_an_int(s):
         find_path(X, (1, 1), (2, 2), s)
 
 
+@pytest.mark.parametrize(
+    "P, Q, s",
+    [((1, 1), (1, 1), 2.0), ((1, 1), (1, 2), "x"), ((1, 1), (1, 1), 1), ((1, 2), (1, 1), 3)],
+)
+def test_find_path_checks_star_level_at_every_distance(P, Q, s):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    with pytest.raises(PathPreconditionFailed, match="star level"):
+        find_path(X, P, Q, s)
+
+
+def test_find_path_in_one_direction_takes_level_one():
+    """With n = 1 there is no star level and every pair is at distance at
+    most 1; the CLI passes s = n = 1."""
+    X = canonicalize([(1,), (3,), (4,)])
+    assert find_path(X, (2,), (2,), 1) == [(2,)]
+    assert find_path(X, (1,), (3,), 1) == [(1,), (3,)]
+    for s in (0, 2, 1.0):
+        with pytest.raises(PathPreconditionFailed, match="star level"):
+            find_path(X, (1,), (3,), s)
+
+
+@pytest.mark.parametrize("bad", [[1, 1], (1.0, 1.0), (True, True), (1, 2.0), (1, 1, 1), (1,), "12"])
+def test_find_path_endpoints_are_tuples_of_n_ints(bad):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    for P, Q in ((bad, (1, 2)), ((1, 2), bad)):
+        with pytest.raises(PathPreconditionFailed, match="endpoint"):
+            find_path(X, P, Q, 2)
+
+
 def test_find_path_preconditions(eleven_points):
     with pytest.raises(PathPreconditionFailed):
         find_path(eleven_points, (1, 1, 1), (1, 2, 2), 3)  # endpoint not in X
@@ -249,6 +366,14 @@ def test_star_accepts_non_cm_configuration_on_2x2x2x2(star_blind_eight):
     assert len(pairs) == 28
     for P, Q in pairs:
         path_is_valid(X, P, Q, find_path(X, P, Q, 4))
+
+
+def test_find_path_without_a_chain_is_an_invariant_violation(monkeypatch):
+    """The diagonal pair has no chain; with its failing star verdict
+    forced to pass, the search must abort instead of returning a path."""
+    monkeypatch.setattr(star_property, "_star_holds", lambda X, s: True)
+    with pytest.raises(InternalInvariantViolation, match="no chain"):
+        find_path(canonicalize([(1, 1), (2, 2)]), (1, 1), (2, 2), 2)
 
 
 def test_find_path_non_star_raises_on_every_call():

@@ -47,7 +47,7 @@ from .constructions import (
     verify_layer_hf,
 )
 from .errors import InputError
-from .grid_model import GridPoint, PointSet, canonicalize, grid_cells, is_int
+from .grid_model import GridPoint, PointSet, canonicalize, cell_table, grid_cells, is_int
 from .hilbert_function import HilbertTable, delta_table, hilbert_table
 from .level_structure import inclusion_property, interface_set, level_sets
 from .reisner_oracle import first_cm_failure, is_cm
@@ -77,10 +77,19 @@ def _int_tuple(value: object, what: str, length: int | None = None) -> tuple[int
     return tuple(value)
 
 
+def _object_of_pairs(pairs: list[tuple[str, object]], path: str | Path) -> dict:
+    """A JSON object as a dict; a repeated key would otherwise keep its
+    last value unnoticed."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise InputError(f"{path}: repeated key {repeated[0]!r}")
+    return dict(pairs)
+
+
 def _read_json_object(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda pairs: _object_of_pairs(pairs, path))
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
@@ -381,8 +390,7 @@ def _grid_symmetries(
     )
     if order > limit:
         return [(tuple(range(n)), list(range(math.prod(dims))))]
-    cells = grid_cells(dims)
-    index = {cell: b for b, cell in enumerate(cells)}
+    cells, index, _ = cell_table(dims)
     return [
         (dperm, [index[tuple(lperms[d][cell[d] - 1] for d in dperm)] for cell in cells])
         for dperm in itertools.permutations(range(n))

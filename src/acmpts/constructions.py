@@ -32,7 +32,7 @@ from .errors import (
     ReducednessGuardViolated,
     VanishingConditionViolated,
 )
-from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate, is_int
+from .grid_model import GridPoint, PointSet, canonicalize, check_direction, drop_coordinate, is_int
 from .hilbert_function import _saturated_ranker, box_degrees
 
 
@@ -222,8 +222,7 @@ def _layer_pieces(
         raise EmptyConfiguration("layer construction needs a nonempty configuration")
     if X.n < 2:
         raise BadDirection("layer construction needs at least two directions")
-    if not is_int(i) or not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i!r} outside 1..{X.n}")
+    check_direction(i, X.n)
     shadow = sorted({drop_coordinate(p, i) for p in X.points})
     if fresh:
         c = X.dims[i - 1] + 1

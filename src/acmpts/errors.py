@@ -43,6 +43,13 @@ class BadDegree(InputError):
     """A multidegree with a negative entry where none is allowed."""
 
 
+class MalformedComplex(InputError, ValueError):
+    """A simplicial complex with a repeated or unknown vertex, or no facets.
+
+    Also a ``ValueError``, since a malformed complex is a bad argument
+    value, so a caller that catches ``ValueError`` for it still does."""
+
+
 class FaceNotInComplex(InputError):
     """The given vertex set is not a face of the simplicial complex."""
 

@@ -12,7 +12,9 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,6 +56,8 @@ class PointSet:
             if len(p) != self.n:
                 raise DimensionMismatch(f"point {p} has wrong length")
             for i, (c, r) in enumerate(zip(p, self.dims)):
+                if not is_int(c):
+                    raise InputError(f"coordinate {c!r} is not an integer")
                 if not 1 <= c <= r:
                     raise InputError(f"coordinate {c} outside 1..{r} in direction {i + 1}")
                 used[i].add(c)
@@ -82,9 +86,39 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def grid_cells(dims: Sequence[int]) -> list[GridPoint]:
+def check_direction(i: object, n: int) -> None:
+    """Raise BadDirection unless i is an int direction in 1..n."""
+    if not is_int(i) or not 1 <= i <= n:
+        raise BadDirection(f"direction {i!r} outside 1..{n}")
+
+
+@functools.lru_cache(maxsize=32)
+def cell_table(
+    dims: tuple[int, ...],
+) -> tuple[tuple[GridPoint, ...], dict[GridPoint, int], tuple[int, ...]]:
+    """The package's one cell numbering: the dims grid's cells in
+    lexicographic order (bit k of a cell mask is cell k), each cell's
+    index, and each direction's index stride; cached for 32 dims."""
+    cells = tuple(itertools.product(*[range(1, r + 1) for r in dims]))
+    strides = tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
+    return cells, {c: k for k, c in enumerate(cells)}, strides
+
+
+def grid_cells(dims: Sequence[int]) -> tuple[GridPoint, ...]:
     """All cells of the box with ``dims`` levels per direction, lexicographically."""
-    return list(itertools.product(*[range(1, r + 1) for r in dims]))
+    return cell_table(tuple(dims))[0]
+
+
+@functools.lru_cache(maxsize=128)
+def cell_view(
+    X: PointSet,
+) -> tuple[tuple[GridPoint, ...], dict[GridPoint, int], tuple[int, ...], int]:
+    """``cell_table(X.dims)`` and the mask of X's cells; cached for 128 X."""
+    cells, index, strides = cell_table(X.dims)
+    mask = 0
+    for p in X.points:
+        mask |= 1 << index[p]
+    return cells, index, strides, mask
 
 
 def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
@@ -117,8 +151,7 @@ def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
 
 def drop_coordinate(p: GridPoint, i: int) -> GridPoint:
     """The tuple with the i-th (1-based) coordinate deleted."""
-    if not is_int(i) or not 1 <= i <= len(p):
-        raise BadDirection(f"direction {i!r} outside 1..{len(p)}")
+    check_direction(i, len(p))
     return p[: i - 1] + p[i:]
 
 
@@ -126,8 +159,7 @@ def project(X: PointSet, i: int) -> PointSet:
     """Image of X under deletion of coordinate i, with collisions merged."""
     if X.n < 2:
         raise BadDirection("projection needs at least two directions")
-    if not is_int(i) or not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i!r} outside 1..{X.n}")
+    check_direction(i, X.n)
     return canonicalize([drop_coordinate(p, i) for p in X.points])
 
 

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import BadDirection, BadLevel, EmptyConfiguration, WouldBeEmpty
-from .grid_model import GridPoint, PointSet, canonicalize, drop_coordinate, is_int
+from .grid_model import GridPoint, PointSet, canonicalize, check_direction, drop_coordinate, is_int
 from .star_property import is_acm
 
 
@@ -34,14 +34,9 @@ class LevelDecomposition:
         return [len(part) for _, part in self.levels]
 
 
-def _check_direction(X: PointSet, i: int) -> None:
-    if not is_int(i) or not 1 <= i <= X.n:
-        raise BadDirection(f"direction {i!r} outside 1..{X.n}")
-
-
 def level_sets(X: PointSet, i: int) -> LevelDecomposition:
     """Partition X by its i-th coordinate, levels ordered by index."""
-    _check_direction(X, i)
+    check_direction(i, X.n)
     groups: dict[int, set[GridPoint]] = defaultdict(set)
     for p in X.points:
         groups[p[i - 1]].add(p)
@@ -74,7 +69,7 @@ def inclusion_property(X: PointSet, i: int) -> bool:
 
 def _check_level(X: PointSet, i: int, j: int) -> None:
     """Level j of direction i exists and is not the direction's only level."""
-    _check_direction(X, i)
+    check_direction(i, X.n)
     if not is_int(j) or not 1 <= j <= X.dims[i - 1]:
         raise BadLevel(f"level {j!r} outside 1..{X.dims[i - 1]} in direction {i}")
     if X.dims[i - 1] < 2:

@@ -71,7 +71,12 @@ from itertools import accumulate
 from operator import and_, or_
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
+from .errors import (
+    EmptyConfiguration,
+    FaceNotInComplex,
+    InternalInvariantViolation,
+    MalformedComplex,
+)
 from .grid_model import PointSet
 from .linalg import rank_int
 
@@ -118,13 +123,13 @@ class SimplicialComplex:
         verts = tuple(vertices)
         index = {v: k for k, v in enumerate(verts)}
         if len(index) != len(verts):
-            raise ValueError("repeated vertex")
+            raise MalformedComplex("repeated vertex")
         fs = {frozenset(f) for f in facets}
         if not fs:
-            raise ValueError(NO_FACETS)
+            raise MalformedComplex(NO_FACETS)
         for f in fs:
             if not f <= index.keys():
-                raise ValueError(f"facet {set(f)} uses unknown vertices")
+                raise MalformedComplex(f"facet {set(f)} uses unknown vertices")
         minimal = [f for f in fs if not any(f < g for g in fs)]
         minimal.sort(key=lambda f: (len(f), sorted(index[v] for v in f)))
         return cls(vertices=verts, facets=tuple(minimal))
@@ -147,7 +152,7 @@ def _facet_masks(delta: SimplicialComplex) -> list[int]:
     Every entry point reads the facets through here once per call, so a
     complex built directly with no facets is rejected here, not per link."""
     if not delta.facets:
-        raise ValueError(NO_FACETS)
+        raise MalformedComplex(NO_FACETS)
     top = len(delta.vertices) - 1
     bit = {v: 1 << (top - k) for k, v in enumerate(delta.vertices)}
     return [sum(bit[v] for v in f) for f in delta.facets]

@@ -12,22 +12,23 @@ Reisner oracle on every subset of 2x2x2, 3x3, 2x2x3 and 3x3x2, but not on
 2x2x2x2: one eight-point orbit has no witness at any level and is not
 Cohen-Macaulay (``test_star_accepts_non_cm_configuration_on_2x2x2x2``).
 
-Both the search and ``find_path`` work on cell bitmasks.  The cells of
-the dims grid are numbered in lexicographic order, so index order is
-tuple order, and X is the mask with the bits of its cells set.  The
+Both the search and ``find_path`` work on cell bitmasks, in the cell
+numbering of ``grid_model.cell_table`` (lexicographic, so index order is
+tuple order); X is the mask ``grid_model.cell_view`` gives it.  The
 ordered pairs of cells at distance >= 2, each with the mask of its box,
 are tabulated once per dims (``_pair_table``): O((prod r_i)^2 n)
-operations on (prod r_i)-bit masks, kept as O((prod r_i)^2) entries.  A
-check is then one popcount of ``box & mask`` per pair.  Desk-scale
-grids (prod r_i <= 27) finish in milliseconds; on 6x6x6 (216 cells)
-the table has 21600 pairs and takes a few megabytes.
+operations on (prod r_i)-bit masks, kept as O((prod r_i)^2) entries, so
+the table's memory grows about as (prod r_i)^3.  A check is then one
+popcount of ``box & mask`` per pair.  Desk-scale grids (prod r_i <= 27)
+finish in milliseconds.  ``acmpts check`` on k diagonal points of the
+k x k x k grid peaks at 19.6 MB of resident memory for k = 6, 40.7 MB
+for k = 8, 133 MB for k = 10 and 463.5 MB for k = 12.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     InternalInvariantViolation,
     PathPreconditionFailed,
 )
-from .grid_model import GridPoint, PointSet, grid_cells, is_int
+from .grid_model import GridPoint, PointSet, cell_view, grid_cells, is_int
 
 TYPE_I = "type-i"
 TYPE_II = "type-ii"
@@ -86,30 +87,6 @@ def combinatorial_box(P: GridPoint, Q: GridPoint) -> frozenset[GridPoint]:
 
 
 @functools.lru_cache(maxsize=32)
-def _grid(
-    dims: tuple[int, ...],
-) -> tuple[tuple[GridPoint, ...], dict[GridPoint, int], tuple[int, ...]]:
-    """The cells of the dims grid in lexicographic order, each cell's index
-    in it, and the index stride of each direction; cached for 32 dims."""
-    cells = tuple(grid_cells(dims))
-    strides = tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
-    return cells, {c: k for k, c in enumerate(cells)}, strides
-
-
-@functools.lru_cache(maxsize=128)
-def _cell_view(
-    X: PointSet,
-) -> tuple[tuple[GridPoint, ...], dict[GridPoint, int], tuple[int, ...], int]:
-    """``_grid(X.dims)`` and the mask of X's cells, cached for the 128 most
-    recent X; ``check_star`` and ``find_path`` both read it."""
-    cells, index, strides = _grid(X.dims)
-    mask = 0
-    for p in X.points:
-        mask |= 1 << index[p]
-    return cells, index, strides, mask
-
-
-@functools.lru_cache(maxsize=32)
 def _pair_table(dims: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """(d, a, b, box) for every pair of cells a < b at distance d >= 2, in
     lexicographic order of (a, b); box is the mask of the pair's box.
@@ -119,7 +96,7 @@ def _pair_table(dims: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     is P_i or Q_i, so its mask is the AND over directions of the masks of
     those one or two level slabs.  Each row (one P, every Q) is built one
     direction at a time, keeping Q in cell order."""
-    cells, _, _ = _grid(dims)
+    cells = grid_cells(dims)
     slabs = [[0] * (r + 1) for r in dims]  # slabs[i][l]: cells at level l in direction i
     for k, c in enumerate(cells):
         for i, level in enumerate(c):
@@ -149,7 +126,7 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
         raise EmptyConfiguration("star property needs a nonempty configuration")
     if not is_int(s) or not 2 <= s <= X.n:
         raise BadLevel(f"star level {s!r} outside 2..{X.n}")
-    cells, _, _, mask = _cell_view(X)
+    cells, _, _, mask = cell_view(X)
     witnesses: list[Witness] = []
     for d, a, b, box in _pair_table(X.dims):
         if d > s:
@@ -208,7 +185,7 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     if not (_is_point(P) and _is_point(Q) and len(P) == len(Q) == X.n):
         bad = Q if _is_point(P) and len(P) == X.n else P
         raise PathPreconditionFailed(f"endpoint {bad!r} is not a tuple of {X.n} ints")
-    cells, index, strides, mask = _cell_view(X)
+    cells, index, strides, mask = cell_view(X)
     a, b = index.get(P), index.get(Q)
     if a is None or b is None or not (mask >> a & 1 and mask >> b & 1):
         raise PathPreconditionFailed("both endpoints must lie in X")

@@ -339,11 +339,82 @@ def test_unknown_key_is_named(tmp_path, capsys, command, data, key):
     assert f"unknown key(s) {key!r}" in capsys.readouterr().err
 
 
-# Configurations in one, two and four directions, written per test run;
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("check", '{"n": 2, "points": [[1, 1]], "points": [[1, 1], [2, 2]]}', "points"),
+        (
+            "construct",
+            '{"mode": "layer", "points": [[1, 1], [2, 2]], "direction": 1, "direction": 2}',
+            "direction",
+        ),
+    ],
+    ids=["configuration", "layer"],
+)
+def test_repeated_key_is_named(tmp_path, capsys, command, text, key):
+    """JSON keeps the last of two equal keys; a file that repeats one is refused."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"InputError: {path}: repeated key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, data, rest, message",
+    [
+        ("check", [[1, 1]], [], "top level must be an object"),
+        ("check", {"n": 2, "points": []}, [], "'points' must be a nonempty list"),
+        (
+            "check",
+            {"n": 2, "points": [[1, 1], [2, 2]], "labels": ["a"]},
+            [],
+            "'labels' must be strings parallel to 'points'",
+        ),
+        (
+            "check",
+            {"n": 2, "points": [[1, 1], [2, 2]], "labels": ["a", 2]},
+            [],
+            "'labels' must be strings parallel to 'points'",
+        ),
+        (
+            "check",
+            {"n": 1, "points": [[1], [3]]},
+            ["--star-level", "2"],
+            "star levels are undefined for a single direction",
+        ),
+        (
+            "path",
+            {"n": 2, "points": [[1, 1], [2, 2], [1, 2]]},
+            ["--from", "1,1,1", "--to", "2,2"],
+            "endpoints must have 2 coordinates",
+        ),
+        (
+            "construct",
+            {**ELEVEN_LIAISON, "summands": {"V1": [[1, 1, 1]]}},
+            [],
+            "liaison config needs 'summands' and 'supports' lists",
+        ),
+    ],
+    ids=["top-level", "no-points", "short-labels", "int-label", "star-level", "endpoint",
+         "summands"],
+)
+def test_rejected_input_is_named(tmp_path, capsys, command, data, rest, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, str(path), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+# Configurations in one to four directions, written per test run;
 # every other ``GOLDEN`` file name is a bundled fixture.
 INLINE = {
     'line_three.json': (1, [(1,), (3,), (4,)]),
     'two_four.json': (2, [(1, 1), (1, 2), (2, 1), (3, 3)]),
+    'cube_three.json': (3, [(1, 1, 1), (1, 2, 2), (2, 1, 1)]),
     'star_blind_eight.json': (4, STAR_BLIND_EIGHT),
 }
 
@@ -516,6 +587,14 @@ GOLDEN = {
         '  0 0 0 0 0 0 0\n'
         '  0 0 0 0 0 0 0\n'
         '  0 0 0 0 0 0 0\n'
+    ),
+    ('check', 'line_three.json'): (
+        'configuration: 3 points on grid 3\n'
+        'ACM: true\n'
+        'direction 1: level sizes [1, 1, 1]\n'
+    ),
+    ('oracle', 'cube_three.json'): (
+        'CM: false; link={a[1,2]}, reduced homology degree 0 rank 1\n'
     ),
     ('hilbert', 'line_three.json', '--box', '5'): (
         'h(t), t = 0..5: 1 2 3 3 3 3\n'

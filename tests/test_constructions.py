@@ -13,12 +13,14 @@ from acmpts.constructions import (
 )
 from acmpts.errors import (
     BadDirection,
+    DimensionMismatch,
     EmptyConfiguration,
     InputError,
     OverlappingSummands,
     ReducednessGuardViolated,
     VanishingConditionViolated,
 )
+from acmpts.grid_model import PointSet
 from acmpts.hilbert_function import box_degrees, evaluation_rank
 
 
@@ -112,6 +114,27 @@ def test_liaison_hypothesis_violations():
             summands=(frozenset(), frozenset({(2, 2)})),
             forms=pair_input().forms,
         )
+
+
+@pytest.mark.parametrize(
+    "summands, forms, error, message",
+    [
+        ([{(1, 1)}], [(1, {2})], InputError, "at least two summands"),
+        ([{(1, 1)}, {(2, 2)}], [(1, {2})], InputError, "one form per summand"),
+        ([{(1, 1)}, {(2, 2)}], [(2, {1}), (1, {2})], InputError, "direction order"),
+        ([{(1, 1)}, {(2, 2, 1)}], [(1, {2}), (2, {1})], DimensionMismatch, "expected 2"),
+    ],
+)
+def test_liaison_input_shape_is_checked(summands, forms, error, message):
+    with pytest.raises(error, match=message):
+        LiaisonInput(
+            summands=tuple(map(frozenset, summands)),
+            forms=tuple(DirectionForm(i, frozenset(sup)) for i, sup in forms),
+        )
+
+
+def test_hf_additivity_fails_when_z_has_more_levels_than_the_union():
+    assert verify_hf_additivity(pair_input(), canonicalize([(1, 1), (2, 2), (3, 3)])) is False
 
 
 def test_hf_additivity_on_eleven_points():
@@ -219,6 +242,8 @@ def test_add_layer_errors():
         add_layer(canonicalize([(1, 1)]), 3)
     with pytest.raises(BadDirection):
         add_layer(canonicalize([(1,), (2,)]), 1)
+    with pytest.raises(EmptyConfiguration):
+        add_layer(PointSet.empty(2), 1)
 
 
 def test_layer_preserves_acm_exhaustively_for_two_directions():

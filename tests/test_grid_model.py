@@ -7,8 +7,9 @@ from acmpts.errors import (
     BadPermutation,
     DimensionMismatch,
     EmptyConfiguration,
+    InputError,
 )
-from acmpts.grid_model import drop_coordinate
+from acmpts.grid_model import PointSet, drop_coordinate
 from conftest import ELEVEN_POINTS, grid_configurations
 
 
@@ -44,6 +45,44 @@ def test_canonicalize_rejects_empty():
 def test_canonicalize_rejects_ragged():
     with pytest.raises(DimensionMismatch):
         canonicalize([(1, 2), (1, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "raw, error, message",
+    [
+        ([()], DimensionMismatch, "at least one coordinate"),
+        ([(1, 1.5)], InputError, "coordinate 1.5 is not an integer"),
+    ],
+    ids=["no-coordinate", "float"],
+)
+def test_canonicalize_rejects_empty_and_non_integer_points(raw, error, message):
+    with pytest.raises(error, match=message):
+        canonicalize(raw)
+
+
+@pytest.mark.parametrize(
+    "n, dims, points, error, message",
+    [
+        (0, (), [], InputError, "dimension count must be >= 1"),
+        (2, (1,), [(1, 1)], DimensionMismatch, "dims length must equal n"),
+        (2, (1, 1), [(1, 1, 1)], DimensionMismatch, r"point \(1, 1, 1\) has wrong length"),
+        (2, (1, 1), [(1, 2)], InputError, "coordinate 2 outside 1..1 in direction 2"),
+        (2, (2, 1), [(1, 1)], InputError, "direction 1 has unused levels"),
+        (2, (1, 1), [(1.0, 1)], InputError, "coordinate 1.0 is not an integer"),
+        (2, (1, 1), [(True, True)], InputError, "coordinate True is not an integer"),
+        (1, (2,), [(1,), (2.0,)], InputError, "coordinate 2.0 is not an integer"),
+    ],
+    ids=["no-direction", "dims-length", "point-length", "out-of-range", "unused-level",
+         "float", "bool", "float-level"],
+)
+def test_point_set_built_directly_is_validated(n, dims, points, error, message):
+    with pytest.raises(error, match=message):
+        PointSet(n=n, dims=dims, points=frozenset(points))
+
+
+def test_point_set_repr_lists_sorted_points():
+    X = canonicalize([(2, 1), (1, 1), (1, 2)])
+    assert repr(X) == "PointSet(n=2, dims=(2, 2), points=[(1, 1),(1, 2),(2, 1)])"
 
 
 @given(grid_configurations())
@@ -118,6 +157,8 @@ def test_relabel_rejects_bad_permutations(six_points):
         relabel(six_points, direction_perm=[1, 1, 2])
     with pytest.raises(BadPermutation):
         relabel(six_points, level_perms=[[1], [1, 2], [1, 2]])
+    with pytest.raises(BadPermutation, match="one level permutation per direction"):
+        relabel(six_points, level_perms=[[1, 2], [1, 2]])
 
 
 @pytest.mark.parametrize(

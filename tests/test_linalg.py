@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,6 +42,11 @@ def test_simple_ranks():
     assert rank_int([[2, 4, 6]]) == 1
     assert rank_int([]) == 0
     assert rank_int([[], []]) == 0
+
+
+def test_ragged_matrix_is_rejected():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rank_int([[1], [1, 2]])
 
 
 def test_singular_four_by_four():

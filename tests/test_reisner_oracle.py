@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from acmpts import PointSet, canonicalize, is_acm, relabel, reisner_oracle
-from acmpts.errors import EmptyConfiguration, FaceNotInComplex, InternalInvariantViolation
+from acmpts.errors import (
+    EmptyConfiguration,
+    FaceNotInComplex,
+    InputError,
+    InternalInvariantViolation,
+    MalformedComplex,
+)
 from acmpts.linalg import rank_int
 from acmpts.reisner_oracle import (
     GridVariable,
@@ -140,6 +146,24 @@ def test_empty_configuration_rejected():
 def test_from_facets_rejects_no_facets():
     with pytest.raises(ValueError, match="no facets"):
         SimplicialComplex.from_facets("ab", [])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimplicialComplex.from_facets("aba", [["a"]]), "repeated vertex"),
+        (lambda: SimplicialComplex.from_facets("ab", []), "no facets"),
+        (lambda: SimplicialComplex.from_facets("ab", [["a", "c"]]), "uses unknown vertices"),
+        (lambda: homology(SimplicialComplex(("a", "b"), ())), "no facets"),
+    ],
+    ids=["repeated-vertex", "no-facets", "unknown-vertex", "built-without-facets"],
+)
+def test_malformed_complex_is_an_input_error(build, message):
+    """Bad data handed to the library raises an ``InputError``; this one is
+    also a ``ValueError``."""
+    with pytest.raises(MalformedComplex, match=message) as caught:
+        build()
+    assert isinstance(caught.value, InputError) and isinstance(caught.value, ValueError)
 
 
 @pytest.mark.parametrize("vertices", [(), ("a", "b")])

@@ -22,7 +22,7 @@ from acmpts.errors import (
     InternalInvariantViolation,
     PathPreconditionFailed,
 )
-from acmpts.grid_model import grid_cells
+from acmpts.grid_model import PointSet, grid_cells
 from acmpts.reisner_oracle import first_cm_failure
 from acmpts.star_property import TYPE_I, TYPE_II, Witness
 from conftest import STAR_BLIND_EIGHT, grid_configurations, subset_configurations
@@ -179,9 +179,12 @@ def test_star_level_out_of_range(six_points):
     with pytest.raises(BadLevel):
         check_star(six_points, 4)
     with pytest.raises(EmptyConfiguration):
-        from acmpts.grid_model import PointSet
-
         check_star(PointSet.empty(2), 2)
+
+
+def test_acm_verdict_needs_a_nonempty_configuration():
+    with pytest.raises(EmptyConfiguration, match="ACM verdict needs a nonempty configuration"):
+        is_acm(PointSet.empty(2))
 
 
 def test_distance_one_pair_is_harmless():

@@ -20,6 +20,7 @@ on the shared uncompressed grid embedding.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -32,8 +33,8 @@ from .errors import (
     ReducednessGuardViolated,
     VanishingConditionViolated,
 )
-from .grid_model import GridPoint, PointSet, canonicalize, check_direction, drop_coordinate, is_int
-from .hilbert_function import _saturated_ranker, box_degrees
+from .grid_model import GridPoint, PointSet, canonicalize, check_direction, is_int
+from .hilbert_function import _box_values
 
 
 @dataclass(frozen=True)
@@ -196,21 +197,13 @@ def _shifted_sum_identity(
     """Check h_whole(t) = sum of h_points(t - shift) over the (points,
     shift) terms for all 0 <= t <= T; terms at negative degrees count 0.
 
-    Each point set gets one saturated ranker for the whole check."""
-    whole_rank = _saturated_ranker(whole, T)
-    term_ranks = [
-        (_saturated_ranker(points, [max(ti - di, 0) for ti, di in zip(T, shift)]), shift)
-        for points, shift in terms
-    ]
-    for t in box_degrees(T):
-        rhs = 0
-        for rank, shift in term_ranks:
-            shifted = tuple(ti - di for ti, di in zip(t, shift))
-            if all(d >= 0 for d in shifted):
-                rhs += rank(shifted)
-        if whole_rank(t) != rhs:
-            return False
-    return True
+    Each side is one list of values over the box in lexicographic order,
+    and each point set gets one walk for the whole check."""
+    lhs = _box_values(whole, T)
+    rhs = [0] * len(lhs)
+    for points, shift in terms:
+        rhs = list(map(operator.add, rhs, _box_values(points, T, shift)))
+    return lhs == rhs
 
 
 def _layer_pieces(
@@ -223,7 +216,7 @@ def _layer_pieces(
     if X.n < 2:
         raise BadDirection("layer construction needs at least two directions")
     check_direction(i, X.n)
-    shadow = sorted({drop_coordinate(p, i) for p in X.points})
+    shadow = sorted({p[: i - 1] + p[i:] for p in X.points})
     if fresh:
         c = X.dims[i - 1] + 1
         base = set(X.points)

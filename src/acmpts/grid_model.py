@@ -47,10 +47,15 @@ class PointSet:
     points: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
+        if not is_int(self.n):
+            raise InputError(f"dimension count {self.n!r} is not an integer")
         if self.n < 1:
             raise InputError("dimension count must be >= 1")
         if len(self.dims) != self.n:
             raise DimensionMismatch("dims length must equal n")
+        for i, r in enumerate(self.dims):
+            if not is_int(r):
+                raise InputError(f"level count {r!r} in direction {i + 1} is not an integer")
         used: list[set[int]] = [set() for _ in range(self.n)]
         for p in self.points:
             if len(p) != self.n:
@@ -160,7 +165,7 @@ def project(X: PointSet, i: int) -> PointSet:
     if X.n < 2:
         raise BadDirection("projection needs at least two directions")
     check_direction(i, X.n)
-    return canonicalize([drop_coordinate(p, i) for p in X.points])
+    return canonicalize([p[: i - 1] + p[i:] for p in X.points])
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> None:

@@ -34,10 +34,20 @@ so every degree is reached by exactly one path.  A step from k to
 k + e_d adds only the new slab of columns (a_d = k_d + 1, a <= k
 elsewhere) to one echelon basis with ``linalg.echelon_insert``, which
 keeps a column if anything is left after reduction.  The basis size is
-the rank at k + e_d.  Inserting never changes a vector already in the
-basis, so going back up the walk is a truncation to the size the basis
-had there.  Once the basis has one vector per point, no column can add
-to it and the rest of the subtree inserts nothing.
+the rank at k + e_d.  Columns and ranks are flat lists in lexicographic
+order of the degree, and each walk entry carries the indices of its
+slab, so an insert reads its column by position.  Inserting never
+changes a vector already in the basis, and the basis is a dict in
+insertion order, so going back up the walk pops the basis down to the
+size it had there.  Once the basis has one vector per point, no column
+can add to it and the rest of the subtree inserts nothing.
+
+A walk depends only on the points and its caps, so one bounded memo
+keeps the largest walk made on each sorted tuple of distinct raw points,
+never on the canonical form: h changes under level relabeling from four
+levels on.  A request whose caps fit inside a kept walk's caps reads it.
+The layer identity ranks X itself on a box inside the one its Δ table
+just walked, so that rank costs no second walk.
 
 ``evaluation_rank`` is the per-degree reference: it builds the monomial
 basis and one evaluation matrix per degree, with no Newton columns,
@@ -49,13 +59,16 @@ tests compare that step with elimination over Fractions separately.
 The first difference is the alternating sum of h_X over all 2^n unit
 down-shifts, with h identically zero at any negative degree; this
 convention is what reproduces additivity under liaison addition.  It is
-computed as n one-direction differences, one pass per direction.
+computed as n one-direction differences, one pass per direction over
+the flat list of the table's values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -123,70 +136,129 @@ def evaluation_rank(points: Iterable[GridPoint], t: Sequence[int]) -> int:
 
 def _newton_columns(
     pts: Sequence[GridPoint], nodes: Sequence[Sequence[int]]
-) -> dict[MultiDegree, list[int]]:
-    """The Newton evaluation matrix by columns: entry j of column a is
-    prod_i N_{a_i}(pts[j][i]), with N_a(x) = prod_{k<a} (x - nodes[i][k])
-    for 0 <= a_i <= len(nodes[i])."""
-    factors = []
+) -> list[list[int]]:
+    """The Newton evaluation matrix by columns, in lexicographic order of
+    a over 0 <= a_i <= len(nodes[i]): entry j of column a is
+    prod_i N_{a_i}(pts[j][i]), with N_a(x) = prod_{k<a} (x - nodes[i][k])."""
+    columns = [[1] * len(pts)]
     for i, xs in enumerate(nodes):
         values = [[1] * len(pts)]
         for x in xs:
             values.append([v * (p[i] - x) for v, p in zip(values[-1], pts)])
-        factors.append(values)
-    columns = {(): [1] * len(pts)}
-    for values in factors:
-        columns = {
-            a + (ai,): [u * v for u, v in zip(column, values[ai])]
-            for a, column in columns.items()
-            for ai in range(len(values))
-        }
+        columns = [[u * v for u, v in zip(column, vs)] for column in columns for vs in values]
     return columns
+
+
+def _strides(caps: Sequence[int]) -> list[int]:
+    """Index strides of the box 0 <= k <= caps in lexicographic order."""
+    strides = [1] * len(caps)
+    for i in range(len(caps) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (caps[i] + 1)
+    return strides
+
+
+def _newton_walk(
+    pts: Sequence[GridPoint], nodes: Sequence[Sequence[int]], caps: MultiDegree
+) -> list[int]:
+    """The ranks of every degree 0 <= k <= caps, in lexicographic order,
+    from one echelon walk over the Newton columns."""
+    columns = _newton_columns(pts, [xs[:cap] for xs, cap in zip(nodes, caps)])
+    strides = _strides(caps)
+    full = len(pts)
+    basis: Basis = {}
+    ranks = [0] * len(columns)
+
+    # Depth first: a degree is popped only after its parent and every
+    # earlier sibling's subtree, so truncating the basis to the size it
+    # had at the parent restores the parent's basis.  The entry for k
+    # holds its index, the direction d raised last (k is zero after d),
+    # k_d, the parent's basis size, the indices of the columns a <= k
+    # with a_d = k_d that it adds, and those of all columns a <= k.
+    stack = [(0, 0, 0, 0, [0], [0])]
+    while stack:
+        k, d, kd, top, slab, below = stack.pop()
+        while len(basis) > top:
+            basis.popitem()
+        for a in slab:
+            if len(basis) == full:
+                break
+            echelon_insert(basis, columns[a])
+        ranks[k] = top = len(basis)
+        for e in range(d, len(caps)):
+            if e == d:
+                if kd < caps[d]:
+                    step = [a + strides[d] for a in slab]
+                    stack.append((k + strides[d], d, kd + 1, top, step, below + step))
+            elif caps[e]:
+                step = [a + strides[e] for a in below]
+                stack.append((k + strides[e], e, 1, top, step, below + step))
+    return ranks
+
+
+@functools.lru_cache(maxsize=128)
+def _walk_memo(pts: tuple[GridPoint, ...]) -> list[tuple[MultiDegree, list[int]]]:
+    """The memo slot of one sorted tuple of distinct raw points: empty, or
+    the caps and ranks of the largest walk on them so far; 128 slots."""
+    return []
+
+
+def _walk(points: Iterable[GridPoint], box: Sequence[int]) -> tuple[MultiDegree, list[int]]:
+    """(caps, ranks): the ranks of the points' evaluation matrices at every
+    degree 0 <= k <= caps, in lexicographic order.
+
+    The request's caps are box[i] clamped to the number of distinct
+    values of coordinate i, minus 1, so a small box never builds more
+    columns than its corner has.  The walk is kept in ``_walk_memo``
+    under the raw points, never under their canonical form, since h
+    changes under level relabeling from four levels on.  A request whose
+    caps fit inside a kept walk's caps reads that walk (which saturates
+    wherever it is larger, so h(t) = ranks at min(t, caps) for every
+    t <= box still holds); otherwise the points are walked again, to the
+    componentwise maximum of both caps, and that walk is kept instead.
+    """
+    box = _check_degree(box)
+    pts = _nodes(points, box)
+    if not pts:
+        return (0,) * len(box), [0]
+    nodes = [sorted({p[i] for p in pts}) for i in range(len(box))]
+    caps = tuple(min(len(xs) - 1, Ti) for xs, Ti in zip(nodes, box))
+    slot = _walk_memo(tuple(pts))
+    if slot:
+        done, ranks = slot[0]
+        if all(map(operator.le, caps, done)):
+            return done, ranks
+        caps = tuple(map(max, caps, done))
+    ranks = _newton_walk(pts, nodes, caps)
+    slot[:] = [(caps, ranks)]
+    return caps, ranks
 
 
 def _saturated_ranker(
     points: Iterable[GridPoint], box: Sequence[int]
 ) -> Callable[[MultiDegree], int]:
-    """evaluation_rank(points, t) for degrees 0 <= t <= box, from one
-    echelon walk over the clamped degrees.
+    """evaluation_rank(points, t) for degrees 0 <= t <= box, looked up in
+    one walk."""
+    caps, ranks = _walk(points, box)
+    strides = _strides(caps)
+    return lambda t: ranks[sum(min(ti, c) * s for ti, c, s in zip(t, caps, strides))]
 
-    caps[i] is the number of distinct values of coordinate i, minus 1, or
-    box[i] if smaller, so a small box never builds more columns than its
-    corner has.  The walk ranks every degree 0 <= k <= caps once; a
-    degree t is looked up at min(t, caps).
-    """
+
+def _box_values(
+    points: Iterable[GridPoint], box: Sequence[int], shift: Sequence[int] | None = None
+) -> list[int]:
+    """evaluation_rank(points, t - shift) for every degree 0 <= t <= box,
+    in lexicographic order, and 0 where t - shift has a negative entry."""
     box = _check_degree(box)
-    pts = _nodes(points, box)
-    if not pts:
-        return lambda t: 0
-    nodes = [sorted({p[i] for p in pts}) for i in range(len(box))]
-    caps = tuple(min(len(xs) - 1, Ti) for xs, Ti in zip(nodes, box))
-    columns = _newton_columns(pts, [xs[:cap] for xs, cap in zip(nodes, caps)])
-    full = len(pts)
-    basis: Basis = []
-    ranks: dict[MultiDegree, int] = {}
-
-    # Depth first: a degree is popped only after its parent and every
-    # earlier sibling's subtree, so truncating the basis to the size it
-    # had at the parent restores the parent's basis.  The entry for k
-    # holds the direction d raised last and adds the columns a <= k with
-    # a_d = k_d; at the root that is the constant column.
-    stack = [((0,) * len(caps), 0, 0)]
-    while stack:
-        k, d, top = stack.pop()
-        del basis[top:]
-        slab = [range(ki + 1) for ki in k]
-        slab[d] = (k[d],)
-        for a in itertools.product(*slab):
-            if len(basis) == full:
-                break
-            echelon_insert(basis, columns[a])
-        ranks[k] = top = len(basis)
-        stack.extend(
-            (k[:e] + (k[e] + 1,) + k[e + 1 :], e, top)
-            for e in range(d, len(k))
-            if k[e] < caps[e]
-        )
-    return lambda t: ranks[tuple(map(min, t, caps))]
+    if shift is None:
+        shift = (0,) * len(box)
+    caps, ranks = _walk(points, [max(Ti - d, 0) for Ti, d in zip(box, shift)])
+    # Below the shift in any direction, the index sum stays negative.
+    below = -len(ranks)
+    index = [0]
+    for Ti, d, c, s in zip(box, shift, caps, _strides(caps)):
+        offsets = [min(t - d, c) * s if t >= d else below for t in range(Ti + 1)]
+        index = [k + o for k in index for o in offsets]
+    return [ranks[k] if k >= 0 else 0 for k in index]
 
 
 def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
@@ -195,17 +267,22 @@ def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
     T = _check_degree(T)
     if len(T) != X.n:
         raise BadDegree(f"box corner {T} has length {len(T)}, expected {X.n}")
-    rank = _saturated_ranker(X.points, T)
-    return HilbertTable(box=T, values={t: rank(t) for t in box_degrees(T)})
+    return HilbertTable(box=T, values=dict(zip(box_degrees(T), _box_values(X.points, T))))
 
 
 def delta_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
     """First differences of h_X over the box 0 <= t <= T."""
     ht = hilbert_table(X, T)
-    values = dict(ht.values)
-    for i in range(X.n):
-        values = {
-            t: v - values[t[:i] + (t[i] - 1,) + t[i + 1 :]] if t[i] else v
-            for t, v in values.items()
-        }
-    return HilbertTable(box=ht.box, values=values)
+    values = list(ht.values.values())
+    # In lexicographic order, direction i's predecessor lies one stride
+    # back inside each block of (T_i + 1) strides.
+    stride = len(values)
+    for Ti in ht.box:
+        block = stride
+        stride //= Ti + 1
+        for lo in range(0, len(values), block):
+            hi = lo + block
+            values[lo + stride : hi] = map(
+                operator.sub, values[lo + stride : hi], values[lo : hi - stride]
+            )
+    return HilbertTable(box=ht.box, values=dict(zip(ht.values, values)))

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BadDirection, BadLevel, EmptyConfiguration, WouldBeEmpty
-from .grid_model import GridPoint, PointSet, canonicalize, check_direction, drop_coordinate, is_int
+from .grid_model import GridPoint, PointSet, canonicalize, check_direction, is_int
 from .star_property import is_acm
 
 
@@ -44,8 +45,9 @@ def level_sets(X: PointSet, i: int) -> LevelDecomposition:
     return LevelDecomposition(levels=levels)
 
 
-def _shadow(points: frozenset[GridPoint], i: int) -> frozenset[GridPoint]:
-    return frozenset(drop_coordinate(p, i) for p in points)
+def _shadow(points: Iterable[GridPoint], i: int) -> frozenset[GridPoint]:
+    """The points with coordinate i deleted; i is checked by the caller."""
+    return frozenset(p[: i - 1] + p[i:] for p in points)
 
 
 def inclusion_property(X: PointSet, i: int) -> bool:
@@ -90,12 +92,8 @@ def interface_set(X: PointSet, i: int, j: int) -> PointSet:
     projects into the level's shadow.
     """
     _check_level(X, i, j)
-    level_shadow = {drop_coordinate(p, i) for p in X.points if p[i - 1] == j}
-    rest = [
-        p
-        for p in X.points
-        if p[i - 1] != j and drop_coordinate(p, i) in level_shadow
-    ]
+    level_shadow = _shadow((p for p in X.points if p[i - 1] == j), i)
+    rest = [p for p in X.points if p[i - 1] != j and p[: i - 1] + p[i:] in level_shadow]
     if not rest:
         return PointSet.empty(X.n)
     return canonicalize(rest)

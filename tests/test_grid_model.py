@@ -71,9 +71,12 @@ def test_canonicalize_rejects_empty_and_non_integer_points(raw, error, message):
         (2, (1, 1), [(1.0, 1)], InputError, "coordinate 1.0 is not an integer"),
         (2, (1, 1), [(True, True)], InputError, "coordinate True is not an integer"),
         (1, (2,), [(1,), (2.0,)], InputError, "coordinate 2.0 is not an integer"),
+        (2.0, (1, 1), [(1, 1)], InputError, "dimension count 2.0 is not an integer"),
+        (True, (1,), [(1,)], InputError, "dimension count True is not an integer"),
+        (2, (1.0, 1), [(1, 1)], InputError, r"level count 1.0 in direction 1 is not an integer"),
     ],
     ids=["no-direction", "dims-length", "point-length", "out-of-range", "unused-level",
-         "float", "bool", "float-level"],
+         "float", "bool", "float-level", "float-n", "bool-n", "float-dims"],
 )
 def test_point_set_built_directly_is_validated(n, dims, points, error, message):
     with pytest.raises(error, match=message):

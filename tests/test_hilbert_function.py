@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from acmpts import (
 from acmpts.constructions import _layer_pieces, verify_layer_hf
 from acmpts.errors import BadDegree
 from acmpts.level_structure import max_level_size
+from acmpts.linalg import echelon_insert
 from conftest import (
     ELEVEN_MOVED,
     ELEVEN_POINTS,
@@ -310,3 +313,87 @@ def test_ranker_matches_evaluation_rank_on_layer_pieces():
             assert_ranker_matches_evaluation_rank(layer, T)
             assert_ranker_matches_evaluation_rank(base, below)
             assert verify_layer_hf(X, i, T, fresh)
+
+
+GAPPED = [(1, 2, 1), (1, 2, 7), (3, 2, 1), (3, 5, 7), (4, 5, 1), (4, 6, 7), (9, 8, 7)]
+
+
+@pytest.mark.parametrize("first, second", [((1, 1, 0), (3, 2, 1)), ((3, 2, 1), (1, 1, 0))])
+def test_walk_memo_serves_a_second_box_on_the_same_points(first, second):
+    # The second box either fits inside the stored walk or needs a larger
+    # one; both answers match a cold walk and the per-degree reference.
+    hilbert_function._walk_memo.cache_clear()
+    cold = hilbert_function._box_values(GAPPED, second)
+    hilbert_function._walk_memo.cache_clear()
+    hilbert_function._box_values(GAPPED, first)
+    assert hilbert_function._box_values(GAPPED, second) == cold
+    assert_ranker_matches_evaluation_rank(GAPPED, second)
+    assert_ranker_matches_evaluation_rank(GAPPED, first)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([(k, k) for k in range(1, 5)], [(1, 1), (2, 2), (3, 3), (5, 4)]),
+        (GAPPED, canonicalize(GAPPED).sorted_points()),
+    ],
+    ids=["four-levels", "gapped"],
+)
+def test_walk_memo_keys_on_raw_points(a, b):
+    # Same canonical form, different evaluation nodes, different h: the
+    # second set must not read the first set's walk.
+    assert canonicalize(a) == canonicalize(b)
+    box = (3, 3) if len(a[0]) == 2 else (3, 2, 1)
+    degrees = list(hilbert_function.box_degrees(box))
+    assert [evaluation_rank(a, t) for t in degrees] != [evaluation_rank(b, t) for t in degrees]
+    hilbert_function._walk_memo.cache_clear()
+    for points in (a, b, a):
+        assert_ranker_matches_evaluation_rank(points, box)
+
+
+def test_walk_memo_does_not_keep_a_failed_walk(monkeypatch):
+    hilbert_function._walk_memo.cache_clear()
+    calls = []
+
+    def failing(basis, v):
+        calls.append(v)
+        if len(calls) == 5:
+            raise RuntimeError("interrupted")
+        return echelon_insert(basis, v)
+
+    monkeypatch.setattr(hilbert_function, "echelon_insert", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        hilbert_function._saturated_ranker(GAPPED, (3, 2, 1))
+    monkeypatch.undo()
+    assert_ranker_matches_evaluation_rank(GAPPED, (3, 2, 1))
+
+
+def test_walk_memo_under_concurrent_requests():
+    # Threads ask for growing and shrinking boxes on the same points while
+    # the slot is replaced under them; every answer must stay exact.
+    hilbert_function._walk_memo.cache_clear()
+    boxes = [(1, 1, 0), (3, 2, 1), (0, 2, 1), (2, 0, 1), (3, 3, 3)]
+    expected = {box: [evaluation_rank(GAPPED, t) for t in hilbert_function.box_degrees(box)] for box in boxes}
+    wrong = []
+
+    def worker(offset):
+        for k in range(40):
+            box = boxes[(k + offset) % len(boxes)]
+            got = hilbert_function._box_values(GAPPED, box)
+            if got != expected[box]:
+                wrong.append(box)
+            if k % 7 == offset:
+                hilbert_function._walk_memo.cache_clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

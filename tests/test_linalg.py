@@ -90,27 +90,28 @@ def test_matches_fraction_elimination(m):
 def test_echelon_insert_keeps_its_contract():
     # Each insert leaves its argument and the earlier basis untouched,
     # appends at most one vector, pivoted at its first nonzero entry and
-    # zero at every earlier pivot, and the basis size is the rank so far.
+    # at an index that is no earlier vector's pivot, and the basis size
+    # is the rank so far.
     rng = random.Random(1601)
     for _ in range(300):
         cols = rng.randint(0, 6)
-        basis, rows = [], []
+        basis, rows = {}, []
         for _ in range(rng.randint(1, 8)):
             v = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)]
             if rows and rng.random() < 0.3:  # a combination of earlier rows
                 u, w = rng.choice(rows), rng.choice(rows)
                 v = [2 * a - 3 * b for a, b in zip(u, w)]
             rows.append(v)
-            before = [(p, list(b)) for p, b in basis]
+            before = [(p, list(b)) for p, b in basis.items()]
             v_before = list(v)
             added = echelon_insert(basis, v)
             assert v == v_before
-            assert [(p, list(b)) for p, b in basis[: len(before)]] == before
+            assert [(p, list(b)) for p, b in basis.items()][: len(before)] == before
             assert len(basis) == len(before) + added == reference_rank(rows)
             if added:
-                pivot, b = basis[-1]
+                pivot, b = list(basis.items())[-1]
                 assert pivot == next(j for j, x in enumerate(b) if x)
-                assert all(b[p] == 0 for p, _ in before)
+                assert all(pivot != p for p, _ in before)
 
 
 def captured_matrices(monkeypatch, module, compute):

@@ -249,8 +249,16 @@ def cmd_path(args: argparse.Namespace) -> int:
     Q = _parse_int_list(args.to, "--to point")
     if len(P) != X.n or len(Q) != X.n:
         raise InputError(f"endpoints must have {X.n} coordinates")
-    path = find_path(X, P, Q, X.n)
-    print(" -> ".join(_fmt_point(p) for p in path))
+    # Canonical relabeling increases in every coordinate, so it keeps
+    # lexicographic order and pairs the sorted file and canonical points.
+    pairs = list(zip(sorted(set(cfg.points)), X.sorted_points()))
+    to_canonical = dict(pairs)
+    for u in (P, Q):
+        if u not in to_canonical:
+            raise InputError(f"endpoint {_fmt_point(u)} is not a point of {args.file}")
+    to_file = {c: u for u, c in pairs}
+    path = find_path(X, to_canonical[P], to_canonical[Q], X.n)
+    print(" -> ".join(_fmt_point(to_file[p]) for p in path))
     return 0
 
 

@@ -154,12 +154,6 @@ def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
     return PointSet(n=n, dims=dims, points=points)
 
 
-def drop_coordinate(p: GridPoint, i: int) -> GridPoint:
-    """The tuple with the i-th (1-based) coordinate deleted."""
-    check_direction(i, len(p))
-    return p[: i - 1] + p[i:]
-
-
 def project(X: PointSet, i: int) -> PointSet:
     """Image of X under deletion of coordinate i, with collisions merged."""
     if X.n < 2:

@@ -42,12 +42,15 @@ insertion order, so going back up the walk pops the basis down to the
 size it had there.  Once the basis has one vector per point, no column
 can add to it and the rest of the subtree inserts nothing.
 
-A walk depends only on the points and its caps, so one bounded memo
-keeps the largest walk made on each sorted tuple of distinct raw points,
-never on the canonical form: h changes under level relabeling from four
-levels on.  A request whose caps fit inside a kept walk's caps reads it.
-The layer identity ranks X itself on a box inside the one its Δ table
-just walked, so that rank costs no second walk.
+A walk depends only on the points and its caps, so one bounded memo,
+``_walk``, keeps 128 walks keyed on (points, caps): the sorted tuple of
+distinct raw points, never their canonical form, since h changes under
+level relabeling from four levels on, and the caps, which are the box's
+corner clamped to the number of distinct values minus 1 in each
+coordinate.  A term h(t - shift) is walked at the box's caps, not at
+box - shift; h saturates there either way.  So the layer identity's
+base term X, ranked on a box that clamps to the same caps as X's Δ table
+box, costs no second walk.
 
 ``evaluation_rank`` is the per-degree reference: it builds the monomial
 basis and one evaluation matrix per degree, with no Newton columns,
@@ -70,7 +73,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BadDegree
 from .grid_model import GridPoint, MultiDegree, PointSet, is_int
@@ -196,62 +199,40 @@ def _newton_walk(
 
 
 @functools.lru_cache(maxsize=128)
-def _walk_memo(pts: tuple[GridPoint, ...]) -> list[tuple[MultiDegree, list[int]]]:
-    """The memo slot of one sorted tuple of distinct raw points: empty, or
-    the caps and ranks of the largest walk on them so far; 128 slots."""
-    return []
+def _walk(pts: tuple[GridPoint, ...], caps: MultiDegree) -> list[int]:
+    """The ranks of the evaluation matrices of pts, a sorted tuple of
+    distinct raw points, at every degree 0 <= k <= caps, in lexicographic
+    order; kept for the 128 most recent (pts, caps).
 
-
-def _walk(points: Iterable[GridPoint], box: Sequence[int]) -> tuple[MultiDegree, list[int]]:
-    """(caps, ranks): the ranks of the points' evaluation matrices at every
-    degree 0 <= k <= caps, in lexicographic order.
-
-    The request's caps are box[i] clamped to the number of distinct
-    values of coordinate i, minus 1, so a small box never builds more
-    columns than its corner has.  The walk is kept in ``_walk_memo``
-    under the raw points, never under their canonical form, since h
-    changes under level relabeling from four levels on.  A request whose
-    caps fit inside a kept walk's caps reads that walk (which saturates
-    wherever it is larger, so h(t) = ranks at min(t, caps) for every
-    t <= box still holds); otherwise the points are walked again, to the
-    componentwise maximum of both caps, and that walk is kept instead.
+    The key holds the raw points, never their canonical form, since h
+    changes under level relabeling from four levels on.  ``_box_values``
+    clamps the caps before it asks, so every box that clamps to the same
+    caps on the same points reads one walk.
     """
-    box = _check_degree(box)
-    pts = _nodes(points, box)
-    if not pts:
-        return (0,) * len(box), [0]
-    nodes = [sorted({p[i] for p in pts}) for i in range(len(box))]
-    caps = tuple(min(len(xs) - 1, Ti) for xs, Ti in zip(nodes, box))
-    slot = _walk_memo(tuple(pts))
-    if slot:
-        done, ranks = slot[0]
-        if all(map(operator.le, caps, done)):
-            return done, ranks
-        caps = tuple(map(max, caps, done))
-    ranks = _newton_walk(pts, nodes, caps)
-    slot[:] = [(caps, ranks)]
-    return caps, ranks
-
-
-def _saturated_ranker(
-    points: Iterable[GridPoint], box: Sequence[int]
-) -> Callable[[MultiDegree], int]:
-    """evaluation_rank(points, t) for degrees 0 <= t <= box, looked up in
-    one walk."""
-    caps, ranks = _walk(points, box)
-    strides = _strides(caps)
-    return lambda t: ranks[sum(min(ti, c) * s for ti, c, s in zip(t, caps, strides))]
+    nodes = [sorted({p[i] for p in pts}) for i in range(len(caps))]
+    return _newton_walk(pts, nodes, caps)
 
 
 def _box_values(
     points: Iterable[GridPoint], box: Sequence[int], shift: Sequence[int] | None = None
 ) -> list[int]:
     """evaluation_rank(points, t - shift) for every degree 0 <= t <= box,
-    in lexicographic order, and 0 where t - shift has a negative entry."""
+    in lexicographic order, and 0 where t - shift has a negative entry.
+
+    The points are walked at caps = min(distinct values - 1, box), so a
+    small box never builds more columns than its corner has.  A shifted
+    term is walked at the box's caps too, not at box - shift: h saturates
+    at the caps, so every value is the same, and the layer identity's
+    base term X then reads the walk of X's own Δ table.
+    """
     box = _check_degree(box)
     if shift is None:
         shift = (0,) * len(box)
-    caps, ranks = _walk(points, [max(Ti - d, 0) for Ti, d in zip(box, shift)])
+    pts = _nodes(points, box)
+    if not pts:
+        return [0] * math.prod(Ti + 1 for Ti in box)
+    caps = tuple(min(len({p[i] for p in pts}) - 1, Ti) for i, Ti in enumerate(box))
+    ranks = _walk(tuple(pts), caps)
     # Below the shift in any direction, the index sum stays negative.
     below = -len(ranks)
     index = [0]

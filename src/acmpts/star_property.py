@@ -177,10 +177,15 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     (``_star_holds``), so the pairs of one configuration and its ACM
     verdict share one ``check_star`` run per level; a configuration that
     fails it raises on every call, even when a chain exists.
-    Breadth-first search over the flips of one coordinate where P and Q
-    differ, taken in increasing cell index (lexicographic) order, returns
-    one deterministically; failure to find a chain of exactly r steps
-    would contradict the guarantee and aborts loudly.
+
+    A shortest chain moves each coordinate where P and Q differ once,
+    from P's level to Q's, and moving coordinate i changes the cell index
+    by the same step (Q_i - P_i) * stride_i from every corner of the box.
+    The chain returned is the one whose sequence of steps is
+    lexicographically least among the chains that stay in X: a
+    breadth-first search over those moves only, taken in increasing
+    step, finds it.  Failure to find a chain of exactly r steps would
+    contradict the guarantee and aborts loudly.
     """
     if not (_is_point(P) and _is_point(Q) and len(P) == len(Q) == X.n):
         bad = Q if _is_point(P) and len(P) == X.n else P
@@ -192,14 +197,13 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     low = min(2, X.n)
     if not is_int(s) or not low <= s <= X.n:
         raise PathPreconditionFailed(f"star level {s!r} outside {low}..{X.n}")
-    # the cell indices of the box: corner t is at Q's level in the k-th
-    # coordinate where P and Q differ exactly when bit k of t is set
+    # the cell indices of the box: corner t has moved the coordinate of
+    # the k-th smallest step to Q's level exactly when bit k of t is set
+    steps = sorted((q - p) * stride for p, q, stride in zip(P, Q, strides) if p != q)
     corners = [a]
-    for p, q, stride in zip(P, Q, strides):
-        if p != q:
-            step = (q - p) * stride
-            corners += [c + step for c in corners]
-    r = len(corners).bit_length() - 1
+    for step in steps:
+        corners += [c + step for c in corners]
+    r = len(steps)
     if r == 0:
         return [P]
     if r == 1:
@@ -209,17 +213,19 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     if not _star_holds(X, s):
         raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
 
-    # BFS over the corner numbers t, stepping to neighbours in increasing
-    # cell index; the queue is a list read while it grows.  It stops once
-    # Q is reached: later steps set no parent on Q's chain.
-    flips = [1 << k for k in range(r)]
+    # BFS over the corner numbers t, moving one more coordinate to Q's
+    # level per step, in increasing step; the queue is a list read while
+    # it grows.  It stops once Q is reached: later steps set no parent on
+    # Q's chain.
+    moves = [1 << k for k in range(r)]
     goal = len(corners) - 1  # Q's corner number
     parent: list[int | None] = [None] * len(corners)
     parent[0] = 0
     queue = [0]
     for t in queue:
-        for c, v in sorted([(corners[t ^ f], t ^ f) for f in flips]):
-            if parent[v] is None and mask >> c & 1:
+        for f in moves:
+            v = t | f
+            if parent[v] is None and mask >> corners[v] & 1:
                 parent[v] = t
                 queue.append(v)
         if parent[goal] is not None:

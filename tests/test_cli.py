@@ -143,6 +143,13 @@ def test_path_command(capsys):
     assert capsys.readouterr().out.strip() == "(1,1,1) -> (2,1,1) -> (2,1,2) -> (2,2,2)"
 
 
+def test_path_endpoints_are_file_points(tmp_path, capsys):
+    # Direction 2 has levels 1 and 3 in the file, 1 and 2 canonically.
+    path = write_config(tmp_path, "gapped.json", 2, [(1, 1), (2, 3), (3, 3), (1, 3)])
+    assert main(["path", str(path), "--from", "2,3", "--to", "3,3"]) == 0
+    assert capsys.readouterr().out == "(2,3) -> (3,3)\n"
+
+
 def test_path_preconditions_exit_two(tmp_path, capsys):
     pair = write_config(tmp_path, "pair.json", 2, [(1, 1), (2, 2)])
     assert main(["path", str(pair), "--from", "1,1", "--to", "2,2"]) == 2
@@ -391,6 +398,12 @@ def test_repeated_key_is_named(tmp_path, capsys, command, text, key):
             "endpoints must have 2 coordinates",
         ),
         (
+            "path",
+            {"n": 2, "points": [[1, 1], [2, 3], [3, 3], [1, 3]]},
+            ["--from", "2,2", "--to", "3,2"],
+            "endpoint (2,2) is not a point of ",
+        ),
+        (
             "construct",
             {**ELEVEN_LIAISON, "summands": {"V1": [[1, 1, 1]]}},
             [],
@@ -398,7 +411,7 @@ def test_repeated_key_is_named(tmp_path, capsys, command, text, key):
         ),
     ],
     ids=["top-level", "no-points", "short-labels", "int-label", "star-level", "endpoint",
-         "summands"],
+         "endpoint-not-in-file", "summands"],
 )
 def test_rejected_input_is_named(tmp_path, capsys, command, data, rest, message):
     path = tmp_path / "input.json"

@@ -9,7 +9,7 @@ from acmpts.errors import (
     EmptyConfiguration,
     InputError,
 )
-from acmpts.grid_model import PointSet, drop_coordinate
+from acmpts.grid_model import PointSet
 from conftest import ELEVEN_POINTS, grid_configurations
 
 
@@ -122,8 +122,6 @@ def test_direction_must_be_an_int(i):
     X = canonicalize([(1, 1), (2, 2), (1, 2)])
     with pytest.raises(BadDirection):
         project(X, i)
-    with pytest.raises(BadDirection):
-        drop_coordinate((1, 2), i)
 
 
 @given(grid_configurations())

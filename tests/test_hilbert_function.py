@@ -238,9 +238,10 @@ def test_saturated_ranker_on_raw_nodes_with_gaps():
     cells = list(itertools.product(*nodes))
     for k in range(1, len(cells) + 1, 5):
         points = cells[::k]
-        rank = hilbert_function._saturated_ranker(points, (4, 3, 2))
-        for t in itertools.product(range(5), range(4), range(3)):
-            assert rank(t) == evaluation_rank(points, t)
+        values = hilbert_function._box_values(points, (4, 3, 2))
+        degrees = itertools.product(range(5), range(4), range(3))
+        for t, value in zip(degrees, values, strict=True):
+            assert value == evaluation_rank(points, t)
 
 
 def test_full_grid_table_ranks_each_saturated_degree_once(monkeypatch):
@@ -265,12 +266,12 @@ def random_raw_points(rng, n):
     return rng.sample(cells, rng.randint(1, min(len(cells), 12)))
 
 
-def assert_ranker_matches_evaluation_rank(points, box):
+def assert_box_values_match_evaluation_rank(points, box):
     """The walk against independent per-degree ranks on monomials, at
     every degree of the box."""
-    rank = hilbert_function._saturated_ranker(points, box)
-    for t in hilbert_function.box_degrees(box):
-        assert rank(t) == evaluation_rank(points, t), (points, t)
+    values = hilbert_function._box_values(points, box)
+    for t, value in zip(hilbert_function.box_degrees(box), values, strict=True):
+        assert value == evaluation_rank(points, t), (points, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -278,7 +279,7 @@ def test_ranker_matches_evaluation_rank_on_random_raw_nodes(n):
     rng = random.Random(1400 + n)
     for _ in range(60):
         box = [rng.randint(0, 4) for _ in range(n)]
-        assert_ranker_matches_evaluation_rank(random_raw_points(rng, n), box)
+        assert_box_values_match_evaluation_rank(random_raw_points(rng, n), box)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -290,10 +291,10 @@ def test_ranker_matches_fraction_elimination_on_monomials(n):
     for _ in range(30):
         points = random_raw_points(rng, n)
         box = [rng.randint(0, 5 - n) for _ in range(n)]
-        rank = hilbert_function._saturated_ranker(points, box)
+        values = hilbert_function._box_values(points, box)
         pts = sorted(set(points))
-        for t in hilbert_function.box_degrees(box):
-            assert rank(t) == reference_rank(hilbert_function._evaluation_rows(pts, t)), (points, t)
+        for t, value in zip(hilbert_function.box_degrees(box), values, strict=True):
+            assert value == reference_rank(hilbert_function._evaluation_rows(pts, t)), (points, t)
 
 
 def test_ranker_matches_evaluation_rank_on_layer_pieces():
@@ -309,9 +310,9 @@ def test_ranker_matches_evaluation_rank_on_layer_pieces():
         below = [max(ti - (k == i - 1), 0) for k, ti in enumerate(T)]
         for fresh in (True, False):
             base, layer = _layer_pieces(X, i, fresh)
-            assert_ranker_matches_evaluation_rank(base | layer, T)
-            assert_ranker_matches_evaluation_rank(layer, T)
-            assert_ranker_matches_evaluation_rank(base, below)
+            assert_box_values_match_evaluation_rank(base | layer, T)
+            assert_box_values_match_evaluation_rank(layer, T)
+            assert_box_values_match_evaluation_rank(base, below)
             assert verify_layer_hf(X, i, T, fresh)
 
 
@@ -320,15 +321,16 @@ GAPPED = [(1, 2, 1), (1, 2, 7), (3, 2, 1), (3, 5, 7), (4, 5, 1), (4, 6, 7), (9, 
 
 @pytest.mark.parametrize("first, second", [((1, 1, 0), (3, 2, 1)), ((3, 2, 1), (1, 1, 0))])
 def test_walk_memo_serves_a_second_box_on_the_same_points(first, second):
-    # The second box either fits inside the stored walk or needs a larger
-    # one; both answers match a cold walk and the per-degree reference.
-    hilbert_function._walk_memo.cache_clear()
+    # The two boxes clamp to different caps, so the second one is walked
+    # on its own key; both answers match a cold walk and the per-degree
+    # reference.
+    hilbert_function._walk.cache_clear()
     cold = hilbert_function._box_values(GAPPED, second)
-    hilbert_function._walk_memo.cache_clear()
+    hilbert_function._walk.cache_clear()
     hilbert_function._box_values(GAPPED, first)
     assert hilbert_function._box_values(GAPPED, second) == cold
-    assert_ranker_matches_evaluation_rank(GAPPED, second)
-    assert_ranker_matches_evaluation_rank(GAPPED, first)
+    assert_box_values_match_evaluation_rank(GAPPED, second)
+    assert_box_values_match_evaluation_rank(GAPPED, first)
 
 
 @pytest.mark.parametrize(
@@ -346,13 +348,13 @@ def test_walk_memo_keys_on_raw_points(a, b):
     box = (3, 3) if len(a[0]) == 2 else (3, 2, 1)
     degrees = list(hilbert_function.box_degrees(box))
     assert [evaluation_rank(a, t) for t in degrees] != [evaluation_rank(b, t) for t in degrees]
-    hilbert_function._walk_memo.cache_clear()
+    hilbert_function._walk.cache_clear()
     for points in (a, b, a):
-        assert_ranker_matches_evaluation_rank(points, box)
+        assert_box_values_match_evaluation_rank(points, box)
 
 
 def test_walk_memo_does_not_keep_a_failed_walk(monkeypatch):
-    hilbert_function._walk_memo.cache_clear()
+    hilbert_function._walk.cache_clear()
     calls = []
 
     def failing(basis, v):
@@ -363,15 +365,15 @@ def test_walk_memo_does_not_keep_a_failed_walk(monkeypatch):
 
     monkeypatch.setattr(hilbert_function, "echelon_insert", failing)
     with pytest.raises(RuntimeError, match="interrupted"):
-        hilbert_function._saturated_ranker(GAPPED, (3, 2, 1))
+        hilbert_function._box_values(GAPPED, (3, 2, 1))
     monkeypatch.undo()
-    assert_ranker_matches_evaluation_rank(GAPPED, (3, 2, 1))
+    assert_box_values_match_evaluation_rank(GAPPED, (3, 2, 1))
 
 
 def test_walk_memo_under_concurrent_requests():
     # Threads ask for growing and shrinking boxes on the same points while
-    # the slot is replaced under them; every answer must stay exact.
-    hilbert_function._walk_memo.cache_clear()
+    # the memo is cleared under them; every answer must stay exact.
+    hilbert_function._walk.cache_clear()
     boxes = [(1, 1, 0), (3, 2, 1), (0, 2, 1), (2, 0, 1), (3, 3, 3)]
     expected = {box: [evaluation_rank(GAPPED, t) for t in hilbert_function.box_degrees(box)] for box in boxes}
     wrong = []
@@ -383,7 +385,7 @@ def test_walk_memo_under_concurrent_requests():
             if got != expected[box]:
                 wrong.append(box)
             if k % 7 == offset:
-                hilbert_function._walk_memo.cache_clear()
+                hilbert_function._walk.cache_clear()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -397,3 +399,26 @@ def test_walk_memo_under_concurrent_requests():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_layer_check_reads_the_delta_table_walk(monkeypatch):
+    # The layer identity's base term is X itself, walked at the box's
+    # clamped caps, which are those of X's own Δ table on (3, 3, 3): a
+    # pass walks X, the layered set and the layer once each.
+    rng = random.Random(2020)
+    cells = list(itertools.product((1, 2, 3), repeat=3))
+    walks = []
+    newton_walk = hilbert_function._newton_walk
+
+    def counted(pts, nodes, caps):
+        walks.append(caps)
+        return newton_walk(pts, nodes, caps)
+
+    monkeypatch.setattr(hilbert_function, "_newton_walk", counted)
+    for _ in range(20):
+        X = canonicalize(rng.sample(cells, rng.randint(4, 27)))
+        hilbert_function._walk.cache_clear()
+        walks.clear()
+        delta_table(X, (3, 3, 3))
+        assert verify_layer_hf(X, 1, (2, 2, 2))
+        assert len(walks) == 3, (X, walks)

@@ -350,6 +350,40 @@ def test_find_path_matches_reference_bfs(eleven_points, eleven_moved, twelve_cha
     assert pairs > 1000
 
 
+def least_step_chain(X, P, Q):
+    """The chain from P to Q through X that moves the differing
+    coordinates to Q's levels in the lexicographically least order, a
+    coordinate ranked by how far moving it shifts P in the sorted grid;
+    found by trying every order.  None when no order stays in X."""
+    cells = sorted(itertools.product(*[range(1, r + 1) for r in X.dims]))
+    position = {c: k for k, c in enumerate(cells)}
+
+    def raised(u, i):
+        return u[:i] + (Q[i],) + u[i + 1 :]
+
+    coords = [i for i in range(X.n) if P[i] != Q[i]]
+    coords.sort(key=lambda i: position[raised(P, i)] - position[P])
+    for order in itertools.permutations(coords):
+        chain = [P]
+        for i in order:
+            chain.append(raised(chain[-1], i))
+        if X.points.issuperset(chain):
+            return chain
+    return None
+
+
+@pytest.mark.parametrize("grid", [(2, 2, 2), (2, 2, 3), (3, 3)], ids=["2x2x2", "2x2x3", "3x3"])
+def test_find_path_takes_the_least_step_order(grid):
+    pairs = 0
+    for X in subset_configurations(grid):
+        if not is_acm(X):
+            continue
+        for P, Q in itertools.product(X.sorted_points(), repeat=2):
+            assert find_path(X, P, Q, X.n) == least_step_chain(X, P, Q), (X, P, Q)
+            pairs += 1
+    assert pairs > 1000
+
+
 def test_star_accepts_non_cm_configuration_on_2x2x2x2(star_blind_eight):
     """The one known case where the star criterion and the Reisner oracle
     disagree, pinned route by route.  No star witness exists at any level

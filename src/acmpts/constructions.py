@@ -216,6 +216,8 @@ def _layer_pieces(
     if X.n < 2:
         raise BadDirection("layer construction needs at least two directions")
     check_direction(i, X.n)
+    if not isinstance(fresh, bool):
+        raise InputError(f"fresh {fresh!r} is not a bool")
     shadow = sorted({p[: i - 1] + p[i:] for p in X.points})
     if fresh:
         c = X.dims[i - 1] + 1

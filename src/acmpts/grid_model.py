@@ -51,6 +51,10 @@ class PointSet:
             raise InputError(f"dimension count {self.n!r} is not an integer")
         if self.n < 1:
             raise InputError("dimension count must be >= 1")
+        if not isinstance(self.dims, tuple):
+            raise InputError(f"dims {self.dims!r} is not a tuple")
+        if not isinstance(self.points, frozenset):
+            raise InputError(f"points {self.points!r} are not a frozenset")
         if len(self.dims) != self.n:
             raise DimensionMismatch("dims length must equal n")
         for i, r in enumerate(self.dims):

@@ -14,12 +14,14 @@ Inside the oracle a face is an integer bitmask over vertex positions
 size downwards is vertex-index order), and a complex's faces are the
 submasks of its facet masks.  The link of a face sigma has the facet masks
 ``F & ~sigma`` of the facets F through sigma, so no complex is built per
-link.  The scan decides from those facets whether a link needs homology
-at all: a link of dimension at most 0 has no condition to check, and a
-link whose facets share a vertex outside the face (their AND exceeds
-sigma) is a cone, hence acyclic.  Every link of a face with at least
-top - 1 vertices, top the largest facet size, has dimension at most 0,
-so those faces are dropped before the rest are sorted.
+link.  The scan skips two kinds of link.  A face with at least top - 1
+vertices, top the largest facet size, has a link of dimension at most 0,
+which has no condition to check, so those faces are dropped before the
+rest are sorted.  A configuration's complex is pure, so every link left
+has dimension at least 1; in a non-pure complex a link left may still
+have dimension at most 0, but it has no nonzero Betti number below its
+top degree and reports nothing.  A link whose facets share a vertex
+outside the face (their AND exceeds sigma) is a cone, hence acyclic.
 
 Every other link is reduced once per class.  Its key is its facet masks
 with the vertices they use renumbered 0..m-1 in bit order.  That
@@ -366,14 +368,12 @@ def cm_obstruction(
     (face, homology degree, rank) or None when the complex satisfies
     Reisner's criterion.
     """
-    facets = sorted(_facet_masks(delta), key=int.bit_count, reverse=True)
-    top = facets[0].bit_count()
+    facets = _facet_masks(delta)
+    top = max(map(int.bit_count, facets))
     # the links of a face of size top - 1 or more have dimension <= 0
     candidates = [m for m in _face_masks(facets) if m.bit_count() < top - 1]
     for sigma in _in_face_order(candidates):
-        over = [f for f in facets if f & sigma == sigma]  # largest first
-        if over[0].bit_count() - sigma.bit_count() <= 1:
-            continue  # link of dimension <= 0: the conditions below it are vacuous
+        over = [f for f in facets if f & sigma == sigma]
         if reduce(and_, over) != sigma:
             continue  # the link is a cone over a shared vertex, so acyclic
         betti = _class_betti(_renumbered([f & ~sigma for f in over]))

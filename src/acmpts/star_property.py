@@ -181,11 +181,18 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     A shortest chain moves each coordinate where P and Q differ once,
     from P's level to Q's, and moving coordinate i changes the cell index
     by the same step (Q_i - P_i) * stride_i from every corner of the box.
-    The chain returned is the one whose sequence of steps is
-    lexicographically least among the chains that stay in X: a
-    breadth-first search over those moves only, taken in increasing
-    step, finds it.  Failure to find a chain of exactly r steps would
-    contradict the guarantee and aborts loudly.
+    Under the star property at level s >= d(P, Q), from every point u of
+    X in the box some move toward Q stays in X.  Otherwise the point
+    w != u of X in box(u, Q) nearest to u has d(u, w) >= 2 and box(u, w)
+    meets X only in u and w (a point of that box other than w is nearer
+    to u), a type-i witness at level <= s.  So the walk is greedy: from
+    P, take the least remaining step whose cell lies in X, until none is
+    left.  It cannot get stuck, and because a chain continues from every
+    point it reaches, its steps form the lexicographically least sequence
+    among the chains that stay in X.  Both invariant checks stay: a stuck
+    walk means the star verdict it relied on was wrong, and a chain
+    without exactly r steps means the walk itself is; either aborts
+    loudly instead of returning a wrong chain.
     """
     if not (_is_point(P) and _is_point(Q) and len(P) == len(Q) == X.n):
         bad = Q if _is_point(P) and len(P) == X.n else P
@@ -197,49 +204,25 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     low = min(2, X.n)
     if not is_int(s) or not low <= s <= X.n:
         raise PathPreconditionFailed(f"star level {s!r} outside {low}..{X.n}")
-    # the cell indices of the box: corner t has moved the coordinate of
-    # the k-th smallest step to Q's level exactly when bit k of t is set
     steps = sorted((q - p) * stride for p, q, stride in zip(P, Q, strides) if p != q)
-    corners = [a]
-    for step in steps:
-        corners += [c + step for c in corners]
     r = len(steps)
-    if r == 0:
-        return [P]
-    if r == 1:
-        return [P, Q]
     if r > s:
         raise PathPreconditionFailed(f"d(P,Q) = {r} exceeds s = {s}")
-    if not _star_holds(X, s):
+    if r >= 2 and not _star_holds(X, s):
         raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
-
-    # BFS over the corner numbers t, moving one more coordinate to Q's
-    # level per step, in increasing step; the queue is a list read while
-    # it grows.  It stops once Q is reached: later steps set no parent on
-    # Q's chain.
-    moves = [1 << k for k in range(r)]
-    goal = len(corners) - 1  # Q's corner number
-    parent: list[int | None] = [None] * len(corners)
-    parent[0] = 0
-    queue = [0]
-    for t in queue:
-        for f in moves:
-            v = t | f
-            if parent[v] is None and mask >> corners[v] & 1:
-                parent[v] = t
-                queue.append(v)
-        if parent[goal] is not None:
-            break
-    if parent[goal] is None:
-        raise InternalInvariantViolation(
-            f"no chain from {P} to {Q} inside the box; star guarantee violated"
-        )
-    path = [Q]
-    t = goal
-    while t:
-        t = parent[t]
-        path.append(cells[corners[t]])
-    path.reverse()
+    path = [P]
+    at = a
+    while steps:
+        for step in steps:
+            if mask >> (at + step) & 1:
+                break
+        else:
+            raise InternalInvariantViolation(
+                f"no chain from {P} to {Q} inside the box; star guarantee violated"
+            )
+        steps.remove(step)
+        at += step
+        path.append(cells[at])
     if len(path) != r + 1:
         raise InternalInvariantViolation(
             f"shortest chain from {P} to {Q} has {len(path) - 1} steps, expected {r}"

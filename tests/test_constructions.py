@@ -237,6 +237,15 @@ def test_layer_direction_must_be_an_int(i):
         verify_layer_hf(X, i, (1, 1))
 
 
+@pytest.mark.parametrize("fresh", ["no", 0, 1, None])
+def test_layer_fresh_must_be_a_bool(fresh):
+    X = canonicalize([(1, 1), (2, 2), (1, 2)])
+    with pytest.raises(InputError, match="is not a bool"):
+        add_layer(X, 1, fresh=fresh)
+    with pytest.raises(InputError, match="is not a bool"):
+        verify_layer_hf(X, 1, (1, 1), fresh=fresh)
+
+
 def test_add_layer_errors():
     with pytest.raises(BadDirection):
         add_layer(canonicalize([(1, 1)]), 3)

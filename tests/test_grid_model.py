@@ -83,6 +83,23 @@ def test_point_set_built_directly_is_validated(n, dims, points, error, message):
         PointSet(n=n, dims=dims, points=frozenset(points))
 
 
+@pytest.mark.parametrize(
+    "dims, points, message",
+    [
+        ((1, 1), ((1, 1), (1, 1)), r"points \(\(1, 1\), \(1, 1\)\) are not a frozenset"),
+        ((2, 2), {(1, 1), (2, 2)}, "are not a frozenset"),
+        ((2, 2), [(1, 1), (2, 2)], "are not a frozenset"),
+        ([2, 2], frozenset({(1, 1), (2, 2)}), r"dims \[2, 2\] is not a tuple"),
+    ],
+    ids=["tuple-with-repeat", "set", "list", "list-dims"],
+)
+def test_point_set_fields_must_be_tuple_and_frozenset(dims, points, message):
+    """A repeated point in a tuple would count twice in ``size``, and a set
+    or a list would fail later as an unhashable key."""
+    with pytest.raises(InputError, match=message):
+        PointSet(n=2, dims=dims, points=points)
+
+
 def test_point_set_repr_lists_sorted_points():
     X = canonicalize([(2, 1), (1, 1), (1, 2)])
     assert repr(X) == "PointSet(n=2, dims=(2, 2), points=[(1, 1),(1, 2),(2, 1)])"

@@ -372,10 +372,14 @@ def least_step_chain(X, P, Q):
     return None
 
 
-@pytest.mark.parametrize("grid", [(2, 2, 2), (2, 2, 3), (3, 3)], ids=["2x2x2", "2x2x3", "3x3"])
-def test_find_path_takes_the_least_step_order(grid):
+@pytest.mark.parametrize(
+    "grid, step",
+    [((2, 2, 2), 1), ((2, 2, 3), 1), ((3, 3), 1), ((2, 2, 2, 2), 7)],
+    ids=["2x2x2", "2x2x3", "3x3", "2x2x2x2-every-7th"],
+)
+def test_find_path_takes_the_least_step_order(grid, step):
     pairs = 0
-    for X in subset_configurations(grid):
+    for X in subset_configurations(grid, step=step):
         if not is_acm(X):
             continue
         for P, Q in itertools.product(X.sorted_points(), repeat=2):

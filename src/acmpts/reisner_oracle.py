@@ -11,33 +11,54 @@ included, must have vanishing reduced homology below its dimension.
 
 Inside the oracle a face is an integer bitmask over vertex positions
 (bit n - 1 - k for ``vertices[k]`` of n, so that sorting masks of one
-size downwards is vertex-index order), and a complex's faces are the
-submasks of its facet masks.  The link of a face sigma has the facet masks
-``F & ~sigma`` of the facets F through sigma, so no complex is built per
-link.  The scan skips two kinds of link.  A face with at least top - 1
-vertices, top the largest facet size, has a link of dimension at most 0,
-which has no condition to check, so those faces are dropped before the
-rest are sorted.  A configuration's complex is pure, so every link left
-has dimension at least 1; in a non-pure complex a link left may still
-have dimension at most 0, but it has no nonzero Betti number below its
-top degree and reports nothing.  A link whose facets share a vertex
-outside the face (their AND exceeds sigma) is a cone, hence acyclic.
+size downwards is vertex-index order).  A general complex's faces are
+the submasks of its facet masks, and the link of a face sigma has the
+facet masks ``F & ~sigma`` of the facets F through sigma, so no complex
+is built per link.
 
-Every other link is reduced once per class.  Its key is its facet masks
+A configuration's complex needs no face enumeration.  Its faces are the
+sets of levels outside a grid box B = A_1 x ... x A_n (A_i a nonempty
+set of levels of direction i): the facet of a point p contains sigma
+exactly when p is in B, so sigma is a face exactly when X meets B, and
+its link is the complex of X n B on the variables of B.  That link has
+dimension |A_1| + ... + |A_n| - n - 1; below dimension 1 there is no
+condition to check.  It is a cone, hence acyclic, exactly when X n B
+misses a level of B, whose variable is then in every facet of the
+link.  When X n B is all of B, the link is the complex of a full grid:
+the join of the boundaries of the simplices on A_1, ..., A_n.  The
+boundary on a_i vertices is the (a_i - 2)-sphere (for a_i = 1 the
+complex whose only face is empty, the (-1)-sphere and the unit of the
+join), and the join of a p- and a q-sphere is the (p + q + 1)-sphere,
+so the link is the sphere of dimension sum(a_i) - n - 1, its own
+dimension: its reduced homology sits in the top degree and it passes
+unreduced.  So
+``cm_obstruction`` first reduces the empty face, whose link is the whole
+complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405 sets
+fail there), and only then reads one table per dims (``_box_table``):
+the boxes of the links of dimension at least 1 in the scan order of
+their faces, each with its cell mask and its level slabs.  Per
+configuration the scan is bit operations on the cell mask of X
+(``grid_model.cell_view``); only the links left, neither cones nor
+spheres, are renumbered and reduced.  The table has a row for each of
+the prod(2^r_i - 1) boxes whose link has dimension at least 1 (234 at
+3x3x3, 28915 at 5x5x5, 248210 at 6x6x6), so it grows exponentially in
+the number of levels; it is cached for the 32 most recent dims.
+
+Every link left is reduced once per class.  Its key is its facet masks
 with the vertices they use renumbered 0..m-1 in bit order.  That
 renumbering is an order-preserving relabeling, so it keeps face counts,
 boundary signs and Betti numbers, and the key itself is what gets
-reduced.  A link that is not a cone is the complex of the configuration
-with the levels in sigma deleted, with its levels renumbered, so
-deletions that leave the same configuration share one reduction, within
-one configuration and across configurations: one memo (``_class_betti``,
-the 4096 most recent classes) serves every ``cm_obstruction`` call in
-the process.  On the seed-42 3x3x3 benchmark sample the 8473 links that
-need homology fall into 1621 classes counted per configuration, and
-into 920 across the whole sample.  For k points on a line (a simplex
-boundary) the links of each face size are one class, k - 2 reductions
-in all from an empty memo.  The scan order and the reported face do not
-depend on the memo.
+reduced.  Such a link is the complex of the configuration X n B with
+its levels renumbered, so boxes that cut out the same configuration
+share one reduction, within one configuration and across
+configurations: one memo (``_class_betti``, the 4096 most recent
+classes) serves every ``cm_obstruction`` call in the process.  On the
+seed-42 sample the scans meet 8473 links of dimension at least 1 that
+are not cones; 6592 are spheres, and the other 1881 fall into 908
+classes across the whole sample.  For k >= 3 points on a line (a
+simplex boundary) every link but the whole complex is a sphere, one
+reduction in all from an empty memo; the full 3x3x3 grid also takes
+one.  The scan order and the reported face do not depend on the memo.
 
 Reduced homology comes from one reducer.  Its chain complex has every
 face as a cell, the empty face included as the single cell of degree -1.
@@ -69,9 +90,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from operator import and_, or_
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyConfiguration,
@@ -79,7 +100,7 @@ from .errors import (
     InternalInvariantViolation,
     MalformedComplex,
 )
-from .grid_model import PointSet
+from .grid_model import PointSet, cell_table, cell_view
 from .linalg import rank_int
 
 Face = frozenset
@@ -358,39 +379,120 @@ def _class_betti(key: tuple[int, ...]) -> tuple[int, ...]:
     return _reduced_betti(key)
 
 
-def cm_obstruction(
-    delta: SimplicialComplex,
-) -> tuple[Face, int, int] | None:
-    """First face whose link has nonvanishing homology below its dimension.
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
+    """The lowest degree below the top with a nonzero reduced Betti
+    number, and that number; None when homology sits in the top degree."""
+    for i, r in enumerate(betti[:-1], start=-1):
+        if r:
+            return i, r
+    return None
+
+
+@lru_cache(maxsize=32)
+def _cell_facets(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The facet mask of each cell of ``cell_table(dims)`` in the
+    configuration's complex: every grid variable but the cell's own
+    levels, with ``grid_variables(dims)`` as the vertex list of
+    ``_facet_masks``; cached for 32 dims."""
+    total = sum(dims)
+    top = [total - s for s in accumulate(dims, initial=0)]  # a[i+1,j] is bit top[i] - j
+    full = (1 << total) - 1
+    return tuple(
+        full ^ sum(1 << (t - c) for t, c in zip(top, p)) for p in cell_table(dims)[0]
+    )
+
+
+@lru_cache(maxsize=32)
+def _box_table(dims: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """One row per face sigma of the complex of the full dims grid whose
+    link has dimension at least 1, the empty face left out, in scan order
+    (size, then vertex order; ``_in_face_order``); cached for 32 dims.
+
+    A row is (sigma's mask, the cell mask of the box of the levels
+    outside sigma, the cell masks of the grid's level slabs at the box's
+    levels in the directions where it has two or more).  Of the
+    prod(2^r_i - 1) boxes, one keeping a_i levels in direction i has a
+    link of dimension sum(a_i) - n - 1."""
+    cells = cell_table(dims)[0]
+    total, n = sum(dims), len(dims)
+    top = [total - s for s in accumulate(dims, initial=0)]
+    per_direction = []
+    for i, r in enumerate(dims):
+        slab = [sum(1 << k for k, p in enumerate(cells) if p[i] == j) for j in range(1, r + 1)]
+        options = []
+        for levels in range(1, 1 << r):
+            kept = [j for j in range(r) if levels >> j & 1]
+            options.append((
+                len(kept),
+                sum(1 << (top[i] - 1 - j) for j in kept),
+                reduce(or_, (slab[j] for j in kept)),
+                tuple(slab[j] for j in kept) if len(kept) > 1 else (),
+            ))
+        per_direction.append(options)
+    full = (1 << total) - 1
+    rows = [
+        (
+            full ^ sum(o[1] for o in choice),
+            reduce(and_, (o[2] for o in choice)),
+            tuple(chain.from_iterable(o[3] for o in choice)),
+        )
+        for choice in product(*per_direction)
+        if n + 2 <= sum(o[0] for o in choice) < total
+    ]
+    rows.sort(key=lambda row: (row[0].bit_count() << total) - row[0])  # size, then -sigma
+    return tuple(rows)
+
+
+def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
+    """First face of the configuration's complex whose link has
+    nonvanishing homology below its dimension.
 
     Faces are scanned by size then vertex order, so the empty face comes
     first and the reported obstruction is deterministic.  Returns
     (face, homology degree, rank) or None when the complex satisfies
     Reisner's criterion.
     """
-    facets = _facet_masks(delta)
-    top = max(map(int.bit_count, facets))
-    # the links of a face of size top - 1 or more have dimension <= 0
-    candidates = [m for m in _face_masks(facets) if m.bit_count() < top - 1]
-    for sigma in _in_face_order(candidates):
-        over = [f for f in facets if f & sigma == sigma]
-        if reduce(and_, over) != sigma:
-            continue  # the link is a cone over a shared vertex, so acyclic
-        betti = _class_betti(_renumbered([f & ~sigma for f in over]))
-        for i, r in enumerate(betti[:-1], start=-1):
-            if r:
-                return _vertex_set(delta.vertices, sigma), i, r
+    if not X.points:
+        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
+    if sum(X.dims) - X.n < 2:
+        return None  # facets of at most one vertex: every link has dimension <= 0
+    facets = _cell_facets(X.dims)
+    mask = cell_view(X)[3]
+    failure = _low_degree(_class_betti(_renumbered([facets[k] for k in _bits(mask)])))
+    if failure:
+        return (frozenset(), *failure)
+    for sigma, box, slabs in _box_table(X.dims):
+        inside = mask & box
+        if not inside or inside == box:
+            continue  # sigma is not a face, or its link is a sphere
+        for slab in slabs:
+            if not inside & slab:
+                break  # the link is a cone over that level's variable
+        else:
+            key = _renumbered([facets[k] & ~sigma for k in _bits(inside)])
+            failure = _low_degree(_class_betti(key))
+            if failure:
+                return (_vertex_set(grid_variables(X.dims), sigma), *failure)
     return None
 
 
 def is_cm(X: PointSet) -> bool:
     """Cohen-Macaulayness of the configuration's Stanley-Reisner model.
 
-    Purity, a necessary condition, holds by construction of sr_complex.
+    Purity, a necessary condition, holds by construction: every facet
+    of the complex (``sr_complex``) has sum(r_i) - n vertices.
     """
-    return cm_obstruction(sr_complex(X)) is None
+    return cm_obstruction(X) is None
 
 
 def first_cm_failure(X: PointSet) -> tuple[Face, int, int] | None:
     """The first failing link of the configuration's complex, if any."""
-    return cm_obstruction(sr_complex(X))
+    return cm_obstruction(X)

@@ -17,7 +17,6 @@ from acmpts.linalg import rank_int
 from acmpts.reisner_oracle import (
     GridVariable,
     SimplicialComplex,
-    cm_obstruction,
     first_cm_failure,
     homology,
     is_cm,
@@ -171,7 +170,7 @@ def test_complex_built_with_no_facets_is_rejected(vertices):
     """A complex constructed directly, bypassing ``from_facets``, gets the
     same explicit error from every entry point instead of an empty max()."""
     delta = SimplicialComplex(vertices, ())
-    for entry in (homology, cm_obstruction, SimplicialComplex.faces, lambda d: d.dim):
+    for entry in (homology, SimplicialComplex.faces, lambda d: d.dim):
         with pytest.raises(ValueError, match=r"no facets \(the complex whose only face is empty"):
             entry(delta)
 
@@ -299,9 +298,10 @@ def memo_free_first_failure(X):
 
 
 def memo_free_obstruction(delta):
-    """``cm_obstruction`` without the link-class memo or the face-size
-    prefilter: every face in order, the same two skips, and ``homology``
-    on the link itself."""
+    """``cm_obstruction`` without the box table, the link-class memo or
+    the sphere skip: every face of the complex in order, links of
+    dimension at most 0 and cones skipped, and ``homology`` on the link
+    itself."""
     for sigma in delta.faces():
         lk = link(delta, sigma)
         if lk.dim <= 0 or frozenset.intersection(*lk.facets):
@@ -315,46 +315,59 @@ def memo_free_obstruction(delta):
 def test_link_class_memo_matches_memo_free_scan(
     six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight
 ):
-    """Links that share a key share one reduction; any key that merges two
-    complexes with different homology changes some first failure here."""
+    """Links that share a key share one reduction, and the box scan skips
+    spheres, cones and non-faces without reducing them; any key that
+    merges two complexes with different homology, or any skip of a link
+    that can fail, changes some first failure here.  The configurations
+    are every distinct canonical subset of 2x2x2, 3x3 and 2x2x3, every
+    97th subset of 4x4 and 2x2x2x2, seeded 3x3x3 samples and the
+    fixtures."""
     cells = sorted(itertools.product((1, 2, 3), repeat=3))
     rng = random.Random(13)
     sampled = [canonicalize(rng.sample(cells, rng.randint(1, 27))) for _ in range(40)]
     fixtures = [six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight]
-    for X in fixtures + list(subset_configurations((2, 2, 2), (3, 3))) + sampled:
+    exhaustive = dict.fromkeys(subset_configurations((2, 2, 2), (3, 3), (2, 2, 3)))
+    strided = list(subset_configurations((4, 4), (2, 2, 2, 2), step=97))
+    for X in fixtures + list(exhaustive) + strided + sampled:
         assert first_cm_failure(X) == memo_free_first_failure(X), X
 
 
-def test_scan_matches_memo_free_scan_on_non_pure_complexes():
-    """On complexes with mixed facet sizes the scan's prefilter (faces with
-    at least top - 1 vertices) and its per-face skip (links of dimension
-    at most 0) differ; together they must drop exactly the faces the
-    reference skips, and no failure the reference reports."""
-    complexes = list(random_complexes(11, 300))
-    failures = [memo_free_obstruction(delta) for delta in complexes]
-    assert sum(f is not None for f in failures) > 30
-    for delta, failure in zip(complexes, failures):
-        assert cm_obstruction(delta) == failure, delta
-
-
-def test_collinear_points_reduce_one_link_per_face_size(monkeypatch):
-    """The complex of k points on a line is the boundary of a (k-1)-simplex.
-    Its links of one face size are one class, and sizes k - 2 and up have
-    links of dimension at most 0, so k - 2 reductions decide it instead of
-    one per face (about 3^k cells in all)."""
+def counted_reductions(monkeypatch):
+    """A list that records the facet masks of every reduction made from
+    here on, starting from an empty link-class memo."""
     calls = []
+    reduced_betti = reisner_oracle._reduced_betti
 
     def counting(facets):
         calls.append(facets)
         return reduced_betti(facets)
 
-    reduced_betti = reisner_oracle._reduced_betti
     monkeypatch.setattr(reisner_oracle, "_reduced_betti", counting)
+    reisner_oracle._class_betti.cache_clear()
+    return calls
+
+
+def test_collinear_points_reduce_one_link_per_face_size(monkeypatch):
+    """The complex of k points on a line is the boundary of a (k-1)-simplex.
+    The empty face is reduced first, and every other link is the boundary
+    of a smaller simplex, a sphere, which the scan skips; so for k >= 3
+    one reduction decides it instead of one per face (about 3^k cells in
+    all), and for k <= 2 no link has dimension 1 or more."""
+    calls = counted_reductions(monkeypatch)
     for k in range(1, 13):
         calls.clear()
         reisner_oracle._class_betti.cache_clear()
         assert is_cm(canonicalize([(i,) for i in range(1, k + 1)])) is True
-        assert len(calls) == max(k - 2, 0), k
+        assert len(calls) == (1 if k >= 3 else 0), k
+
+
+def test_full_grid_reduces_only_the_whole_complex(monkeypatch):
+    """Every link of a nonempty face of the full 3x3x3 grid's complex is
+    the complex of a full sub-grid, a join of simplex boundaries and so a
+    sphere, or not a face at all: only the empty face is reduced."""
+    calls = counted_reductions(monkeypatch)
+    assert is_cm(canonicalize(itertools.product((1, 2, 3), repeat=3))) is True
+    assert len(calls) == 1
 
 
 def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
@@ -384,15 +397,7 @@ def test_second_pass_over_the_same_configurations_reduces_nothing(monkeypatch):
     cells = sorted(itertools.product((1, 2, 3), repeat=3))
     rng = random.Random(29)
     configs = [canonicalize(rng.sample(cells, rng.randint(1, 27))) for _ in range(30)]
-    calls = []
-
-    def counting(facets):
-        calls.append(facets)
-        return reduced_betti(facets)
-
-    reduced_betti = reisner_oracle._reduced_betti
-    monkeypatch.setattr(reisner_oracle, "_reduced_betti", counting)
-    reisner_oracle._class_betti.cache_clear()
+    calls = counted_reductions(monkeypatch)
     first = [first_cm_failure(X) for X in configs]
     assert len(calls) == len(set(calls)) > 0
     calls.clear()
@@ -412,16 +417,6 @@ def test_first_failure_of_diagonal_pair():
     assert face == frozenset()
     assert degree == 0
     assert rank == 1
-
-
-def test_cone_invariance(six_points):
-    for X in (six_points, canonicalize([(1, 1), (1, 2), (2, 1)])):
-        delta = sr_complex(X)
-        apex = var(1, 99)
-        coned = SimplicialComplex.from_facets(
-            delta.vertices + (apex,), [f | {apex} for f in delta.facets]
-        )
-        assert (cm_obstruction(delta) is None) == (cm_obstruction(coned) is None)
 
 
 @given(grid_configurations(max_n=2, max_levels=3, max_size=7))

@@ -31,18 +31,24 @@ complex whose only face is empty, the (-1)-sphere and the unit of the
 join), and the join of a p- and a q-sphere is the (p + q + 1)-sphere,
 so the link is the sphere of dimension sum(a_i) - n - 1, its own
 dimension: its reduced homology sits in the top degree and it passes
-unreduced.  So
-``cm_obstruction`` first reduces the empty face, whose link is the whole
-complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405 sets
-fail there), and only then reads one table per dims (``_box_table``):
-the boxes of the links of dimension at least 1 in the scan order of
-their faces, each with its cell mask and its level slabs.  Per
-configuration the scan is bit operations on the cell mask of X
-(``grid_model.cell_view``); only the links left, neither cones nor
-spheres, are renumbered and reduced.  The table has a row for each of
-the prod(2^r_i - 1) boxes whose link has dimension at least 1 (234 at
-3x3x3, 28915 at 5x5x5, 248210 at 6x6x6), so it grows exponentially in
-the number of levels; it is cached for the 32 most recent dims.
+unreduced.
+
+So ``cm_obstruction`` first reduces the empty face, whose link is the
+whole complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405
+sets fail there), and then walks only the boxes that are neither cones
+nor spheres, generated from X (``_links_to_reduce``).  A box B that is
+not a cone is the smallest box around Y = X n B, so Y determines it: the
+walk holds one box per such Y, never more boxes than the complex has
+faces, and every test on a box is bit operations on masks of X's points.
+Removing the points at one level of B leaves the Y of a smaller box,
+later in scan order.  Starting from X, such removals reach every Y:
+X n B is X with the points at each level outside B removed in turn.
+The walk goes on from no full grid, since removing levels from a full
+grid leaves full grids, so a Y that is not a full grid is reached along
+a chain of Ys that are not either.  Nor does it go on below n + 2
+levels, where links have dimension at most 0.  A heap yields the boxes
+in the scan order of their faces, so the scan stops at its first
+failure.
 
 Every link left is reduced once per class.  Its key is its facet masks
 with the vertices they use renumbered 0..m-1 in bit order.  That
@@ -53,9 +59,9 @@ its levels renumbered, so boxes that cut out the same configuration
 share one reduction, within one configuration and across
 configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``cm_obstruction`` call in the process.  On the
-seed-42 sample the scans meet 8473 links of dimension at least 1 that
-are not cones; 6592 are spheres, and the other 1881 fall into 908
-classes across the whole sample.  For k >= 3 points on a line (a
+seed-42 sample the walks pop 3764 boxes, 2130 of them full grids, and
+the scans reduce 1881 links (387 whole complexes and 1494 others), which
+fall into 908 classes across the whole sample.  For k >= 3 points on a line (a
 simplex boundary) every link but the whole complex is a sphere, one
 reduction in all from an empty memo; the full 3x3x3 grid also takes
 one.  The scan order and the reported face do not depend on the memo.
@@ -90,8 +96,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, product
-from operator import and_, or_
+from heapq import heappop, heappush
+from itertools import accumulate, chain
+from operator import or_
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -100,7 +107,7 @@ from .errors import (
     InternalInvariantViolation,
     MalformedComplex,
 )
-from .grid_model import PointSet, cell_table, cell_view
+from .grid_model import GridPoint, PointSet
 from .linalg import rank_int
 
 Face = frozenset
@@ -176,9 +183,14 @@ def _facet_masks(delta: SimplicialComplex) -> list[int]:
     complex built directly with no facets is rejected here, not per link."""
     if not delta.facets:
         raise MalformedComplex(NO_FACETS)
-    top = len(delta.vertices) - 1
-    bit = {v: 1 << (top - k) for k, v in enumerate(delta.vertices)}
+    bit = _vertex_bits(delta.vertices)
     return [sum(bit[v] for v in f) for f in delta.facets]
+
+
+def _vertex_bits(vertices: Sequence[Hashable]) -> dict[Hashable, int]:
+    """The bit of each vertex in a face mask: vertex k of n is bit n - 1 - k."""
+    top = len(vertices) - 1
+    return {v: 1 << (top - k) for k, v in enumerate(vertices)}
 
 
 def _renumbered(facets: Sequence[int]) -> tuple[int, ...]:
@@ -397,58 +409,65 @@ def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
 
 
 @lru_cache(maxsize=32)
-def _cell_facets(dims: tuple[int, ...]) -> tuple[int, ...]:
-    """The facet mask of each cell of ``cell_table(dims)`` in the
-    configuration's complex: every grid variable but the cell's own
-    levels, with ``grid_variables(dims)`` as the vertex list of
-    ``_facet_masks``; cached for 32 dims."""
-    total = sum(dims)
-    top = [total - s for s in accumulate(dims, initial=0)]  # a[i+1,j] is bit top[i] - j
-    full = (1 << total) - 1
+def _level_bits(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The bit of a[i,j] in the masks of a configuration's complex is
+    ``_level_bits(dims)[i - 1][j - 1]``: the ``_vertex_bits`` of
+    ``grid_variables(dims)``, the vertex list of ``sr_complex``; cached
+    for 32 dims."""
+    bit = _vertex_bits(grid_variables(dims))
     return tuple(
-        full ^ sum(1 << (t - c) for t, c in zip(top, p)) for p in cell_table(dims)[0]
+        tuple(bit[GridVariable(i, j)] for j in range(1, r + 1))
+        for i, r in enumerate(dims, start=1)
     )
 
 
-@lru_cache(maxsize=32)
-def _box_table(dims: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """One row per face sigma of the complex of the full dims grid whose
-    link has dimension at least 1, the empty face left out, in scan order
-    (size, then vertex order; ``_in_face_order``); cached for 32 dims.
+def _links_to_reduce(
+    bits: tuple[tuple[int, ...], ...], points: Sequence[GridPoint]
+) -> Iterator[tuple[int, int]]:
+    """The boxes B whose link is neither a cone nor a sphere and has
+    dimension at least 1, the whole grid left out, in the scan order of
+    their faces, as (the mask of B's levels, X n B as a mask with bit k
+    for ``points[k]``), where ``bits`` is ``_level_bits(dims)``.
 
-    A row is (sigma's mask, the cell mask of the box of the levels
-    outside sigma, the cell masks of the grid's level slabs at the box's
-    levels in the directions where it has two or more).  Of the
-    prod(2^r_i - 1) boxes, one keeping a_i levels in direction i has a
-    link of dimension sum(a_i) - n - 1."""
-    cells = cell_table(dims)[0]
-    total, n = sum(dims), len(dims)
-    top = [total - s for s in accumulate(dims, initial=0)]
-    per_direction = []
-    for i, r in enumerate(dims):
-        slab = [sum(1 << k for k, p in enumerate(cells) if p[i] == j) for j in range(1, r + 1)]
-        options = []
-        for levels in range(1, 1 << r):
-            kept = [j for j in range(r) if levels >> j & 1]
-            options.append((
-                len(kept),
-                sum(1 << (top[i] - 1 - j) for j in kept),
-                reduce(or_, (slab[j] for j in kept)),
-                tuple(slab[j] for j in kept) if len(kept) > 1 else (),
-            ))
-        per_direction.append(options)
-    full = (1 << total) - 1
-    rows = [
-        (
-            full ^ sum(o[1] for o in choice),
-            reduce(and_, (o[2] for o in choice)),
-            tuple(chain.from_iterable(o[3] for o in choice)),
-        )
-        for choice in product(*per_direction)
-        if n + 2 <= sum(o[0] for o in choice) < total
-    ]
-    rows.sort(key=lambda row: (row[0].bit_count() << total) - row[0])  # size, then -sigma
-    return tuple(rows)
+    The walk from X, its heap and where it stops are in the module
+    docstring; it holds at most one box per set X n B."""
+    n, total = len(bits), sum(map(len, bits))
+    slab = dict.fromkeys(chain.from_iterable(bits), 0)  # level bit -> its points
+    for k, p in enumerate(points):
+        for b, c in zip(bits, p):
+            slab[b[c - 1]] |= 1 << k
+
+    def box(inside: int) -> tuple[int, int, int, int]:
+        """The smallest box around these points, in heap order: (-number
+        of levels, levels, points, number of cells)."""
+        kept, volume = 0, 1
+        for levels in bits:
+            a = 0
+            for b in levels:
+                if inside & slab[b]:
+                    kept |= b
+                    a += 1
+            volume *= a
+        return -kept.bit_count(), kept, inside, volume
+
+    everything = (1 << len(points)) - 1
+    heap, seen = [box(everything)], {everything}
+    while heap:
+        negsize, kept, inside, volume = heappop(heap)
+        if inside.bit_count() == volume:
+            continue  # a full grid: a sphere, and so is every box inside it
+        if n + 2 <= -negsize < total:
+            yield kept, inside
+        if -negsize <= n + 2:
+            continue  # the boxes inside have links of dimension <= 0
+        rest = kept
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            smaller = inside & ~slab[b]
+            if smaller and smaller not in seen:
+                seen.add(smaller)
+                heappush(heap, box(smaller))
 
 
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
@@ -462,25 +481,20 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     """
     if not X.points:
         raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    if sum(X.dims) - X.n < 2:
+    total = sum(X.dims)
+    if total - X.n < 2:
         return None  # facets of at most one vertex: every link has dimension <= 0
-    facets = _cell_facets(X.dims)
-    mask = cell_view(X)[3]
-    failure = _low_degree(_class_betti(_renumbered([facets[k] for k in _bits(mask)])))
+    bits = _level_bits(X.dims)
+    full = (1 << total) - 1
+    points = X.sorted_points()
+    facets = [full ^ sum(b[c - 1] for b, c in zip(bits, p)) for p in points]
+    failure = _low_degree(_class_betti(_renumbered(facets)))
     if failure:
         return (frozenset(), *failure)
-    for sigma, box, slabs in _box_table(X.dims):
-        inside = mask & box
-        if not inside or inside == box:
-            continue  # sigma is not a face, or its link is a sphere
-        for slab in slabs:
-            if not inside & slab:
-                break  # the link is a cone over that level's variable
-        else:
-            key = _renumbered([facets[k] & ~sigma for k in _bits(inside)])
-            failure = _low_degree(_class_betti(key))
-            if failure:
-                return (_vertex_set(grid_variables(X.dims), sigma), *failure)
+    for kept, inside in _links_to_reduce(bits, points):
+        failure = _low_degree(_class_betti(_renumbered([facets[k] & kept for k in _bits(inside)])))
+        if failure:
+            return (_vertex_set(grid_variables(X.dims), full ^ kept), *failure)
     return None
 
 

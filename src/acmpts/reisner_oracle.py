@@ -61,9 +61,9 @@ configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``cm_obstruction`` call in the process.  On the
 seed-42 sample the walks pop 3764 boxes, 2130 of them full grids, and
 the scans reduce 1881 links (387 whole complexes and 1494 others), which
-fall into 908 classes across the whole sample.  For k >= 3 points on a line (a
-simplex boundary) every link but the whole complex is a sphere, one
-reduction in all from an empty memo; the full 3x3x3 grid also takes
+fall into 908 classes across the whole sample.  For k >= 3 points on a
+line (a simplex boundary) every link but the whole complex is a sphere,
+one reduction in all from an empty memo; the full 3x3x3 grid also takes
 one.  The scan order and the reported face do not depend on the memo.
 
 Reduced homology comes from one reducer.  Its chain complex has every

@@ -33,8 +33,8 @@ from .errors import (
     ReducednessGuardViolated,
     VanishingConditionViolated,
 )
-from .grid_model import GridPoint, PointSet, canonicalize, check_direction, is_int
-from .hilbert_function import _box_values
+from .grid_model import GridPoint, PointSet, canonicalize, check_direction, is_int, is_point
+from .hilbert_function import _box_values, _check_degree
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ class LiaisonInput:
                 raise InputError("forms must be listed in direction order 1..n")
         for part in self.summands:
             for p in part:
+                if not is_point(p):
+                    raise InputError(f"summand point {p!r} is not a tuple of integers")
                 if len(p) != n:
                     raise DimensionMismatch(
                         f"point {p} has length {len(p)}, expected {n}"
@@ -199,6 +201,7 @@ def _shifted_sum_identity(
 
     Each side is one list of values over the box in lexicographic order,
     and each point set gets one walk for the whole check."""
+    T = _check_degree(T)
     lhs = _box_values(whole, T)
     rhs = [0] * len(lhs)
     for points, shift in terms:

@@ -82,6 +82,13 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def cell_mask(self) -> int:
+        """The points as a mask over ``cell_table(dims)`` (bit k is cell k),
+        computed on first read and kept on this PointSet, dying with it."""
+        index = cell_table(self.dims)[1]
+        return sum(1 << index[p] for p in self.points)
+
     def sorted_points(self) -> list[GridPoint]:
         return sorted(self.points)
 
@@ -93,6 +100,11 @@ class PointSet:
 def is_int(value: object) -> bool:
     """Whether value is an int and not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_point(u: object) -> bool:
+    """Whether u is a tuple of ints, none of them a bool."""
+    return isinstance(u, tuple) and all(map(is_int, u))
 
 
 def check_direction(i: object, n: int) -> None:
@@ -116,18 +128,6 @@ def cell_table(
 def grid_cells(dims: Sequence[int]) -> tuple[GridPoint, ...]:
     """All cells of the box with ``dims`` levels per direction, lexicographically."""
     return cell_table(tuple(dims))[0]
-
-
-@functools.lru_cache(maxsize=128)
-def cell_view(
-    X: PointSet,
-) -> tuple[tuple[GridPoint, ...], dict[GridPoint, int], tuple[int, ...], int]:
-    """``cell_table(X.dims)`` and the mask of X's cells; cached for 128 X."""
-    cells, index, strides = cell_table(X.dims)
-    mask = 0
-    for p in X.points:
-        mask |= 1 << index[p]
-    return cells, index, strides, mask
 
 
 def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:

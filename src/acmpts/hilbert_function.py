@@ -75,8 +75,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BadDegree
-from .grid_model import GridPoint, MultiDegree, PointSet, is_int
+from .errors import BadDegree, InputError
+from .grid_model import GridPoint, MultiDegree, PointSet, is_int, is_point
 from .linalg import Basis, echelon_insert, rank_int
 
 
@@ -128,9 +128,14 @@ def evaluation_rank(points: Iterable[GridPoint], t: Sequence[int]) -> int:
     """Rank of the degree-t evaluation matrix at the given integer nodes.
 
     Point coordinates are used directly as evaluation nodes, so callers
-    can evaluate uncompressed embeddings in a common grid.
+    can evaluate uncompressed embeddings in a common grid; each point must
+    be a tuple of ints.
     """
     t = _check_degree(t)
+    points = list(points)
+    for p in points:
+        if not is_point(p):
+            raise InputError(f"point {p!r} is not a tuple of integers")
     pts = _nodes(points, t)
     if not pts:
         return 0
@@ -214,10 +219,11 @@ def _walk(pts: tuple[GridPoint, ...], caps: MultiDegree) -> list[int]:
 
 
 def _box_values(
-    points: Iterable[GridPoint], box: Sequence[int], shift: Sequence[int] | None = None
+    points: Iterable[GridPoint], box: MultiDegree, shift: Sequence[int] | None = None
 ) -> list[int]:
-    """evaluation_rank(points, t - shift) for every degree 0 <= t <= box,
-    in lexicographic order, and 0 where t - shift has a negative entry.
+    """evaluation_rank(points, t - shift) for every degree 0 <= t <= box
+    (checked by the caller), in lexicographic order, and 0 where t - shift
+    has a negative entry.
 
     The points are walked at caps = min(distinct values - 1, box), so a
     small box never builds more columns than its corner has.  A shifted
@@ -225,7 +231,6 @@ def _box_values(
     at the caps, so every value is the same, and the layer identity's
     base term X then reads the walk of X's own Δ table.
     """
-    box = _check_degree(box)
     if shift is None:
         shift = (0,) * len(box)
     pts = _nodes(points, box)
@@ -242,23 +247,30 @@ def _box_values(
     return [ranks[k] if k >= 0 else 0 for k in index]
 
 
-def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
-    """Table of h_X(t) over the box 0 <= t <= T, for a canonical
-    configuration (level j evaluates at [j:1])."""
+def _h_values(
+    X: PointSet, T: Sequence[int]
+) -> tuple[MultiDegree, Iterable[MultiDegree], list[int]]:
+    """The checked corner T, the degrees 0 <= t <= T and h_X at each, in lexicographic order."""
     T = _check_degree(T)
     if len(T) != X.n:
         raise BadDegree(f"box corner {T} has length {len(T)}, expected {X.n}")
-    return HilbertTable(box=T, values=dict(zip(box_degrees(T), _box_values(X.points, T))))
+    return T, itertools.product(*[range(Ti + 1) for Ti in T]), _box_values(X.points, T)
+
+
+def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
+    """Table of h_X(t) over the box 0 <= t <= T, for a canonical
+    configuration (level j evaluates at [j:1])."""
+    T, degrees, values = _h_values(X, T)
+    return HilbertTable(box=T, values=dict(zip(degrees, values)))
 
 
 def delta_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
     """First differences of h_X over the box 0 <= t <= T."""
-    ht = hilbert_table(X, T)
-    values = list(ht.values.values())
+    T, degrees, values = _h_values(X, T)
     # In lexicographic order, direction i's predecessor lies one stride
     # back inside each block of (T_i + 1) strides.
     stride = len(values)
-    for Ti in ht.box:
+    for Ti in T:
         block = stride
         stride //= Ti + 1
         for lo in range(0, len(values), block):
@@ -266,4 +278,4 @@ def delta_table(X: PointSet, T: Sequence[int]) -> HilbertTable:
             values[lo + stride : hi] = map(
                 operator.sub, values[lo + stride : hi], values[lo : hi - stride]
             )
-    return HilbertTable(box=ht.box, values=dict(zip(ht.values, values)))
+    return HilbertTable(box=T, values=dict(zip(degrees, values)))

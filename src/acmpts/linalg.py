@@ -17,10 +17,9 @@ order, so a basis truncates back to an earlier size with ``popitem()``.
 boundary matrices of Stanley-Reisner links and the per-degree monomial
 matrices of ``evaluation_rank``.  The Hilbert walk in
 ``hilbert_function`` inserts Newton columns into one basis per walk.
-On the seed-42 benchmark inputs, ``first_cm_failure`` over the
-``sample_3x3x3`` sets reduces 908 link classes (its memo is shared
-across the sets) and ranks 469 boundary matrices of at most 17x17
-(11551 entries, 35% nonzero), whose basis entries stay +-1; the
+On the seed-42 benchmark inputs, the boundary matrices that
+``first_cm_failure`` ranks over the ``sample_3x3x3`` sets (counted in
+the ``reisner_oracle`` docstring) keep basis entries of +-1; the
 ``hilbert_tables`` ops make 930 walks, which insert 54364 columns of at
 most 5-bit entries with 70067 reduction steps and keep basis entries of
 at most 10 bits.

@@ -61,10 +61,12 @@ configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``cm_obstruction`` call in the process.  On the
 seed-42 sample the walks pop 3764 boxes, 2130 of them full grids, and
 the scans reduce 1881 links (387 whole complexes and 1494 others), which
-fall into 908 classes across the whole sample.  For k >= 3 points on a
-line (a simplex boundary) every link but the whole complex is a sphere,
-one reduction in all from an empty memo; the full 3x3x3 grid also takes
-one.  The scan order and the reported face do not depend on the memo.
+fall into 908 classes across the whole sample; their reductions rank 469
+boundary matrices of at most 17x17 (11551 entries, 35% nonzero).  The
+README and ``linalg`` refer here for these counts.  For k >= 3 points on
+a line (a simplex boundary) every link but the whole complex is a
+sphere, one reduction in all from an empty memo, as for the full 3x3x3
+grid.  The scan order and the reported face do not depend on the memo.
 
 Reduced homology comes from one reducer.  Its chain complex has every
 face as a cell, the empty face included as the single cell of degree -1.
@@ -97,7 +99,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import or_
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -408,26 +410,13 @@ def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=32)
-def _level_bits(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The bit of a[i,j] in the masks of a configuration's complex is
-    ``_level_bits(dims)[i - 1][j - 1]``: the ``_vertex_bits`` of
-    ``grid_variables(dims)``, the vertex list of ``sr_complex``; cached
-    for 32 dims."""
-    bit = _vertex_bits(grid_variables(dims))
-    return tuple(
-        tuple(bit[GridVariable(i, j)] for j in range(1, r + 1))
-        for i, r in enumerate(dims, start=1)
-    )
-
-
 def _links_to_reduce(
     bits: tuple[tuple[int, ...], ...], points: Sequence[GridPoint]
 ) -> Iterator[tuple[int, int]]:
     """The boxes B whose link is neither a cone nor a sphere and has
     dimension at least 1, the whole grid left out, in the scan order of
     their faces, as (the mask of B's levels, X n B as a mask with bit k
-    for ``points[k]``), where ``bits`` is ``_level_bits(dims)``.
+    for ``points[k]``), where a[i,j] is bit ``bits[i - 1][j - 1]``.
 
     The walk from X, its heap and where it stops are in the module
     docstring; it holds at most one box per set X n B."""
@@ -484,7 +473,8 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     total = sum(X.dims)
     if total - X.n < 2:
         return None  # facets of at most one vertex: every link has dimension <= 0
-    bits = _level_bits(X.dims)
+    bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
+    bits = tuple(tuple(islice(bit, r)) for r in X.dims)
     full = (1 << total) - 1
     points = X.sorted_points()
     facets = [full ^ sum(b[c - 1] for b, c in zip(bits, p)) for p in points]

@@ -14,9 +14,9 @@ Cohen-Macaulay (``test_star_accepts_non_cm_configuration_on_2x2x2x2``).
 
 Both the search and ``find_path`` work on cell bitmasks, in the cell
 numbering of ``grid_model.cell_table`` (lexicographic, so index order is
-tuple order); X is the mask ``grid_model.cell_view`` gives it.  The
-ordered pairs of cells at distance >= 2, each with the mask of its box,
-are tabulated once per dims (``_pair_table``): O((prod r_i)^2 n)
+tuple order); X is its ``PointSet.cell_mask``.  The ordered pairs of
+cells at distance >= 2, each with the mask of its box, are tabulated
+once per dims (``_pair_table``): O((prod r_i)^2 n)
 operations on (prod r_i)-bit masks, kept as O((prod r_i)^2) entries, so
 the table's memory grows about as (prod r_i)^3.  A check is then one
 popcount of ``box & mask`` per pair.  Desk-scale grids (prod r_i <= 27)
@@ -38,7 +38,7 @@ from .errors import (
     InternalInvariantViolation,
     PathPreconditionFailed,
 )
-from .grid_model import GridPoint, PointSet, cell_view, grid_cells, is_int
+from .grid_model import GridPoint, PointSet, cell_table, grid_cells, is_int, is_point
 
 TYPE_I = "type-i"
 TYPE_II = "type-ii"
@@ -60,15 +60,10 @@ class Witness:
     box: frozenset[GridPoint]
 
 
-def _is_point(u: object) -> bool:
-    """Whether u is a tuple of ints, none of them a bool."""
-    return isinstance(u, tuple) and all(map(is_int, u))
-
-
 def _check_pair(P: object, Q: object) -> None:
     """Both points are tuples of int levels, of one length."""
     for u in (P, Q):
-        if not _is_point(u):
+        if not is_point(u):
             raise BadLevel(f"grid point {u!r} is not a tuple of int levels")
     if len(P) != len(Q):
         raise DimensionMismatch(f"points {P} and {Q} have different lengths")
@@ -126,7 +121,7 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
         raise EmptyConfiguration("star property needs a nonempty configuration")
     if not is_int(s) or not 2 <= s <= X.n:
         raise BadLevel(f"star level {s!r} outside 2..{X.n}")
-    cells, _, _, mask = cell_view(X)
+    cells, mask = cell_table(X.dims)[0], X.cell_mask
     witnesses: list[Witness] = []
     for d, a, b, box in _pair_table(X.dims):
         if d > s:
@@ -194,10 +189,10 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     without exactly r steps means the walk itself is; either aborts
     loudly instead of returning a wrong chain.
     """
-    if not (_is_point(P) and _is_point(Q) and len(P) == len(Q) == X.n):
-        bad = Q if _is_point(P) and len(P) == X.n else P
+    if not (is_point(P) and is_point(Q) and len(P) == len(Q) == X.n):
+        bad = Q if is_point(P) and len(P) == X.n else P
         raise PathPreconditionFailed(f"endpoint {bad!r} is not a tuple of {X.n} ints")
-    cells, index, strides, mask = cell_view(X)
+    (cells, index, strides), mask = cell_table(X.dims), X.cell_mask
     a, b = index.get(P), index.get(Q)
     if a is None or b is None or not (mask >> a & 1 and mask >> b & 1):
         raise PathPreconditionFailed("both endpoints must lie in X")

@@ -1,12 +1,16 @@
 """Every memo in the package is bounded: each ``functools.lru_cache`` names
 a positive integer ``maxsize``, and ``functools.cache`` (unbounded) is not
 used.  The caches live as long as the process, so an unbounded one would
-grow with every distinct argument a long-running caller passes."""
+grow with every distinct argument a long-running caller passes.  The
+README's list of process-wide memos names exactly the memoized functions,
+so a memo cannot be added or dropped without its line there."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "acmpts"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "acmpts"
 MEMOS = ("lru_cache", "cache")
 
 
@@ -81,3 +85,31 @@ def g(x): return x
 """
     verdicts = [bounded(*use) for use in memo_uses(ast.parse(source))]
     assert sorted(verdicts) == [False] * 5 + [True] * 2
+
+
+def memoized_functions():
+    """``module.function`` for each function a memo decorates, and the
+    number of memo references found, decorators or not."""
+    names, uses = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found = [(node, parent) for _, node, parent in memo_uses(tree)]
+        uses += len(found)
+        memo_nodes = {id(n) for pair in found for n in pair}
+        names += [
+            f"{path.stem}.{fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(id(d) in memo_nodes for d in fn.decorator_list)
+        ]
+    return names, uses
+
+
+def test_readme_lists_every_memo():
+    names, uses = memoized_functions()
+    assert len(names) == uses  # every memo is a decorator, so it has a name
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The process-wide memos")
+    section = readme[start : readme.index("\n## ", start)]
+    listed = re.findall(r"^\* `(\w+\.\w+)`", section, flags=re.M)
+    assert sorted(listed) == sorted(names)

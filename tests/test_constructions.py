@@ -116,6 +116,17 @@ def test_liaison_hypothesis_violations():
         )
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+def test_liaison_summand_coordinates_must_be_ints(bad):
+    """A bool or integral float would pass every hypothesis check and make
+    ``verify_hf_additivity`` return True; 1.5 would end in a bare TypeError."""
+    with pytest.raises(InputError, match="not a tuple of integers"):
+        LiaisonInput(
+            summands=(frozenset({(bad, 5)}), frozenset({(2, 2)})),
+            forms=(DirectionForm(1, frozenset({2})), DirectionForm(2, frozenset({1, 5}))),
+        )
+
+
 @pytest.mark.parametrize(
     "summands, forms, error, message",
     [

@@ -9,8 +9,8 @@ from acmpts.errors import (
     EmptyConfiguration,
     InputError,
 )
-from acmpts.grid_model import PointSet
-from conftest import ELEVEN_POINTS, grid_configurations
+from acmpts.grid_model import PointSet, cell_table
+from conftest import ELEVEN_POINTS, grid_configurations, subset_configurations
 
 
 def test_canonicalize_relabels_order_preserving():
@@ -203,3 +203,10 @@ def test_relabel_preserves_size(X):
     assert Y.size == X.size
     # applying the inverse relabeling twice returns the original
     assert relabel(Y, reversed_dirs, [list(range(r, 0, -1)) for r in Y.dims]) == X
+
+
+def test_cell_mask_sets_the_bit_of_each_point_in_cell_table_order():
+    for X in subset_configurations((2, 2, 3)):
+        cells = cell_table(X.dims)[0]
+        assert X.cell_mask == sum(1 << k for k, c in enumerate(cells) if c in X.points)
+    assert PointSet.empty(3).cell_mask == 0

@@ -15,7 +15,7 @@ from acmpts import (
     relabel,
 )
 from acmpts.constructions import _layer_pieces, verify_layer_hf
-from acmpts.errors import BadDegree
+from acmpts.errors import BadDegree, InputError
 from acmpts.level_structure import max_level_size
 from acmpts.linalg import echelon_insert
 from conftest import (
@@ -47,6 +47,23 @@ def test_hilbert_full_grid_degree_one():
 
 def test_hilbert_eleven_point_corner(eleven_points):
     assert evaluation_rank(eleven_points.points, (3, 3, 3)) == 11
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(True, 2), (2, 1)],
+        [(1.0, 2), (2, 1)],
+        [(1.5, 2), (2, 1)],
+        [("a", 2), (2, 1)],
+        [[1, 2], [2, 1]],
+    ],
+)
+def test_evaluation_points_must_be_tuples_of_ints(points):
+    """A bool would be ranked as the node 1 (giving 2 here), and the
+    others would fail inside the arithmetic."""
+    with pytest.raises(InputError, match="not a tuple of integers"):
+        evaluation_rank(points, (1, 1))
 
 
 def test_hilbert_degree_errors(eleven_points):

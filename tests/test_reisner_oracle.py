@@ -19,7 +19,9 @@ from acmpts.linalg import rank_int
 from acmpts.reisner_oracle import (
     GridVariable,
     SimplicialComplex,
+    _vertex_bits,
     first_cm_failure,
+    grid_variables,
     homology,
     is_cm,
     link,
@@ -398,6 +400,31 @@ def test_sparse_set_in_many_directions_is_scanned_in_small_memory():
     assert failure == (frozenset(var(i, 2) for i in range(1, 7)), 0, 1)
     assert peak < 16 * 2**20, peak
     assert elapsed < 20, elapsed
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3, 1, 2), (2, 5, 1, 3), (3, 3, 3), (2,) * 12])
+def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(monkeypatch, dims):
+    """The scan derives the bit of a[i,j] from dims alone; it must be the
+    bit ``_vertex_bits`` gives a[i,j] in ``sr_complex``'s vertex list.
+    With a passing whole complex, the scan hands those bits to the walk.
+    A grid with sum(dims) - n < 2 has no link of dimension >= 1 and is
+    answered before any bit is derived."""
+    seen = []
+
+    def walk(bits, points):
+        seen.append(bits)
+        return iter(())
+
+    monkeypatch.setattr(reisner_oracle, "_class_betti", lambda key: (0,))
+    monkeypatch.setattr(reisner_oracle, "_links_to_reduce", walk)
+    staircase = {tuple(min(k, r) for r in dims) for k in range(1, max(dims) + 1)}
+    X = PointSet(n=len(dims), dims=dims, points=frozenset(staircase))
+    assert first_cm_failure(X) is None
+    bit = _vertex_bits(grid_variables(dims))
+    expected = tuple(
+        tuple(bit[var(i, j)] for j in range(1, r + 1)) for i, r in enumerate(dims, start=1)
+    )
+    assert seen == ([expected] if sum(dims) - len(dims) >= 2 else [])
 
 
 def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):

@@ -254,7 +254,7 @@ def _h_values(
     T = _check_degree(T)
     if len(T) != X.n:
         raise BadDegree(f"box corner {T} has length {len(T)}, expected {X.n}")
-    return T, itertools.product(*[range(Ti + 1) for Ti in T]), _box_values(X.points, T)
+    return T, box_degrees(T), _box_values(X.points, T)
 
 
 def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:

@@ -17,7 +17,7 @@ order, so a basis truncates back to an earlier size with ``popitem()``.
 boundary matrices of Stanley-Reisner links and the per-degree monomial
 matrices of ``evaluation_rank``.  The Hilbert walk in
 ``hilbert_function`` inserts Newton columns into one basis per walk.
-On the seed-42 benchmark inputs, the boundary matrices that
+On the seed-42 benchmark inputs, the 22 boundary matrices that
 ``first_cm_failure`` ranks over the ``sample_3x3x3`` sets (counted in
 the ``reisner_oracle`` docstring) keep basis entries of +-1; the
 ``hilbert_tables`` ops make 930 walks, which insert 54364 columns of at

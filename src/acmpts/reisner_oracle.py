@@ -61,36 +61,59 @@ configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``cm_obstruction`` call in the process.  On the
 seed-42 sample the walks pop 3764 boxes, 2130 of them full grids, and
 the scans reduce 1881 links (387 whole complexes and 1494 others), which
-fall into 908 classes across the whole sample; their reductions rank 469
-boundary matrices of at most 17x17 (11551 entries, 35% nonzero).  The
-README and ``linalg`` refer here for these counts.  For k >= 3 points on
-a line (a simplex boundary) every link but the whole complex is a
-sphere, one reduction in all from an empty memo, as for the full 3x3x3
-grid.  The scan order and the reported face do not depend on the memo.
+fall into 908 classes across the whole sample.  The element matchings
+(below) alone answer 885 of those classes; the other 23 take the exact
+route, which ranks 22 boundary matrices of at most 16x16 (1455 entries,
+24% nonzero); that route would rank 469 matrices for all 908.
+The README and ``linalg`` refer here for these counts.  For k >= 3
+points on a line (a simplex boundary) every link but the whole complex
+is a sphere, one reduction in all from an empty memo, as for the full
+3x3x3 grid.  The scan order and the reported face do not depend on the
+memo.
 
-Reduced homology comes from one reducer.  Its chain complex has every
-face as a cell, the empty face included as the single cell of degree -1.
-It first excises the lowest vertex v: the closed star of v (the faces
-sigma with sigma + v a face) is a cone with apex v, so its reduced
-homology vanishes, and the exact sequence of the pair followed by
-excision gives H~_i(Delta) = H_i(Delta, st v) = H_i(del v, lk v)
-(Munkres, *Elements of Algebraic Topology*, sections 9 and 70).  The
-cells left are the faces sigma without v for which sigma + v is not a
-face, with the boundary restricted to them.  The star's cells come in
-pairs sigma, sigma + v of adjacent degrees, so the excision keeps the
-Euler characteristic, and the reducer's check still compares the
-original face counts with the Betti numbers it returns.  The complex
-whose only face is empty has no vertex to excise, and its one cell, the
-empty face, stays.  Then coreductions (Mrozek and Batko, *Coreduction
-homology algorithm*, DCG 41, 2009) start from every cell whose boundary
-within the remaining cells is a single cell, and remove it together
-with that cell.  The pair is joined by a coefficient of +-1, a unit, so
-the removal preserves homology over the integers, and the surviving
-cells with the boundary restricted to them still form a chain complex
-with the same homology.  Only the survivors' boundary matrices reach the
-exact integer rank; on 3x3x3 samples excision and coreductions cancel
-nearly every cell first, and on a simplex boundary excision alone
-leaves a single cell.
+Reduced homology comes first from discrete Morse theory.  The chain
+complex has every face as a cell, the empty face included as the single
+cell of degree -1.  On m <= ``MATCHING_BOUND`` (20) vertex positions the
+face set is one int of 2^m bits, bit s set when the vertex set s is a
+face: the facets' bits, down-closed by one shift-and-or per vertex.  The
+element matching on a vertex v pairs each cell sigma without v with
+sigma + v when both are cells (Jonsson, *Simplicial Complexes of
+Graphs*, LNM 1928, 2008, section 4).  On the lowest vertex it is the
+excision below; then it runs on the cells left unpaired for every
+further vertex in increasing order, three big-int operations each.  A
+sequence of element matchings is acyclic and face incidences are +-1,
+so the augmented chain complex is chain-equivalent over the integers to
+a Morse complex on the critical cells, those left unpaired (Forman,
+*Morse theory for cell complexes*, Adv. Math. 134, 1998; Skoldberg,
+*Morse theory from an algebraic viewpoint*, Trans. AMS 358, 2006).  When
+every critical cell has one size k, that complex sits in degree k - 1
+with no differential: the reduced Betti number there is their count and
+every other one is 0, and no rank is taken.  A matching pairs cells of
+adjacent sizes, so the faces and the critical cells must have one Euler
+characteristic, which one mask of the odd-size vertex sets checks.  The
+masks for each m are built on first use and kept (``_subset_masks``).
+
+When the critical cells span two sizes, or there are more than 20
+vertex positions, the exact route reduces the complex.  It first excises
+the lowest vertex v: the closed star of v (the faces sigma with sigma +
+v a face) is a cone with apex v, so its reduced homology vanishes, and
+the exact sequence of the pair followed by excision gives H~_i(Delta) =
+H_i(Delta, st v) = H_i(del v, lk v) (Munkres, *Elements of Algebraic
+Topology*, sections 9 and 70).  The cells left are the faces sigma
+without v for which sigma + v is not a face, with the boundary
+restricted to them.  The star's cells come in pairs sigma, sigma + v of
+adjacent degrees, so the excision keeps the Euler characteristic, and
+the route's check still compares the original face counts with the
+Betti numbers it returns.  The complex whose only face is empty has no
+vertex to excise, and its one cell, the empty face, stays.  Then
+coreductions (Mrozek and Batko, *Coreduction homology algorithm*, DCG
+41, 2009) start from every cell whose boundary within the remaining
+cells is a single cell, and remove it together with that cell.  The
+pair is joined by a coefficient of +-1, a unit, so the removal preserves
+homology over the integers, and the surviving cells with the boundary
+restricted to them still form a chain complex with the same homology.
+Only the survivors' boundary matrices reach the exact integer rank.
+This route is the reference the tests hold the matchings to.
 """
 
 from __future__ import annotations
@@ -100,7 +123,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import accumulate, chain, islice
-from operator import or_
+from operator import or_, xor
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -284,7 +307,79 @@ def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialCompl
     )
 
 
+MATCHING_BOUND = 20  # most vertices for the face bitset, 2^m bits (128 KB at m = 20)
+
+
+@lru_cache(maxsize=21)  # m = 0 .. MATCHING_BOUND
+def _subset_masks(m: int) -> tuple[tuple[int, ...], int]:
+    """Masks over the 2^m vertex sets of m vertices, bit s for the set s:
+    for each vertex j the sets through j, and the sets of odd size.  The
+    pattern for j, 2^j sets without j then 2^j with it, is doubled up to
+    2^m bits; a set's size is odd when an odd number of its bits are set."""
+    has = []
+    for j in range(m):
+        mask, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while width < 1 << m:
+            mask |= mask << width
+            width <<= 1
+        has.append(mask)
+    return tuple(has), reduce(xor, has, 0)
+
+
+def _matched_betti(facets: Sequence[int]) -> tuple[int, ...] | None:
+    """Reduced rational Betti numbers, degree -1 up to the dimension, of
+    the complex with these facet masks from element matchings alone, or
+    None when its critical cells span two sizes or it has more than
+    ``MATCHING_BOUND`` vertex positions (module docstring).
+
+    The face set is one int with bit s set for each face s; a matching
+    pairs cells of adjacent sizes, so the reduced Euler characteristic of
+    the faces must equal that of the critical cells, which fails if a
+    step drops a cell without its partner.
+    """
+    full = reduce(or_, facets, 0)
+    m = full.bit_length()
+    if m > MATCHING_BOUND:
+        return None
+    has, odd = _subset_masks(m)
+    faces = 0
+    for f in facets:
+        faces |= 1 << f
+    for j in _bits(full):  # down-closure: drop vertex j from every face through it
+        faces |= (faces & has[j]) >> (1 << j)
+    critical = faces
+    for j in _bits(full):  # the element matching on j, lowest vertex first
+        shift = 1 << j
+        paired = critical & ~has[j] & critical >> shift
+        critical &= ~(paired | paired << shift)
+
+    def euler(cells: int) -> int:  # cells of size k are in degree k - 1
+        return 2 * (cells & odd).bit_count() - cells.bit_count()
+
+    euler_faces, euler_cells = euler(faces), euler(critical)
+    if euler_faces != euler_cells:
+        raise InternalInvariantViolation(
+            f"Euler characteristic mismatch: faces give {euler_faces}, "
+            f"critical cells give {euler_cells}"
+        )
+    sizes = {s.bit_count() for s in _bits(critical)}
+    if len(sizes) > 1:
+        return None
+    betti = [0] * (max(f.bit_count() for f in facets) + 1)
+    if sizes:
+        betti[sizes.pop()] = critical.bit_count()
+    return tuple(betti)
+
+
 def _reduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
+    """Reduced rational Betti numbers, degree -1 up to the dimension, of
+    the complex with these facet masks: from the element matchings when
+    they decide it, else by ``_coreduced_betti``."""
+    betti = _matched_betti(facets)
+    return _coreduced_betti(facets) if betti is None else betti
+
+
+def _coreduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
     """Reduced rational Betti numbers, degree -1 up to the dimension, of
     the complex with these facet masks: the lowest vertex's closed star
     is excised, the remaining cells are coreduced and the survivors'
@@ -376,7 +471,8 @@ def _reduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
 
 
 def homology(delta: SimplicialComplex) -> HomologyProfile:
-    """Reduced rational Betti numbers via exact boundary-matrix ranks.
+    """Reduced rational Betti numbers, from element matchings or exact
+    boundary-matrix ranks (module docstring).
 
     Includes the empty face as the single cell in degree -1, so the
     profile of the complex whose only face is empty is (1,).

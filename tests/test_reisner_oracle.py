@@ -428,10 +428,11 @@ def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(monkeypatch, 
 
 
 def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
-    """The reduction of two disjoint edges keeps one edge and its two
-    vertices, so a rank is taken; one more than the matrix has rows makes
-    a Betti number negative, which homology must not return."""
-    X = canonicalize([(1, 1), (2, 2)])
+    """The element matchings leave critical cells of two sizes in this
+    set's complex, so its exact route keeps cells in two adjacent degrees
+    and takes a rank; one more than the matrix has rows makes a Betti
+    number negative, which homology must not return."""
+    X = canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)])
     calls = []
 
     def too_large(matrix):
@@ -445,6 +446,92 @@ def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
     with pytest.raises(InternalInvariantViolation):
         is_cm(X)
     assert calls
+
+
+def test_miscounted_faces_are_an_invariant_violation(monkeypatch):
+    """The matching route compares the faces' Euler characteristic with
+    the critical cells'.  Counting the empty face as odd-sized corrupts
+    the face side only: the empty face is always a face, and the matching
+    on the lowest vertex always pairs it with that vertex."""
+    delta = sr_complex(canonicalize([(1, 1), (2, 2)]))
+    facets = reisner_oracle._facet_masks(delta)
+    assert reisner_oracle._matched_betti(facets) == (0, 1, 0)
+    subset_masks = reisner_oracle._subset_masks
+
+    def miscounted(m):
+        has, odd = subset_masks(m)
+        return has, odd | 1
+
+    monkeypatch.setattr(reisner_oracle, "_subset_masks", miscounted)
+    with pytest.raises(InternalInvariantViolation, match="Euler"):
+        homology(delta)
+
+
+def matching_critical_cells(facets):
+    """The cells left by the element matching on each vertex in increasing
+    bit order, run face by face on a set: a vertex v pairs each remaining
+    cell c without v with c + v when that is a remaining cell too."""
+    cells = reisner_oracle._face_masks(facets)
+    for j in range(max(facets).bit_length()):
+        v = 1 << j
+        paired = {c for c in cells if not c & v and c | v in cells}
+        cells -= paired | {c | v for c in paired}
+    return cells
+
+
+def random_facet_masks(seed, count):
+    """Seeded non-pure facet lists on up to ``MATCHING_BOUND`` vertex
+    positions, the highest one always used, with facets of one to six
+    vertices, so the exact route stays small at every size."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, reisner_oracle.MATCHING_BOUND)
+        facets = [
+            sum(1 << v for v in rng.sample(range(m), rng.randint(1, min(m, 6))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        facets[0] |= 1 << (m - 1)
+        yield tuple(facets)
+
+
+def test_matching_answers_exactly_when_critical_cells_have_one_size(monkeypatch):
+    """The bitset matching against the face-by-face matching and the exact
+    route: on every class key reached on exhaustive 2x2x3, on strided
+    3x3x2 and 2x2x2x2 and on random non-pure complexes up to the vertex
+    bound, the matching answers alone exactly when its critical cells
+    have one size, its answer counts them in that size's degree, and the
+    reducer's answer is the exact route's."""
+    calls = counted_reductions(monkeypatch)
+    for X in subset_configurations((2, 2, 3)):
+        first_cm_failure(X)
+    for X in subset_configurations((3, 3, 2), (2, 2, 2, 2), step=97):
+        first_cm_failure(X)
+    monkeypatch.undo()
+    keys = list(dict.fromkeys(calls)) + list(random_facet_masks(11, 300))
+    answered = 0
+    for facets in keys:
+        cells = matching_critical_cells(facets)
+        sizes = {c.bit_count() for c in cells}
+        exact = reisner_oracle._coreduced_betti(facets)
+        betti = reisner_oracle._matched_betti(facets)
+        assert (betti is not None) == (len(sizes) <= 1), facets
+        if betti is not None:
+            answered += 1
+            assert sum(betti) == len(cells) and betti == exact, facets
+        assert reisner_oracle._reduced_betti(facets) == exact, facets
+    assert 0 < answered < len(keys)
+    assert max(max(f).bit_length() for f in keys) == reisner_oracle.MATCHING_BOUND
+
+
+def test_six_diagonal_points_of_6x6x6_are_decided_by_the_matching():
+    """Six points on the diagonal of 6x6x6: the complex has 18 vertices
+    and six facets of 15, about 6 * 2^15 faces, which the exact route
+    alone takes tens of seconds to reduce; the matching leaves one
+    critical cell."""
+    X = canonicalize([(k, k, k) for k in range(1, 7)])
+    start = time.perf_counter()
+    assert first_cm_failure(X) == (frozenset(), 4, 1)
+    assert time.perf_counter() - start < 10
 
 
 def test_second_pass_over_the_same_configurations_reduces_nothing(monkeypatch):

@@ -62,6 +62,8 @@ class PointSet:
                 raise InputError(f"level count {r!r} in direction {i + 1} is not an integer")
         used: list[set[int]] = [set() for _ in range(self.n)]
         for p in self.points:
+            if not isinstance(p, tuple):
+                raise InputError(f"point {p!r} is not a tuple")
             if len(p) != self.n:
                 raise DimensionMismatch(f"point {p} has wrong length")
             for i, (c, r) in enumerate(zip(p, self.dims)):
@@ -88,6 +90,25 @@ class PointSet:
         computed on first read and kept on this PointSet, dying with it."""
         index = cell_table(self.dims)[1]
         return sum(1 << index[p] for p in self.points)
+
+    @functools.cached_property
+    def own_cells(self) -> dict[int, tuple[GridPoint, int]]:
+        """Each point's cell index in ``cell_table(dims)``, keyed by the id
+        of the very tuple stored in ``points``, with that tuple: a caller
+        holding one of these objects (from ``points`` or
+        ``sorted_points()``) holds a point that was validated here, which
+        ``entry[0] is u`` confirms without looking at its coordinates.
+        Computed on first read and kept on this PointSet, dying with it."""
+        index = cell_table(self.dims)[1]
+        return {id(p): (p, index[p]) for p in self.points}
+
+    @functools.cached_property
+    def star_levels(self) -> dict[int, bool]:
+        """The star verdict of this configuration per level, as far as
+        ``star_property.find_path`` has read it from the package's memo:
+        a chain query then looks its precondition up here, without hashing
+        the configuration.  Kept on this PointSet, dying with it."""
+        return {}
 
     def sorted_points(self) -> list[GridPoint]:
         return sorted(self.points)

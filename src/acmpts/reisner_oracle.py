@@ -45,10 +45,13 @@ later in scan order.  Starting from X, such removals reach every Y:
 X n B is X with the points at each level outside B removed in turn.
 The walk goes on from no full grid, since removing levels from a full
 grid leaves full grids, so a Y that is not a full grid is reached along
-a chain of Ys that are not either.  Nor does it go on below n + 2
-levels, where links have dimension at most 0.  A heap yields the boxes
-in the scan order of their faces, so the scan stops at its first
-failure.
+a chain of Ys that are not either; a full grid is never pushed.  Nor
+does it go on below n + 2 levels, where links have dimension at most 0.
+Most full grids are not even sized: removing a level from a box B
+leaves the box B' of B's other levels, whose cell count follows from
+B's, and B' holds no hole (a cell missing from X) exactly when X has
+that many points in it.  A heap yields the boxes in the scan order of
+their faces, so the scan stops at its first failure.
 
 Every link left is reduced once per class.  Its key is its facet masks
 with the vertices they use renumbered 0..m-1 in bit order.  That
@@ -59,8 +62,9 @@ its levels renumbered, so boxes that cut out the same configuration
 share one reduction, within one configuration and across
 configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``cm_obstruction`` call in the process.  On the
-seed-42 sample the walks pop 3764 boxes, 2130 of them full grids, and
-the scans reduce 1881 links (387 whole complexes and 1494 others), which
+seed-42 sample the walks size 3666 boxes (5517 without that count
+test), 319 of them full grids, and pop 1634, and the scans reduce 1881
+links (387 whole complexes and 1494 others), which
 fall into 908 classes across the whole sample.  The element matchings
 (below) alone answer 885 of those classes; the other 23 take the exact
 route, which ranks 22 boundary matrices of at most 16x16 (1455 entries,
@@ -73,7 +77,7 @@ memo.
 
 Reduced homology comes first from discrete Morse theory.  The chain
 complex has every face as a cell, the empty face included as the single
-cell of degree -1.  On m <= ``MATCHING_BOUND`` (20) vertex positions the
+cell of degree -1.  On m <= ``MATCHING_BOUND`` (22) vertex positions the
 face set is one int of 2^m bits, bit s set when the vertex set s is a
 face: the facets' bits, down-closed by one shift-and-or per vertex.  The
 element matching on a vertex v pairs each cell sigma without v with
@@ -93,7 +97,7 @@ adjacent sizes, so the faces and the critical cells must have one Euler
 characteristic, which one mask of the odd-size vertex sets checks.  The
 masks for each m are built on first use and kept (``_subset_masks``).
 
-When the critical cells span two sizes, or there are more than 20
+When the critical cells span two sizes, or there are more than 22
 vertex positions, the exact route reduces the complex.  It first excises
 the lowest vertex v: the closed star of v (the faces sigma with sigma +
 v a face) is a cone with apex v, so its reduced homology vanishes, and
@@ -307,10 +311,10 @@ def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialCompl
     )
 
 
-MATCHING_BOUND = 20  # most vertices for the face bitset, 2^m bits (128 KB at m = 20)
+MATCHING_BOUND = 22  # most vertices for the face bitset, 2^m bits (512 KB at m = 22)
 
 
-@lru_cache(maxsize=21)  # m = 0 .. MATCHING_BOUND
+@lru_cache(maxsize=23)  # m = 0 .. MATCHING_BOUND
 def _subset_masks(m: int) -> tuple[tuple[int, ...], int]:
     """Masks over the 2^m vertex sets of m vertices, bit s for the set s:
     for each vertex j the sets through j, and the sets of odd size.  The
@@ -506,6 +510,23 @@ def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
+def _smallest_box(
+    inside: int, bits: tuple[tuple[int, ...], ...], slab: dict[int, int]
+) -> tuple[int, int]:
+    """The smallest box around the points ``inside``, given the points at
+    each level bit (``slab``): (the mask of its levels, its number of
+    cells)."""
+    kept, volume = 0, 1
+    for levels in bits:
+        a = 0
+        for b in levels:
+            if inside & slab[b]:
+                kept |= b
+                a += 1
+        volume *= a
+    return kept, volume
+
+
 def _links_to_reduce(
     bits: tuple[tuple[int, ...], ...], points: Sequence[GridPoint]
 ) -> Iterator[tuple[int, int]]:
@@ -515,32 +536,25 @@ def _links_to_reduce(
     for ``points[k]``), where a[i,j] is bit ``bits[i - 1][j - 1]``.
 
     The walk from X, its heap and where it stops are in the module
-    docstring; it holds at most one box per set X n B."""
+    docstring; it holds at most one box per set X n B, and never a full
+    grid.  Removing level b from a box B of volume V with a levels in
+    b's direction leaves the box B - b of V (a - 1) / a cells, which
+    holds no hole (a cell missing from X) exactly when X has that many
+    points in it; such a full grid is not sized."""
     n, total = len(bits), sum(map(len, bits))
     slab = dict.fromkeys(chain.from_iterable(bits), 0)  # level bit -> its points
     for k, p in enumerate(points):
         for b, c in zip(bits, p):
             slab[b[c - 1]] |= 1 << k
-
-    def box(inside: int) -> tuple[int, int, int, int]:
-        """The smallest box around these points, in heap order: (-number
-        of levels, levels, points, number of cells)."""
-        kept, volume = 0, 1
-        for levels in bits:
-            a = 0
-            for b in levels:
-                if inside & slab[b]:
-                    kept |= b
-                    a += 1
-            volume *= a
-        return -kept.bit_count(), kept, inside, volume
+    direction = {b: sum(levels) for levels in bits for b in levels}  # level bit -> its direction
 
     everything = (1 << len(points)) - 1
-    heap, seen = [box(everything)], {everything}
+    kept, volume = _smallest_box(everything, bits, slab)
+    # a full grid is never pushed: it is a sphere, and so is every box inside it
+    heap = [(-kept.bit_count(), kept, everything, volume)] if volume != len(points) else []
+    seen = {everything}
     while heap:
         negsize, kept, inside, volume = heappop(heap)
-        if inside.bit_count() == volume:
-            continue  # a full grid: a sphere, and so is every box inside it
         if n + 2 <= -negsize < total:
             yield kept, inside
         if -negsize <= n + 2:
@@ -550,9 +564,13 @@ def _links_to_reduce(
             b = rest & -rest
             rest ^= b
             smaller = inside & ~slab[b]
-            if smaller and smaller not in seen:
-                seen.add(smaller)
-                heappush(heap, box(smaller))
+            a = (kept & direction[b]).bit_count()
+            if smaller.bit_count() * a == volume * (a - 1) or smaller in seen:
+                continue  # B - b is a full grid (empty when a = 1), or Y was reached
+            seen.add(smaller)
+            kept_b, volume_b = _smallest_box(smaller, bits, slab)
+            if smaller.bit_count() != volume_b:
+                heappush(heap, (-kept_b.bit_count(), kept_b, smaller, volume_b))
 
 
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:

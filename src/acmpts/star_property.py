@@ -14,9 +14,11 @@ Cohen-Macaulay (``test_star_accepts_non_cm_configuration_on_2x2x2x2``).
 
 Both the search and ``find_path`` work on cell bitmasks, in the cell
 numbering of ``grid_model.cell_table`` (lexicographic, so index order is
-tuple order); X is its ``PointSet.cell_mask``.  The ordered pairs of
-cells at distance >= 2, each with the mask of its box, are tabulated
-once per dims (``_pair_table``): O((prod r_i)^2 n)
+tuple order); X is its ``PointSet.cell_mask``.  ``find_path`` finds the
+cell of an endpoint that is one of X's own point objects through
+``PointSet.own_cells``, without checking its coordinates again.  The
+ordered pairs of cells at distance >= 2, each with the mask of its box,
+are tabulated once per dims (``_pair_table``): O((prod r_i)^2 n)
 operations on (prod r_i)-bit masks, kept as O((prod r_i)^2) entries, so
 the table's memory grows about as (prod r_i)^3.  A check is then one
 popcount of ``box & mask`` per pair.  Desk-scale grids (prod r_i <= 27)
@@ -171,7 +173,17 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     The star precondition is read from the cache behind ``is_acm``
     (``_star_holds``), so the pairs of one configuration and its ACM
     verdict share one ``check_star`` run per level; a configuration that
-    fails it raises on every call, even when a chain exists.
+    fails it raises on every call, even when a chain exists.  The verdict
+    read for a level is kept on X (``PointSet.star_levels``), so later
+    calls at that level look it up without hashing X.
+
+    An endpoint that is one of the very tuples X stores (from
+    ``X.points`` or ``X.sorted_points()``) was checked when X was built,
+    so its cell index comes from ``X.own_cells`` by identity.  Any other
+    endpoint, an equal copy included, is checked in full: a tuple of n
+    ints, not bools, that is a point of X.  ``(True, 1, 1)`` equals
+    ``(1, 1, 1)`` and hashes like it, which is why a lookup by value
+    cannot stand in for the check.
 
     A shortest chain moves each coordinate where P and Q differ once,
     from P's level to Q's, and moving coordinate i changes the cell index
@@ -189,13 +201,18 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     without exactly r steps means the walk itself is; either aborts
     loudly instead of returning a wrong chain.
     """
-    if not (is_point(P) and is_point(Q) and len(P) == len(Q) == X.n):
-        bad = Q if is_point(P) and len(P) == X.n else P
-        raise PathPreconditionFailed(f"endpoint {bad!r} is not a tuple of {X.n} ints")
+    own = X.own_cells
+    at_p, at_q = own.get(id(P)), own.get(id(Q))
     (cells, index, strides), mask = cell_table(X.dims), X.cell_mask
-    a, b = index.get(P), index.get(Q)
-    if a is None or b is None or not (mask >> a & 1 and mask >> b & 1):
-        raise PathPreconditionFailed("both endpoints must lie in X")
+    if at_p and at_q and at_p[0] is P and at_q[0] is Q:
+        a, b = at_p[1], at_q[1]
+    else:
+        if not (is_point(P) and is_point(Q) and len(P) == len(Q) == X.n):
+            bad = Q if is_point(P) and len(P) == X.n else P
+            raise PathPreconditionFailed(f"endpoint {bad!r} is not a tuple of {X.n} ints")
+        a, b = index.get(P), index.get(Q)
+        if a is None or b is None or not (mask >> a & 1 and mask >> b & 1):
+            raise PathPreconditionFailed("both endpoints must lie in X")
     low = min(2, X.n)
     if not is_int(s) or not low <= s <= X.n:
         raise PathPreconditionFailed(f"star level {s!r} outside {low}..{X.n}")
@@ -203,8 +220,12 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     r = len(steps)
     if r > s:
         raise PathPreconditionFailed(f"d(P,Q) = {r} exceeds s = {s}")
-    if r >= 2 and not _star_holds(X, s):
-        raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
+    if r >= 2:
+        holds = X.star_levels.get(s)
+        if holds is None:
+            holds = X.star_levels[s] = _star_holds(X, s)
+        if not holds:
+            raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
     path = [P]
     at = a
     while steps:

@@ -1,6 +1,7 @@
 """Shared example configurations and hypothesis strategies."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import strategies as st
@@ -81,3 +82,14 @@ def subset_configurations(*grids, step=1):
         cells = sorted(itertools.product(*[range(1, r + 1) for r in dims]))
         for mask in range(1, 1 << len(cells), step):
             yield canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
+
+
+def cube_sample(seed, count=405):
+    """``count`` seeded canonical subsets of the 3x3x3 grid, each size
+    1..27 equally often in a seeded order: the draw of the
+    ``sample_3x3x3`` benchmark workload."""
+    cells = sorted(itertools.product((1, 2, 3), repeat=3))
+    rng = random.Random(seed)
+    sizes = [1 + k % len(cells) for k in range(count)]
+    rng.shuffle(sizes)
+    return [canonicalize(rng.sample(cells, k)) for k in sizes]

@@ -100,6 +100,24 @@ def test_point_set_fields_must_be_tuple_and_frozenset(dims, points, message):
         PointSet(n=2, dims=dims, points=points)
 
 
+@pytest.mark.parametrize("point", [range(1, 3), 7, "12", frozenset({1, 2})])
+def test_point_set_points_must_be_tuples(point):
+    """A point that is not a tuple, even one whose items are in range,
+    would later break ``repr`` and the cell lookups by value."""
+    with pytest.raises(InputError, match="is not a tuple"):
+        PointSet(n=2, dims=(1, 2), points=frozenset({point, (1, 1)}))
+
+
+def test_own_cells_index_the_stored_point_objects():
+    X = canonicalize([(2, 1), (1, 1), (1, 2)])
+    index = cell_table(X.dims)[1]
+    entries = X.own_cells
+    assert len(entries) == X.size
+    for p in X.points:
+        stored, k = entries[id(p)]
+        assert stored is p and k == index[p]
+
+
 def test_point_set_repr_lists_sorted_points():
     X = canonicalize([(2, 1), (1, 1), (1, 2)])
     assert repr(X) == "PointSet(n=2, dims=(2, 2), points=[(1, 1),(1, 2),(2, 1)])"

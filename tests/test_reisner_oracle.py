@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -27,7 +28,7 @@ from acmpts.reisner_oracle import (
     link,
     sr_complex,
 )
-from conftest import grid_configurations, subset_configurations
+from conftest import cube_sample, grid_configurations, subset_configurations
 from ideal_reference import configuration_ideal
 
 
@@ -425,6 +426,129 @@ def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(monkeypatch, 
         tuple(bit[var(i, j)] for j in range(1, r + 1)) for i, r in enumerate(dims, start=1)
     )
     assert seen == ([expected] if sum(dims) - len(dims) >= 2 else [])
+
+
+def test_walk_on_sets_of_26_points_sizes_few_full_grids(monkeypatch):
+    """With one hole in 3x3x3, removing a level through it leaves a full
+    grid.  The walk recognises most of those from point counts before
+    sizing them (81 of the 1539 boxes it sizes on these 27 sets are full
+    grids, against 3078 of 4536 without that test), and the exact check
+    keeps every full grid off the heap."""
+    sized, popped = [], []
+    smallest_box, pop = reisner_oracle._smallest_box, reisner_oracle.heappop
+
+    def sizing(inside, bits, slab):
+        box = smallest_box(inside, bits, slab)
+        sized.append((inside, box[1]))
+        return box
+
+    def popping(heap):
+        entry = pop(heap)
+        popped.append(entry[2])
+        return entry
+
+    monkeypatch.setattr(reisner_oracle, "_smallest_box", sizing)
+    monkeypatch.setattr(reisner_oracle, "heappop", popping)
+    cells = sorted(itertools.product((1, 2, 3), repeat=3))
+    for hole in cells:
+        first_cm_failure(canonicalize([c for c in cells if c != hole]))
+    full = [inside for inside, volume in sized if inside.bit_count() == volume]
+    assert sized and 10 * len(full) < len(sized)
+    volume = dict(sized)
+    assert popped and all(inside.bit_count() != volume[inside] for inside in popped)
+
+
+def boxes_to_reduce(X):
+    """Each X n B, B a box of the grid, whose link the scan must reduce:
+    B is the smallest box around it (else a cone), it is not all of B
+    (else a sphere), and B has at least n + 2 levels (else a link of
+    dimension <= 0) and is not the whole grid; found by trying every box."""
+    choices = [
+        [levels for k in range(1, r + 1) for levels in itertools.combinations(range(1, r + 1), k)]
+        for r in X.dims
+    ]
+    found = set()
+    for box in itertools.product(*choices):
+        size, cells = sum(map(len, box)), math.prod(map(len, box))
+        inside = frozenset(p for p in X.points if all(c in A for c, A in zip(p, box)))
+        spans = all({p[i] for p in inside} == set(A) for i, A in enumerate(box))
+        if spans and len(inside) < cells and X.n + 2 <= size < sum(X.dims):
+            found.add(inside)
+    return found
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        lambda: [
+            canonicalize([c for c in itertools.product((1, 2, 3), repeat=3) if c != hole])
+            for hole in itertools.product((1, 2, 3), repeat=3)
+        ],
+        lambda: cube_sample(42),
+    ],
+    ids=["26-of-3x3x3", "seed-42"],
+)
+def test_walk_yields_every_box_to_reduce_on_cm_sets(monkeypatch, configs):
+    """On a CM set the scan runs to the end, so the walk must yield each
+    box that is neither a cone nor a sphere exactly once, however many
+    full grids it skips."""
+    walks = []
+    links = reisner_oracle._links_to_reduce
+
+    def walk(bits, points):
+        boxes = [inside for _, inside in links(bits, points)]
+        walks.append([frozenset(points[k] for k in reisner_oracle._bits(i)) for i in boxes])
+        return iter(())
+
+    cm_sets = [X for X in configs() if is_cm(X) and sum(X.dims) - X.n >= 2]
+    monkeypatch.setattr(reisner_oracle, "_links_to_reduce", walk)
+    for X in cm_sets:
+        walks.clear()
+        assert first_cm_failure(X) is None
+        assert len(walks) == 1 and len(set(walks[0])) == len(walks[0])
+        assert set(walks[0]) == boxes_to_reduce(X), X
+    assert len(cm_sets) >= 20
+
+
+WALK_DIGESTS = {
+    "2x2x3+3x3": "57ff8090f71f8b0ccaf48c561e73d01b4dc28c7abebe2fcd6855227870e4093a",
+    "3x3x2/41": "1e63ab57725ae7f3663047a5ef25a9335906e20f19faf0b3b32399ad3d354963",
+    "2x2x2x2/7": "627dd786c7295a8a41a782dc895fef6506a1c03d659bd4e811dd02d051ab95ce",
+    "seeds 42, 7": "d1061f1d22f130d385792c60fdecd94ed4769d2d45140a5e035d282c2b5e68d7",
+}
+
+
+@pytest.mark.parametrize(
+    "name, configs",
+    [
+        ("2x2x3+3x3", lambda: subset_configurations((2, 2, 3), (3, 3))),
+        ("3x3x2/41", lambda: subset_configurations((3, 3, 2), step=41)),
+        ("2x2x2x2/7", lambda: subset_configurations((2, 2, 2, 2), step=7)),
+        ("seeds 42, 7", lambda: cube_sample(42) + cube_sample(7)),
+    ],
+    ids=list(WALK_DIGESTS),
+)
+def test_first_cm_failure_is_pinned(name, configs):
+    """A digest of ``first_cm_failure`` (face as a sorted list) over every
+    subset of 2x2x3 and 3x3, every 41st of 3x3x2, every 7th of 2x2x2x2
+    and the two seeded 3x3x3 benchmark samples, recorded before the walk
+    learned to skip full grids unsized."""
+    digest = hashlib.sha256()
+    for X in configs():
+        failure = first_cm_failure(X)
+        digest.update(repr(failure and (sorted(failure[0]), *failure[1:])).encode())
+    assert digest.hexdigest() == WALK_DIGESTS[name]
+
+
+def test_seven_diagonal_points_of_7x7x7_are_decided_by_the_matching():
+    """Seven points on the diagonal of 7x7x7: 21 vertex positions, within
+    the matching's bound, so the face bitset of 2^21 bits answers where
+    the exact route would enumerate about 7 * 2^18 faces."""
+    X = canonicalize([(k, k, k) for k in range(1, 8)])
+    assert reisner_oracle.MATCHING_BOUND >= 21
+    start = time.perf_counter()
+    assert first_cm_failure(X) == (frozenset(), 5, 1)
+    assert time.perf_counter() - start < 10
 
 
 def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from acmpts import (
     canonicalize,
+    grid_model,
     check_star,
     combinatorial_box,
     delta_table,
@@ -22,10 +23,10 @@ from acmpts.errors import (
     InternalInvariantViolation,
     PathPreconditionFailed,
 )
-from acmpts.grid_model import PointSet, grid_cells
+from acmpts.grid_model import PointSet, cell_table, grid_cells, is_point
 from acmpts.reisner_oracle import first_cm_failure
 from acmpts.star_property import TYPE_I, TYPE_II, Witness
-from conftest import STAR_BLIND_EIGHT, grid_configurations, subset_configurations
+from conftest import STAR_BLIND_EIGHT, cube_sample, grid_configurations, subset_configurations
 
 
 def test_hamming_distance():
@@ -388,6 +389,94 @@ def test_find_path_takes_the_least_step_order(grid, step):
     assert pairs > 1000
 
 
+def greedy_chain(X, P, Q):
+    """The greedy walk of ``find_path`` on points looked up by value: from
+    P, the least remaining step (Q_i - P_i) * stride_i of the cell index
+    whose cell lies in X."""
+    cells, index, strides = cell_table(X.dims)
+    steps = sorted((q - p) * stride for p, q, stride in zip(P, Q, strides) if p != q)
+    at, chain = index[P], [P]
+    while steps:
+        step = next(step for step in steps if cells[at + step] in X.points)
+        steps.remove(step)
+        at += step
+        chain.append(cells[at])
+    return chain
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        lambda: subset_configurations((2, 2, 2), (2, 2, 3)),
+        lambda: cube_sample(42),
+    ],
+    ids=["2x2x2+2x2x3", "seed-42-sample"],
+)
+def test_find_path_on_own_points_and_on_copies_is_the_greedy_walk(configs):
+    """Endpoints taken from X take the identity path, equal copies the
+    full check; both give the greedy walk's chain on every pair of every
+    ACM configuration."""
+    pairs = 0
+    for X in configs():
+        if not is_acm(X):
+            continue
+        for P, Q in itertools.product(X.sorted_points(), repeat=2):
+            chain = find_path(X, P, Q, X.n)
+            assert chain == greedy_chain(X, P, Q), (X, P, Q)
+            P2, Q2 = tuple(list(P)), tuple(list(Q))
+            assert P2 is not P and Q2 is not Q
+            assert find_path(X, P2, Q2, X.n) == chain
+            pairs += 1
+    assert pairs > 10000
+
+
+@pytest.mark.parametrize(
+    "bad", [(True, 1, 1), (1, True, 1), [1, 1, 1], (1.0, 1, 1), (1, 1), (1, 1, 1, 1)]
+)
+def test_find_path_checks_endpoints_equal_to_points_of_x(eleven_points, bad):
+    """An endpoint equal or nearly equal to a point of X, but not that
+    point's own object, is checked in full, also after find_path has
+    indexed X's points."""
+    P = next(p for p in eleven_points.points if p == (1, 1, 1))
+    assert find_path(eleven_points, P, P, 3) == [P]
+    for ends in ((bad, P), (P, bad)):
+        with pytest.raises(PathPreconditionFailed, match="endpoint"):
+            find_path(eleven_points, *ends, 3)
+
+
+def test_find_path_checks_an_endpoint_whose_id_has_a_stale_entry(eleven_points):
+    """An entry of ``own_cells`` is trusted only for the very object it
+    holds.  Unpickling carries the dict over with the old ids as keys,
+    which later objects may reuse; here an invalid endpoint is given such
+    a key by hand."""
+    X = eleven_points
+    P = next(p for p in X.points if p == (1, 1, 1))
+    bad = (True, 1, 1)
+    X.__dict__["own_cells"] = {**X.own_cells, id(bad): X.own_cells[id(P)]}
+    assert find_path(X, P, P, 3) == [P]
+    with pytest.raises(PathPreconditionFailed, match="endpoint"):
+        find_path(X, bad, P, 3)
+
+
+def test_find_path_on_points_of_x_checks_no_coordinates(monkeypatch, eleven_points):
+    """The points of a PointSet were checked when it was built, so
+    endpoints that are those very tuples are not checked again; a copy is."""
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return is_point(u)
+
+    monkeypatch.setattr(star_property, "is_point", counting)
+    monkeypatch.setattr(grid_model, "is_point", counting)
+    points = eleven_points.sorted_points()
+    for P, Q in itertools.product(points, repeat=2):
+        find_path(eleven_points, P, Q, 3)
+    assert calls == []
+    find_path(eleven_points, tuple(list(points[0])), points[-1], 3)
+    assert calls
+
+
 def test_star_accepts_non_cm_configuration_on_2x2x2x2(star_blind_eight):
     """The one known case where the star criterion and the Reisner oracle
     disagree, pinned route by route.  No star witness exists at any level
@@ -462,6 +551,25 @@ def test_find_path_checks_star_once_per_level(eleven_points, star_calls):
                 chains += 1
     assert chains > 100
     assert star_calls == [(eleven_points, 2), (eleven_points, 3)]
+
+
+def test_find_path_reads_the_star_memo_once_per_level(monkeypatch, eleven_points):
+    """The verdict read for a level is kept on the configuration, so the
+    chain queries after the first do not look it up in the memo again."""
+    calls = []
+    star_holds = star_property._star_holds
+
+    def counting(X, s):
+        calls.append(s)
+        return star_holds(X, s)
+
+    monkeypatch.setattr(star_property, "_star_holds", counting)
+    for s in (2, 3):
+        for P, Q in itertools.product(eleven_points.sorted_points(), repeat=2):
+            if hamming_distance(P, Q) <= s:
+                find_path(eleven_points, P, Q, s)
+    assert calls == [2, 3]
+    assert eleven_points.star_levels == {2: True, 3: True}
 
 
 def test_is_acm_and_find_path_share_one_check_star(eleven_points, star_calls):

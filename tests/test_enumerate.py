@@ -22,6 +22,7 @@ from acmpts.level_structure import inclusion_property
 from acmpts.reisner_oracle import is_cm
 from acmpts.star_property import is_acm
 from conftest import STAR_BLIND_EIGHT
+from structure_reference import cross_check_failures
 
 
 def grid_cells(dims):
@@ -173,17 +174,22 @@ def test_verdicts_invariant_under_relabel(dims, direction_perms):
             assert verdicts[Y] == (size, star, cm, incl)
 
 
-def test_exhaustive_2x2x2x2_disagrees_on_star_blind_orbit(tmp_path, capsys):
-    """Every subset of 2x2x2x2.  The star criterion still accepts the 24
-    relabelings of the star-blind eight points, which are not
-    Cohen-Macaulay; every other subset agrees."""
+def blind_orbit():
+    """The masks on 2x2x2x2 of the 24 relabelings of the star-blind eight points."""
     cells = grid_cells((2, 2, 2, 2))
     X = canonicalize(STAR_BLIND_EIGHT)
-    orbit = {
+    return {
         bitmask(cells, relabel(X, dperm, lperms).points)
         for dperm in itertools.permutations(range(1, 5))
         for lperms in itertools.product([(1, 2), (2, 1)], repeat=4)
     }
+
+
+def test_exhaustive_2x2x2x2_disagrees_on_star_blind_orbit(tmp_path, capsys):
+    """Every subset of 2x2x2x2.  The star criterion still accepts the 24
+    relabelings of the star-blind eight points, which are not
+    Cohen-Macaulay; every other subset agrees."""
+    orbit = blind_orbit()
     assert len(orbit) == 24
     code, rows, stdout = run_enumerate(tmp_path, capsys, ["--grid", "2,2,2,2"])
     assert code == 1
@@ -194,6 +200,53 @@ def test_exhaustive_2x2x2x2_disagrees_on_star_blind_orbit(tmp_path, capsys):
     failing = {int(line.split()[1].removeprefix("id=").rstrip(":")) for line in stdout[1:]}
     assert failing == orbit
     assert all(line.startswith("FAIL id=") for line in stdout[1:])
+
+
+def test_exhaustive_2x2x2x2_report_is_pinned(tmp_path, capsys):
+    """The one tier-1 report where the structure checks fire: every FAIL
+    line in order, 24 star/Reisner mismatches and 192 interface
+    failures, all on the star-blind orbit, and the CSV bytes."""
+    out = tmp_path / "report.csv"
+    assert main(["enumerate", "--grid", "2,2,2,2", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out.splitlines()
+    interfaces = [f"interface of level {j} direction {i} not ACM"
+                  for i in range(1, 5) for j in (1, 2)]
+    expected = [
+        f"FAIL id={mask}: {problem}"
+        for mask in sorted(blind_orbit())
+        for problem in ["star=True but reisner=False", *interfaces]
+    ]
+    assert len(expected) == 216
+    assert stdout == [
+        "grid 2x2x2x2: 65535 configurations, 5553 ACM, star/reisner agreement 65511/65535",
+        *expected,
+    ]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6d54940e49785ea9a6ed4472f7124c3d2b131eb6cb0c3d019ae0182b37cf6be5")
+
+
+def test_random_2x2x2x2_fail_lines_match_direct_cross_checks(tmp_path, capsys):
+    """A sample that draws two star-blind members (draws 156 and 609), so
+    the structure checks run on submasks the sample never visits.  The
+    rows and every FAIL line, in draw order, match a per-draw loop over
+    the direct cross-checks of ``structure_reference``."""
+    dims, cells = (2, 2, 2, 2), grid_cells((2, 2, 2, 2))
+    masks = random_masks(dims, 700, 279)
+    blind = blind_orbit()
+    assert [k for k, mask in enumerate(masks) if mask in blind] == [156, 609]
+    code, rows, stdout = run_enumerate(
+        tmp_path, capsys, ["--grid", "2,2,2,2", "--random", "700", "--seed", "279"])
+    expected_rows, summary = reference_report(dims, masks)
+    failures = functools.cache(cross_check_failures)
+    expected = [
+        f"FAIL id={mask}: {problem}"
+        for mask in masks
+        for problem in failures(canonicalize(subset(cells, mask)))
+    ]
+    assert len(expected) == 18
+    assert code == 1
+    assert rows == expected_rows
+    assert stdout == [summary, *expected]
 
 
 def test_exhaustive_3x3x2_agrees(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Command-line front end and the enumeration cross-validation harness.
+"""Command-line front end.
 
 Configuration files are minimal JSON: ``{"n": 3, "points": [[1,1,1], ...]}``
 with 1-based integer levels and an optional parallel ``"labels"`` list.
@@ -6,37 +6,24 @@ Exit codes: 0 success, 1 harness assertion failure, 2 input error, 141
 when stdout is closed before the output is written (128 + SIGPIPE); a
 negative verdict never changes the exit code.
 
-``enumerate`` evaluates one subset per orbit of the grid's symmetry group
-(level permutations in every direction times permutations of directions
-of equal length) and copies the verdicts to the other members.  This is
-exact: a symmetry maps a subset to a subset whose canonical form is a
-``relabel`` of the original's, and the star verdict and the Reisner
-verdict are invariant under ``relabel``, while the inclusion verdict
-moves with its direction.  The cross-checks are invariant in the same
-way, so either no member of an orbit fails one or every member does;
-members of a failing orbit are evaluated one by one, since FAIL lines
-name member-specific ids, level masks and directions.  The report is
-therefore the one a per-subset loop would write.  The group is built
-only when it has no more elements than there are subsets to visit, and
-is the identity otherwise.
+``enumerate`` is the cross-validation harness of ``acmpts.enumeration``:
+this module parses its options, draws ``--random`` samples, and prints
+the summary and the FAIL lines.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
-import math
 import os
 import random
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from operator import or_
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .constructions import (
     DirectionForm,
@@ -47,10 +34,12 @@ from .constructions import (
     verify_layer_hf,
 )
 from .errors import InputError
-from .grid_model import GridPoint, PointSet, canonicalize, cell_table, grid_cells, is_int
+from .grid_model import GridPoint, PointSet, canonicalize, grid_cells, is_int
 from .hilbert_function import HilbertTable, delta_table, hilbert_table
-from .level_structure import inclusion_property, interface_set, level_sets
-from .reisner_oracle import first_cm_failure, is_cm
+from .level_structure import inclusion_property, level_sets
+# perfbench's tests patch ``cli.is_cm``; ``enumerate`` decides sets through
+# its verdict table, so the patch no longer reaches the sweep.
+from .reisner_oracle import first_cm_failure, is_cm  # noqa: F401
 from .star_property import check_star, find_path, is_acm
 
 
@@ -329,96 +318,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _structure_failures(X: PointSet) -> list[str]:
-    """Consequence checks for an ACM configuration: proper unions of its
-    levels and interface sets must all be ACM.  Single levels and level
-    complements are such unions, so each of them is checked once."""
-    problems = []
-    for i in range(1, X.n + 1):
-        parts = [sorted(part) for _, part in level_sets(X, i).levels]
-        t = len(parts)
-        for mask in range(1, (1 << t) - 1):
-            union = [p for k in range(t) if mask >> k & 1 for p in parts[k]]
-            if not is_acm(canonicalize(union)):
-                problems.append(f"union of levels mask={mask} direction={i} not ACM")
-        if t >= 2:
-            for j in range(1, t + 1):
-                iface = interface_set(X, i, j)
-                if iface.size and not is_acm(iface):
-                    problems.append(f"interface of level {j} direction {i} not ACM")
-    return problems
-
-
-class _Verdicts(NamedTuple):
-    """What one CSV row reports about a configuration, besides size and agreement."""
-
-    star_acm: bool
-    reisner_cm: bool
-    inclusion: tuple[bool, ...]
-
-    def permuted(self, dperm: tuple[int, ...]) -> "_Verdicts":
-        """The verdicts of the image under a symmetry whose new direction
-        ``k`` is old direction ``dperm[k]`` (0-based).  One direction has
-        no inclusion verdict to move."""
-        if not self.inclusion:
-            return self
-        return self._replace(inclusion=tuple(self.inclusion[d] for d in dperm))
-
-
-def _evaluate(X: PointSet) -> tuple[_Verdicts, list[str]]:
-    """Every verdict and cross-check of ``enumerate`` for one configuration."""
-    star = is_acm(X)
-    cm = is_cm(X)
-    incl = tuple(inclusion_property(X, i) for i in range(1, X.n + 1)) if X.n >= 2 else ()
-    problems = []
-    if star != cm:
-        problems.append(f"star={star} but reisner={cm}")
-    if star and X.n >= 2:  # one direction: every union and interface is ACM
-        problems.extend(_structure_failures(X))
-    if not star and any(incl):
-        problems.append("inclusion holds but configuration is not ACM")
-    return _Verdicts(star, cm, incl), problems
-
-
-def _grid_symmetries(
-    dims: tuple[int, ...], limit: int
-) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The grid's symmetry group as (direction permutation, cell permutation)
-    pairs, or only the identity when the group has more than ``limit``
-    elements.
-
-    The group permutes the levels of every direction and the directions of
-    equal length.  In a pair, new direction ``k`` is old direction
-    ``dperm[k]`` (0-based, as in ``relabel``), and cell ``b`` of
-    ``grid_cells(dims)`` goes to cell ``perm[b]``.
-    """
-    n = len(dims)
-    order = math.prod(math.factorial(r) for r in dims) * math.prod(
-        math.factorial(c) for c in Counter(dims).values()
-    )
-    if order > limit:
-        return [(tuple(range(n)), list(range(math.prod(dims))))]
-    cells, index, _ = cell_table(dims)
-    return [
-        (dperm, [index[tuple(lperms[d][cell[d] - 1] for d in dperm)] for cell in cells])
-        for dperm in itertools.permutations(range(n))
-        if all(dims[d] == r for d, r in zip(dperm, dims))
-        for lperms in itertools.product(*[itertools.permutations(range(1, r + 1)) for r in dims])
-    ]
-
-
-def _orbit_images(mask: int, bit_images: list[list[int]]) -> list[int]:
-    """``g(mask)`` for every group element ``g``, in group order, where
-    ``bit_images[b][g]`` is ``g`` applied to cell ``b``, as a bit."""
-    images = [0] * len(bit_images[0])
-    while mask:
-        low = mask & -mask
-        images = list(map(or_, images, bit_images[low.bit_length() - 1]))
-        mask ^= low
-    return images
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    # Only this command needs the harness: importing it here keeps it out
+    # of every other command, and of every import of this module.
+    from .enumeration import write_report
+
     dims = _parse_int_list(args.grid, "grid")
     if any(r < 1 for r in dims):
         raise InputError("grid entries must be positive")
@@ -431,7 +335,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise InputError("--seed needs --random")
         if ncells > 27:
             raise InputError(f"exhaustive run over {ncells} cells exceeds the 27-cell cap")
-        masks = targets = range(1, 1 << ncells)
+        masks = range(1, 1 << ncells)
     else:
         if count < 1:
             raise InputError(f"--random {count}: need at least one configuration")
@@ -442,42 +346,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             sum(1 << b for b in rng.sample(range(ncells), rng.randint(1, ncells)))
             for _ in range(count)
         ]
-        # Images that are never visited are not recorded, so the table
-        # stays within the sample's size.
-        targets = set(masks)
 
-    grid_txt = "x".join(map(str, dims))
-    failures: list[str] = []
-    acm_count = agree_count = 0
     with _open_output(args.out, newline="") as fh:
-        symmetries = _grid_symmetries(dims, len(masks))
-        dperms = [dperm for dperm, _ in symmetries]
-        distinct_dperms = set(dperms)
-        bit_images = [[1 << perm[b] for _, perm in symmetries] for b in range(ncells)]
-        # Verdicts of masks still to visit whose orbit is decided.
-        known: dict[int, _Verdicts] = {}
-        writer = csv.writer(fh)
-        writer.writerow(["grid", "id", "size", "star_acm", "reisner_cm", "inclusion", "agree"])
-        for mask in masks:
-            verdicts = known.pop(mask, None)
-            if verdicts is None:
-                X = canonicalize([cells[b] for b in range(ncells) if mask >> b & 1])
-                verdicts, problems = _evaluate(X)
-                failures.extend(f"id={mask}: {problem}" for problem in problems)
-                if not problems:
-                    moved = {dperm: verdicts.permuted(dperm) for dperm in distinct_dperms}
-                    for image, dperm in zip(_orbit_images(mask, bit_images), dperms):
-                        if image != mask and image in targets:
-                            known[image] = moved[dperm]
-            agree = verdicts.star_acm == verdicts.reisner_cm
-            agree_count += agree
-            acm_count += verdicts.star_acm
-            writer.writerow([
-                grid_txt, mask, mask.bit_count(), _fmt_bool(verdicts.star_acm),
-                _fmt_bool(verdicts.reisner_cm), ";".join(map(_fmt_bool, verdicts.inclusion)),
-                _fmt_bool(agree),
-            ])
-
+        acm_count, agree_count, failures = write_report(dims, masks, count is None, fh)
+    grid_txt = "x".join(map(str, dims))
     print(
         f"grid {grid_txt}: {len(masks)} configurations, {acm_count} ACM, "
         f"star/reisner agreement {agree_count}/{len(masks)}"

@@ -174,9 +174,15 @@ def canonicalize(raw: Iterable[Sequence[int]]) -> PointSet:
         {v: k + 1 for k, v in enumerate(sorted({p[i] for p in tuples}))}
         for i in range(n)
     ]
-    points = frozenset(tuple(maps[i][p[i]] for i in range(n)) for p in tuples)
-    dims = tuple(len(m) for m in maps)
-    return PointSet(n=n, dims=dims, points=points)
+    # Canonical by construction, from coordinates checked above: a direct
+    # PointSet(...) would check every coordinate, range and level again.
+    X = object.__new__(PointSet)
+    X.__dict__.update(
+        n=n,
+        dims=tuple(len(m) for m in maps),
+        points=frozenset(tuple(maps[i][p[i]] for i in range(n)) for p in tuples),
+    )
+    return X
 
 
 def project(X: PointSet, i: int) -> PointSet:

@@ -35,8 +35,9 @@ unreduced.
 
 So ``cm_obstruction`` first reduces the empty face, whose link is the
 whole complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405
-sets fail there), and then walks only the boxes that are neither cones
-nor spheres, generated from X (``_links_to_reduce``).  A box B that is
+sets fail there; ``empty_face_failure`` is this step alone), and then
+walks only the boxes that are neither cones nor spheres, generated from
+X (``_links_to_reduce``).  A box B that is
 not a cone is the smallest box around Y = X n B, so Y determines it: the
 walk holds one box per such Y, never more boxes than the complex has
 faces, and every test on a box is bit operations on masks of X's points.
@@ -573,6 +574,44 @@ def _links_to_reduce(
                 heappush(heap, (-kept_b.bit_count(), kept_b, smaller, volume_b))
 
 
+def _grid_facets(
+    X: PointSet,
+) -> tuple[tuple[tuple[int, ...], ...], list[GridPoint], list[int]]:
+    """The configuration's complex as masks: the bit of a[i,j] as
+    ``bits[i - 1][j - 1]``, the points in sorted order, and each point's
+    facet mask, in that order."""
+    if not X.points:
+        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
+    total = sum(X.dims)
+    bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
+    bits = tuple(tuple(islice(bit, r)) for r in X.dims)
+    full = (1 << total) - 1
+    points = X.sorted_points()
+    return bits, points, [full ^ sum(b[c - 1] for b, c in zip(bits, p)) for p in points]
+
+
+def _failure(facets: Sequence[int]) -> tuple[int, int] | None:
+    """The lowest degree below the top where the complex with these facet
+    masks has reduced homology, and its rank, from its class's memo."""
+    return _low_degree(_class_betti(_renumbered(facets)))
+
+
+def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
+    """Reisner's condition on the empty face alone: the lowest degree below
+    the top where the whole complex has reduced homology, and its rank,
+    or None.  It is the first face ``cm_obstruction`` scans.
+
+    The link of a face through a vertex v is a link in the link of v, so
+    by Reisner's criterion the complex is Cohen-Macaulay exactly when
+    this is None and every vertex link is Cohen-Macaulay (Bruns and
+    Herzog, *Cohen-Macaulay Rings*, ch. 5).  The link of a[i,j] is the
+    complex of X without its level j in direction i, coned over the
+    variables of the levels that removal empties, and a cone is
+    Cohen-Macaulay exactly when its base is.  So ``acmpts enumerate``
+    decides a set from those sub-configurations and this one call."""
+    return _failure(_grid_facets(X)[2])
+
+
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     """First face of the configuration's complex whose link has
     nonvanishing homology below its dimension.
@@ -582,22 +621,16 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     (face, homology degree, rank) or None when the complex satisfies
     Reisner's criterion.
     """
-    if not X.points:
-        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    total = sum(X.dims)
-    if total - X.n < 2:
+    bits, points, facets = _grid_facets(X)
+    if sum(X.dims) - X.n < 2:
         return None  # facets of at most one vertex: every link has dimension <= 0
-    bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
-    bits = tuple(tuple(islice(bit, r)) for r in X.dims)
-    full = (1 << total) - 1
-    points = X.sorted_points()
-    facets = [full ^ sum(b[c - 1] for b, c in zip(bits, p)) for p in points]
-    failure = _low_degree(_class_betti(_renumbered(facets)))
+    failure = _failure(facets)
     if failure:
         return (frozenset(), *failure)
     for kept, inside in _links_to_reduce(bits, points):
-        failure = _low_degree(_class_betti(_renumbered([facets[k] & kept for k in _bits(inside)])))
+        failure = _failure([facets[k] & kept for k in _bits(inside)])
         if failure:
+            full = (1 << sum(X.dims)) - 1
             return (_vertex_set(grid_variables(X.dims), full ^ kept), *failure)
     return None
 

@@ -11,11 +11,16 @@ import csv
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from acmpts import cli, relabel
+import acmpts
+from acmpts import enumeration, relabel
 from acmpts.cli import main
 from acmpts.grid_model import canonicalize
 from acmpts.level_structure import inclusion_property
@@ -258,6 +263,34 @@ def test_exhaustive_3x3x2_agrees(tmp_path, capsys):
     assert all(row[6] == "true" for row in rows)
 
 
+def test_exhaustive_3x3x2_table_stays_small():
+    """The verdict table holds one byte per mask (256 KB on 3x3x2).  A
+    fresh process reports its peak resident memory after importing the
+    package and after ``enumerate --grid 3,3,2``: the run adds about
+    0.7 MB on Linux, where a dict of decided masks added about 22 MB
+    (38.3 MB peak).  Linux counts the peak of the image a process forked
+    from in its ``ru_maxrss``, so the measured process is started from a
+    small intermediate one, not from the test process."""
+    script = (
+        "import os, resource\n"
+        "from acmpts.cli import main\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main(['enumerate', '--grid', '3,3,2', '--out', os.devnull])\n"
+        "print(code, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    launch = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(acmpts.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", launch, script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("star/reisner agreement 262143/262143")
+    code, base, peak = map(int, lines[-1].split())
+    kib = 1024 if sys.platform == "darwin" else 1  # ru_maxrss is in bytes there
+    assert code == 0
+    assert (peak - base) // kib < 4 * 1024, (base, peak)
+
+
 @pytest.mark.parametrize(
     "argv, masks, order",
     [
@@ -278,17 +311,8 @@ def test_group_is_built_only_when_smaller_than_mask_count(tmp_path, capsys, monk
         built.append((limit, len(elements)))
         return elements
 
-    grid_symmetries = cli._grid_symmetries
-    monkeypatch.setattr(cli, "_grid_symmetries", counting)
-    # The subsets of a line with k points share one canonical form, whose
-    # Reisner complex is a simplex boundary: one reduction per face size,
-    # but still 2^k faces to scan.  The 4095 subsets of the 12-level line
-    # take about 5 s without a memo and under 1 s with one, so the memo
-    # stays to keep the suite fast.  (One direction has no level unions to
-    # check.)  Both memoized functions depend on the configuration only,
-    # so a memo changes no output.
-    monkeypatch.setattr(cli, "is_cm", functools.cache(is_cm))
-    monkeypatch.setattr(cli, "_structure_failures", functools.cache(cli._structure_failures))
+    grid_symmetries = enumeration._grid_symmetries
+    monkeypatch.setattr(enumeration, "_grid_symmetries", counting)
     code, rows, stdout = run_enumerate(tmp_path, capsys, argv)
     assert code == 0
     assert built == [(masks, order)]

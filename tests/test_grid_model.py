@@ -1,7 +1,11 @@
+import itertools
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 
-from acmpts import canonicalize, project, relabel
+from acmpts import canonicalize, grid_model, project, relabel
 from acmpts.errors import (
     BadDirection,
     BadPermutation,
@@ -228,6 +232,52 @@ def test_cell_mask_sets_the_bit_of_each_point_in_cell_table_order():
         cells = cell_table(X.dims)[0]
         assert X.cell_mask == sum(1 << k for k, c in enumerate(cells) if c in X.points)
     assert PointSet.empty(3).cell_mask == 0
+
+
+def test_cell_mask_and_own_cells_are_computed_once_per_point_set(monkeypatch):
+    table = grid_model.cell_table
+    calls = []
+
+    def counted(dims):
+        calls.append(dims)
+        return table(dims)
+
+    monkeypatch.setattr(grid_model, "cell_table", counted)
+    for X in cube_sample(42, 27):
+        index = table(X.dims)[1]
+        for Y in (X, PointSet(X.n, X.dims, X.points)):
+            calls.clear()
+            mask, own = Y.cell_mask, Y.own_cells
+            assert Y.cell_mask is mask and Y.own_cells is own
+            assert calls == [X.dims, X.dims]
+            assert mask == sum(1 << index[p] for p in Y.points)
+            assert own == {id(p): (p, index[p]) for p in Y.points}
+
+
+def test_first_reads_race_to_one_value():
+    # Threads read both values of fresh PointSets at once; each read must
+    # give the value, whichever thread's result is kept.
+    X = canonicalize(itertools.product((1, 2, 3), repeat=3))
+    fresh = [PointSet(X.n, X.dims, X.points) for _ in range(200)]
+    wrong = []
+
+    def reader():
+        for Y in fresh:
+            if Y.cell_mask != X.cell_mask or Y.own_cells.keys() != X.own_cells.keys():
+                wrong.append(Y)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_canonicalize_output_passes_the_checked_constructor():

@@ -12,6 +12,7 @@ from acmpts import (
     evaluation_rank,
     hilbert_function,
     hilbert_table,
+    linalg,
     relabel,
 )
 from acmpts.constructions import _layer_pieces, verify_layer_hf
@@ -297,6 +298,37 @@ def test_ranker_matches_evaluation_rank_on_random_raw_nodes(n):
     for _ in range(60):
         box = [rng.randint(0, 4) for _ in range(n)]
         assert_box_values_match_evaluation_rank(random_raw_points(rng, n), box)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_walk_widens_on_newton_entries_above_2_to_the_32(monkeypatch, n):
+    # Nodes spread over -10^6..10^6, so negative and far apart: the Newton
+    # entries outgrow the first 32-bit fields and the walk is packed wider.
+    rng = random.Random(1710 + n)
+    widths = []
+    pack = linalg.pack
+
+    def recording(vectors, width):
+        packed = pack(vectors, width)
+        widths.append(width)
+        return packed
+
+    for _ in range(12):
+        nodes = [rng.sample(range(-(10**6), 10**6), rng.randint(2, 3)) for _ in range(n)]
+        cells = list(itertools.product(*nodes))
+        points = rng.sample(cells, rng.randint(n + 2, min(len(cells), 12)))
+        box = [rng.randint(1, 2) for _ in range(n)]
+        pts = sorted(set(points))
+        capped = [sorted({p[i] for p in pts})[:cap] for i, cap in enumerate(box)]
+        assert max(map(max, hilbert_function._newton_columns(pts, capped))) > 1 << 32
+        hilbert_function._walk.cache_clear()
+        widths.clear()
+        monkeypatch.setattr(linalg, "pack", recording)
+        values = hilbert_function._box_values(points, box)
+        monkeypatch.setattr(linalg, "pack", pack)
+        assert min(widths) > linalg.WIDTH
+        for t, value in zip(hilbert_function.box_degrees(box), values, strict=True):
+            assert value == evaluation_rank(points, t), (points, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acmpts import canonicalize, hilbert_function, reisner_oracle
+from acmpts import canonicalize, hilbert_function, linalg, reisner_oracle
 from acmpts.linalg import echelon_insert, rank_int
 
 
@@ -87,31 +87,99 @@ def test_matches_fraction_elimination(m):
     assert rank_int(m) == reference_rank(m)
 
 
+def fields(x, width, n):
+    """The n balanced W-bit fields of a packed vector, lowest first: each
+    is the balanced residue of what is left once the fields below it are
+    taken off."""
+    half, out = 1 << (width - 1), []
+    for _ in range(n):
+        out.append((x + half) % (1 << width) - half)
+        x = (x - out[-1]) >> width
+    assert x == 0
+    return out
+
+
 def test_echelon_insert_keeps_its_contract():
     # Each insert leaves its argument and the earlier basis untouched,
-    # appends at most one vector, pivoted at its first nonzero entry and
-    # at an index that is no earlier vector's pivot, and the basis size
-    # is the rank so far.
+    # appends at most one vector, pivoted at its first nonzero field and
+    # at an index that is no earlier vector's pivot, stored with its pivot
+    # field and a bound on its field magnitudes, and the basis size is the
+    # rank so far.
     rng = random.Random(1601)
     for _ in range(300):
         cols = rng.randint(0, 6)
-        basis, rows = {}, []
+        basis, rows = linalg.Basis(linalg.WIDTH), []
         for _ in range(rng.randint(1, 8)):
             v = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)]
             if rows and rng.random() < 0.3:  # a combination of earlier rows
                 u, w = rng.choice(rows), rng.choice(rows)
                 v = [2 * a - 3 * b for a, b in zip(u, w)]
             rows.append(v)
-            before = [(p, list(b)) for p, b in basis.items()]
-            v_before = list(v)
-            added = echelon_insert(basis, v)
-            assert v == v_before
-            assert [(p, list(b)) for p, b in basis.items()][: len(before)] == before
+            before = [(p, fields(b[0], basis.width, cols)) for p, b in basis.items()]
+            [packed] = linalg.pack([v], basis.width)
+            assert fields(packed[0], basis.width, cols) == v
+            assert packed[1] == max(map(abs, v), default=0)
+            added = echelon_insert(basis, packed)
+            assert fields(packed[0], basis.width, cols) == v
+            assert [(p, fields(b[0], basis.width, cols)) for p, b in basis.items()][: len(before)] == before
             assert len(basis) == len(before) + added == reference_rank(rows)
             if added:
-                pivot, b = list(basis.items())[-1]
-                assert pivot == next(j for j, x in enumerate(b) if x)
+                pivot, (x, bound, xj) = list(basis.items())[-1]
+                b = fields(x, basis.width, cols)
+                assert pivot == next(j for j, e in enumerate(b) if e)
                 assert all(pivot != p for p, _ in before)
+                assert xj == b[pivot] and max(map(abs, b)) <= bound < 1 << (basis.width - 1)
+
+
+def packed_widths(monkeypatch):
+    """The field widths at which ``linalg.pack`` succeeds, one list per
+    ``eliminate`` call: a list of two or more is a restart."""
+    calls = []
+    pack, eliminate = linalg.pack, linalg.eliminate
+
+    def recording_pack(vectors, width):
+        packed = pack(vectors, width)
+        calls[-1].append(width)
+        return packed
+
+    def recording_eliminate(vectors, reduce):
+        calls.append([])
+        return eliminate(vectors, reduce)
+
+    monkeypatch.setattr(linalg, "pack", recording_pack)
+    monkeypatch.setattr(linalg, "eliminate", recording_eliminate)
+    return calls
+
+
+def random_matrix(rng, entries, size=8):
+    rows, cols = rng.randint(1, size), rng.randint(1, size)
+    return [[rng.choice((0, entries())) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_packed_kernel_matches_fraction_elimination_across_widths(monkeypatch):
+    rng = random.Random(1701)
+    calls = packed_widths(monkeypatch)
+    # Signed +-1 rows, as in boundary matrices, stay at the first width.
+    for _ in range(150):
+        m = random_matrix(rng, lambda: rng.choice((-1, 1)), 12)
+        assert rank_int(m) == reference_rank(m)
+    assert {width for widths in calls for width in widths} == {linalg.WIDTH}
+    # Entries up to 2^40 in magnitude are packed wider from the start.
+    calls.clear()
+    for _ in range(150):
+        m = random_matrix(rng, lambda: rng.randint(-(1 << 40), 1 << 40), 6)
+        m[0][0] = 1 << 40
+        assert rank_int(m) == reference_rank(m)
+    assert all(widths[0] >= 64 for widths in calls)
+    # From a deliberately narrow first width, growth in the reduction
+    # overflows a bound and forces a restart at a wider one.
+    monkeypatch.setattr(linalg, "WIDTH", 8)
+    calls.clear()
+    for _ in range(300):
+        m = random_matrix(rng, lambda: rng.randint(-9, 9))
+        assert rank_int(m) == reference_rank(m), m
+    assert all(widths[0] == 8 for widths in calls)
+    assert any(len(widths) > 1 for widths in calls)
 
 
 def captured_matrices(monkeypatch, module, compute):

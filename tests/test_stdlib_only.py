@@ -1,9 +1,12 @@
 """The runtime is pure stdlib: every absolute import in the package names
 a standard-library module.  Relative imports stay inside the package.  The
-sources also parse at the Python floor that pyproject.toml declares."""
+sources also parse at the Python floor that pyproject.toml declares, and
+the calls that follow ``import acmpts`` load no further module."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +49,30 @@ def test_package_parses_at_the_declared_python_floor():
     floor = declared_python_floor()
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+
+
+CALLS_AFTER_IMPORT = """
+import sys
+import acmpts
+loaded = set(sys.modules)
+acmpts.delta_table(acmpts.canonicalize([(1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 2)]), (2, 2, 2))
+acmpts.linalg.rank_int([[1, -2, 0], [3, 4, -(1 << 70)], [0, 1, 5]])
+print(sorted(set(sys.modules) - loaded))
+"""
+
+
+def test_calls_after_import_load_no_module():
+    """A module first loaded by a call, such as the ``array`` extension,
+    adds its import time to that call.  A fresh interpreter runs one
+    ``delta_table`` and one ``rank_int`` call, with entries both below and
+    above 2^63, after ``import acmpts``."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", CALLS_AFTER_IMPORT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -10,40 +10,52 @@ upper bound on its field magnitudes.
 
 ``echelon_insert`` keeps a basis of packed vectors in a ``Basis`` keyed
 by pivot (a vector's first nonzero field), so no two vectors share a
-pivot and the vectors are independent.  A new vector is reduced by its
-leading field only.  Its pivot j is ``(x & -x).bit_length() // W``,
-since the fields below j are zero and the lowest set bit of a field
-under 2^(W-1) in magnitude sits below its top bit.  While j is the
-pivot of a basis vector b, x becomes ``x*(b_j//g) - b*(x_j//g)`` with
-``g = gcd(b_j, x_j)``: field j cancels and the first nonzero field moves
-past j.  The vector is dependent on the basis exactly when nothing is
-left; otherwise it is stored under its new pivot, with its bound and its
-pivot field.  Each step bounds the new fields by |b_j//g|*M_x +
-|x_j//g|*M_b.  A bound that reaches 2^(W-1) raises a private signal,
-and ``eliminate`` repacks every input at 2W and starts again, so a field
-can never overflow into its neighbour and yield a wrong rank.  The
-integers themselves are exact at every width: ranks over the rationals
-are exact, with no floats and no modular arithmetic.  A dict keeps
-insertion order, so a basis truncates back to an earlier size with
-``popitem()``.
+pivot and the vectors are independent.  A vector whose first nonzero
+field is j is kept shifted down by j fields, so its int shrinks as its
+pivot advances, as a list slice would, and its pivot field is its lowest
+one.  A new vector is reduced by its leading field only.  The number of
+zero fields below it is ``(x & -x).bit_length() // W``, since the lowest
+set bit of a field under 2^(W-1) in magnitude sits below its top bit.
+While its pivot j is the pivot of a basis vector b, x becomes
+``x*(b_j//g) - b*(x_j//g)`` with ``g = gcd(b_j, x_j)``: field j cancels
+and the first nonzero field moves past j.  The vector is dependent on
+the basis exactly when nothing is left; otherwise it is stored under its
+new pivot, with its bound and its pivot field.  The integers are exact
+at every width: ranks over the rationals are exact, with no floats and
+no modular arithmetic.  A dict keeps insertion order, so a basis
+truncates back to an earlier size with ``popitem()``.
+
+Each step bounds the new fields by |b_j//g|*M_x + |x_j//g|*M_b.  When
+that bound reaches 2^(W-1), the step is taken field by field instead,
+and the result is divided by the gcd of its fields; its largest field is
+its new, exact bound.  Every vector then stays a nonzero rational
+multiple of the one that plain fraction-free steps give, so pivots,
+steps and ranks are the same.  Only when that primitive vector has a
+field of 2^(W/2) or more, which would leave less than half of each field
+for further growth, does a private signal make ``eliminate`` repack
+every input at 2W and start again.  So a field never overflows into its
+neighbour, and an overflow can never yield a wrong rank.  Without the
+division, fraction-free growth on half of the 7x7x7 grid (171 points)
+reaches fields of 640 bits and forces 1024-bit fields on every vector;
+with it, walks on such sets end at 128 or 256 bits.
 
 ``eliminate`` packs its vectors at the first width from ``WIDTH`` up
-that holds every entry, doubling it until no bound overflows, and hands
+that holds every entry, doubling it until the reduction fits, and hands
 them to a caller's reduction.  Each input is bounded by the largest
-entry magnitude of all the vectors packed with it.  Fields of 8 to 64
+entry magnitude of all the vectors packed with it.  Fields of 32 and 64
 bits are packed in one ``struct`` call, a module that ``import acmpts``
-loads anyway, and wider ones entry by entry.  ``rank_int`` inserts the rows of one
-matrix and counts what stays: the boundary matrices of Stanley-Reisner
-links and the per-degree monomial matrices of ``evaluation_rank``.  The
-Hilbert walk in ``hilbert_function`` inserts Newton columns into one
-basis per walk.  On the seed-42 benchmark inputs, the 22 boundary
-matrices that ``first_cm_failure`` ranks over the ``sample_3x3x3`` sets
-(counted in the ``reisner_oracle`` docstring) have entries +-1; the
-``hilbert_tables`` ops make 930 walks, which insert 54364 columns of at
-most 5-bit entries with 70067 reduction steps.  Their basis entries
-have fields of at most 720 in magnitude and bounds of at most 23 bits,
-so every matrix and every walk stays at 32-bit fields and none widens.
-Growth that small does not pay for dividing vectors by their content.
+loads anyway, and others entry by entry.  ``rank_int`` inserts the
+rows of one matrix and counts what stays: the boundary matrices of
+Stanley-Reisner links and the per-degree monomial matrices of
+``evaluation_rank``.  The Hilbert walk in ``hilbert_function`` inserts
+Newton columns into one basis per walk.  On the seed-42 benchmark
+inputs, the 22 boundary matrices that ``first_cm_failure`` ranks over
+the ``sample_3x3x3`` sets (counted in the ``reisner_oracle`` docstring)
+have entries +-1; the ``hilbert_tables`` ops make 930 walks, which
+insert 54364 columns of at most 5-bit entries with 70067 reduction
+steps.  Their basis entries have fields of at most 720 in magnitude and
+bounds of at most 23 bits, so every matrix and every walk stays at
+32-bit fields, none widens and no step is taken field by field.
 """
 
 from __future__ import annotations
@@ -60,7 +72,7 @@ Packed = tuple[int, int]
 WIDTH = 32
 
 # struct codes of signed little-endian fields, by width.
-_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+_CODES = {32: "i", 64: "q"}
 
 R = TypeVar("R")
 
@@ -114,14 +126,18 @@ def echelon_insert(basis: Basis, v: Packed) -> bool:
     """Reduce v's leading field against the basis; store what is left.
 
     Returns whether v was independent of the basis.  Raises the private
-    ``_Overflow`` when a bound reaches 2^(W-1); the basis may then hold
-    a partial state and must be dropped.
+    ``_Overflow`` when v outgrows the basis width (see the module
+    docstring); the basis may then hold a partial state and must be
+    dropped.
     """
     width, half, mask = basis.width, basis.half, basis.mask
     x, bound = v
+    j = 0
     while x:
-        j = (x & -x).bit_length() // width
-        xj = ((x >> width * j) + half & mask) - half
+        k = (x & -x).bit_length() // width
+        x >>= width * k
+        j += k
+        xj = (x + half & mask) - half
         b = basis.get(j)
         if b is None:
             basis[j] = (x, bound, xj)
@@ -130,16 +146,45 @@ def echelon_insert(basis: Basis, v: Packed) -> bool:
         g = gcd(bj, xj)
         p, q = bj // g, xj // g
         bound = abs(p) * bound + abs(q) * bbound
-        if bound >= half:
-            raise _Overflow
-        x = x * p - y * q
+        if bound < half:
+            x = x * p - y * q
+        else:
+            x, bound = _primitive(x, y, p, q, width)
     return False
+
+
+def _unpack(x: int, width: int, n: int) -> list[int]:
+    """The lowest n fields of a packed vector.  Adding 2^(W-1) to every
+    field turns each into a plain unsigned W-bit chunk of the bytes."""
+    size, half = width // 8, 1 << (width - 1)
+    x += int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    data = x.to_bytes(size * n, "little")
+    code = _CODES.get(width)
+    if code is None:
+        chunks = [int.from_bytes(data[k : k + size], "little") for k in range(0, size * n, size)]
+    else:
+        chunks = struct.unpack(f"<{n}{code.upper()}", data)  # unsigned, same width
+    return [f - half for f in chunks]
+
+
+def _primitive(x: int, y: int, p: int, q: int, width: int) -> Packed:
+    """``x*p - y*q`` divided by the gcd of its fields, with the largest
+    field magnitude as its exact bound.  Raises the private ``_Overflow``
+    unless every field is below 2^(W/2), so that half of each field is
+    left for the growth of the steps to come."""
+    n = max(x.bit_length(), y.bit_length()) // width + 1
+    z = [a * p - b * q for a, b in zip(_unpack(x, width, n), _unpack(y, width, n))]
+    c = gcd(*z) or 1  # z is zero when x is a multiple of y
+    z = [e // c for e in z]
+    if max(map(abs, z)) >> (width // 2):
+        raise _Overflow
+    return pack([z], width)[0]
 
 
 def eliminate(vectors: Sequence[Sequence[int]], reduce: Callable[[Basis, list[Packed]], R]) -> R:
     """``reduce(basis, packed)`` on an empty basis and the vectors packed at
-    the least width WIDTH * 2^k that holds every entry and every bound the
-    reduction reaches."""
+    the least width WIDTH * 2^k that holds every entry and that the
+    reduction never outgrows."""
     width = WIDTH
     while True:
         try:

@@ -102,53 +102,64 @@ def fields(x, width, n):
 def test_echelon_insert_keeps_its_contract():
     # Each insert leaves its argument and the earlier basis untouched,
     # appends at most one vector, pivoted at its first nonzero field and
-    # at an index that is no earlier vector's pivot, stored with its pivot
-    # field and a bound on its field magnitudes, and the basis size is the
-    # rank so far.
+    # at an index that is no earlier vector's pivot, stored shifted down
+    # to that pivot with its pivot field and a bound on its field
+    # magnitudes, and the basis size is the rank so far.
     rng = random.Random(1601)
     for _ in range(300):
         cols = rng.randint(0, 6)
         basis, rows = linalg.Basis(linalg.WIDTH), []
+
+        def stored():
+            return [(p, [0] * p + fields(b[0], basis.width, cols - p)) for p, b in basis.items()]
+
         for _ in range(rng.randint(1, 8)):
             v = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)]
             if rows and rng.random() < 0.3:  # a combination of earlier rows
                 u, w = rng.choice(rows), rng.choice(rows)
                 v = [2 * a - 3 * b for a, b in zip(u, w)]
             rows.append(v)
-            before = [(p, fields(b[0], basis.width, cols)) for p, b in basis.items()]
+            before = stored()
             [packed] = linalg.pack([v], basis.width)
             assert fields(packed[0], basis.width, cols) == v
             assert packed[1] == max(map(abs, v), default=0)
             added = echelon_insert(basis, packed)
             assert fields(packed[0], basis.width, cols) == v
-            assert [(p, fields(b[0], basis.width, cols)) for p, b in basis.items()][: len(before)] == before
+            assert stored()[: len(before)] == before
             assert len(basis) == len(before) + added == reference_rank(rows)
             if added:
-                pivot, (x, bound, xj) = list(basis.items())[-1]
-                b = fields(x, basis.width, cols)
+                pivot, b = stored()[-1]
+                _, bound, xj = basis[pivot]
                 assert pivot == next(j for j, e in enumerate(b) if e)
                 assert all(pivot != p for p, _ in before)
                 assert xj == b[pivot] and max(map(abs, b)) <= bound < 1 << (basis.width - 1)
 
 
 def packed_widths(monkeypatch):
-    """The field widths at which ``linalg.pack`` succeeds, one list per
-    ``eliminate`` call: a list of two or more is a restart."""
-    calls = []
-    pack, eliminate = linalg.pack, linalg.eliminate
-
-    def recording_pack(vectors, width):
-        packed = pack(vectors, width)
-        calls[-1].append(width)
-        return packed
+    """The field width of each start of ``linalg.eliminate``, one list per
+    call, so that a list of two or more is a restart; and the width of
+    each step taken field by field that did not restart."""
+    calls, slow = [], []
+    eliminate, primitive = linalg.eliminate, linalg._primitive
 
     def recording_eliminate(vectors, reduce):
-        calls.append([])
-        return eliminate(vectors, reduce)
+        widths = []
+        calls.append(widths)
 
-    monkeypatch.setattr(linalg, "pack", recording_pack)
+        def recording_reduce(basis, packed):
+            widths.append(basis.width)
+            return reduce(basis, packed)
+
+        return eliminate(vectors, recording_reduce)
+
+    def recording_primitive(x, y, p, q, width):
+        packed = primitive(x, y, p, q, width)
+        slow.append(width)
+        return packed
+
     monkeypatch.setattr(linalg, "eliminate", recording_eliminate)
-    return calls
+    monkeypatch.setattr(linalg, "_primitive", recording_primitive)
+    return calls, slow
 
 
 def random_matrix(rng, entries, size=8):
@@ -158,12 +169,13 @@ def random_matrix(rng, entries, size=8):
 
 def test_packed_kernel_matches_fraction_elimination_across_widths(monkeypatch):
     rng = random.Random(1701)
-    calls = packed_widths(monkeypatch)
+    calls, slow = packed_widths(monkeypatch)
     # Signed +-1 rows, as in boundary matrices, stay at the first width.
     for _ in range(150):
         m = random_matrix(rng, lambda: rng.choice((-1, 1)), 12)
         assert rank_int(m) == reference_rank(m)
     assert {width for widths in calls for width in widths} == {linalg.WIDTH}
+    assert slow == []
     # Entries up to 2^40 in magnitude are packed wider from the start.
     calls.clear()
     for _ in range(150):
@@ -172,14 +184,17 @@ def test_packed_kernel_matches_fraction_elimination_across_widths(monkeypatch):
         assert rank_int(m) == reference_rank(m)
     assert all(widths[0] >= 64 for widths in calls)
     # From a deliberately narrow first width, growth in the reduction
-    # overflows a bound and forces a restart at a wider one.
+    # overflows bounds: some steps are taken field by field and go on at
+    # the same width, and some vectors outgrow it and force a restart.
     monkeypatch.setattr(linalg, "WIDTH", 8)
     calls.clear()
+    slow.clear()
     for _ in range(300):
         m = random_matrix(rng, lambda: rng.randint(-9, 9))
         assert rank_int(m) == reference_rank(m), m
     assert all(widths[0] == 8 for widths in calls)
     assert any(len(widths) > 1 for widths in calls)
+    assert 8 in slow and 16 in slow
 
 
 def captured_matrices(monkeypatch, module, compute):

@@ -36,7 +36,7 @@ for further growth, does a private signal make ``eliminate`` repack
 every input at 2W and start again.  So a field never overflows into its
 neighbour, and an overflow can never yield a wrong rank.  Without the
 division, fraction-free growth on half of the 7x7x7 grid (171 points)
-reaches fields of 640 bits and forces 1024-bit fields on every vector;
+reaches 645-bit fields and forces 1024-bit fields on every vector;
 with it, walks on such sets end at 128 or 256 bits.
 
 ``eliminate`` packs its vectors at the first width from ``WIDTH`` up

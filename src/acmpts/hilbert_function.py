@@ -46,7 +46,7 @@ size it had at the parent, which is the parent's rank.  Once the basis
 has one vector per point, no column can add to it and the rest of the
 subtree inserts nothing.  Each Newton column is packed once per walk
 into one integer (see ``linalg``); its entries are >= 0, since the
-nodes ascend.  Should a bound outgrow the field width, the walk is
+nodes ascend.  Should a vector outgrow the field width, the walk is
 packed wider and run again from the start.  A seed-42 pass inserts
 54364 columns with 70067 reduction steps and never widens.
 

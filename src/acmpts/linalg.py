@@ -78,13 +78,14 @@ R = TypeVar("R")
 
 
 class _Overflow(Exception):
-    """A field bound reached 2^(W-1): repack at a wider W."""
+    """A vector does not fit its field width W: repack at a wider W."""
 
 
 class Basis(dict):
-    """pivot -> (x, M, x_j): a packed vector, the bound on its field
-    magnitudes and its pivot field; zero below the pivot, nonzero there.
-    ``width`` is the field width W of every vector in it."""
+    """pivot -> (x, M, x_j): a packed vector shifted down to its pivot, so
+    that its lowest field x_j is the pivot field and is nonzero, and the
+    bound M on its field magnitudes.  ``width`` is the field width W of
+    every vector in it."""
 
     __slots__ = ("width", "half", "mask")
 

@@ -11,51 +11,37 @@ upper bound on its field magnitudes.
 ``echelon_insert`` keeps a basis of packed vectors in a ``Basis`` keyed
 by pivot (a vector's first nonzero field), so no two vectors share a
 pivot and the vectors are independent.  A vector whose first nonzero
-field is j is kept shifted down by j fields, so its int shrinks as its
-pivot advances, as a list slice would, and its pivot field is its lowest
-one.  A new vector is reduced by its leading field only.  The number of
-zero fields below it is ``(x & -x).bit_length() // W``, since the lowest
-set bit of a field under 2^(W-1) in magnitude sits below its top bit.
-While its pivot j is the pivot of a basis vector b, x becomes
+field is j is kept shifted down by j fields, so its pivot field is its
+lowest one.  A new vector is reduced by its leading field only.  The
+number of zero fields below it is ``(x & -x).bit_length() // W``, since
+the lowest set bit of a field under 2^(W-1) in magnitude sits below its
+top bit.  While its pivot j is the pivot of a basis vector b, x becomes
 ``x*(b_j//g) - b*(x_j//g)`` with ``g = gcd(b_j, x_j)``: field j cancels
 and the first nonzero field moves past j.  The vector is dependent on
 the basis exactly when nothing is left; otherwise it is stored under its
-new pivot, with its bound and its pivot field.  The integers are exact
-at every width: ranks over the rationals are exact, with no floats and
-no modular arithmetic.  A dict keeps insertion order, so a basis
-truncates back to an earlier size with ``popitem()``.
+new pivot, with its bound and its pivot field.  Ranks over the rationals
+are exact at every width, with no floats and no modular arithmetic.  A
+dict keeps insertion order, so a basis truncates back to an earlier size
+with ``popitem()``.
 
-Each step bounds the new fields by |b_j//g|*M_x + |x_j//g|*M_b.  When
-that bound reaches 2^(W-1), the step is taken field by field instead,
-and the result is divided by the gcd of its fields; its largest field is
-its new, exact bound.  Every vector then stays a nonzero rational
-multiple of the one that plain fraction-free steps give, so pivots,
-steps and ranks are the same.  Only when that primitive vector has a
-field of 2^(W/2) or more, which would leave less than half of each field
-for further growth, does a private signal make ``eliminate`` repack
-every input at 2W and start again.  So a field never overflows into its
-neighbour, and an overflow can never yield a wrong rank.  Without the
-division, fraction-free growth on half of the 7x7x7 grid (171 points)
-reaches 645-bit fields and forces 1024-bit fields on every vector;
-with it, walks on such sets end at 128 or 256 bits.
+Each step bounds the new fields by |b_j//g|*M_x + |x_j//g|*M_b, and
+every field stays below 2^(W-1).  When the bound reaches 2^(W-1), the
+step is taken field by field instead and the result divided by the gcd
+of its fields, whose largest field is its new, exact bound; the vector
+stays a nonzero multiple of the plain step's, so pivots and ranks are
+the same.  Only when that primitive vector has a field of 2^(W/2) or
+more does a private signal, carrying the width that would hold it, make
+``eliminate`` repack every input at that width or more and start
+again.  So a field never overflows into its neighbour, and an overflow
+can never yield a wrong rank.
 
-``eliminate`` packs its vectors at the first width from ``WIDTH`` up
-that holds every entry, doubling it until the reduction fits, and hands
-them to a caller's reduction.  Each input is bounded by the largest
-entry magnitude of all the vectors packed with it.  Fields of 32 and 64
-bits are packed in one ``struct`` call, a module that ``import acmpts``
-loads anyway, and others entry by entry.  ``rank_int`` inserts the
-rows of one matrix and counts what stays: the boundary matrices of
-Stanley-Reisner links and the per-degree monomial matrices of
-``evaluation_rank``.  The Hilbert walk in ``hilbert_function`` inserts
-Newton columns into one basis per walk.  On the seed-42 benchmark
-inputs, the 22 boundary matrices that ``first_cm_failure`` ranks over
-the ``sample_3x3x3`` sets (counted in the ``reisner_oracle`` docstring)
-have entries +-1; the ``hilbert_tables`` ops make 930 walks, which
-insert 54364 columns of at most 5-bit entries with 70067 reduction
-steps.  Their basis entries have fields of at most 720 in magnitude and
-bounds of at most 23 bits, so every matrix and every walk stays at
-32-bit fields, none widens and no step is taken field by field.
+``eliminate`` packs its vectors at the first width WIDTH * 2^k that
+holds every entry and hands them to a caller's reduction.  Each input is
+bounded by the largest entry magnitude of all the vectors packed with
+it.  ``rank_int`` inserts the rows of one matrix and counts what stays:
+the boundary matrices of Stanley-Reisner links and the per-degree
+monomial matrices of ``evaluation_rank``.  The Hilbert walk in
+``hilbert_function`` inserts Newton columns into one basis per walk.
 """
 
 from __future__ import annotations
@@ -71,14 +57,12 @@ Packed = tuple[int, int]
 # The first field width tried, in bits.
 WIDTH = 32
 
-# struct codes of signed little-endian fields, by width.
-_CODES = {32: "i", 64: "q"}
-
 R = TypeVar("R")
 
 
 class _Overflow(Exception):
-    """A vector does not fit its field width W: repack at a wider W."""
+    """A vector does not fit its field width: repack at a width of at
+    least the one given."""
 
 
 class Basis(dict):
@@ -104,15 +88,14 @@ def pack(vectors: Sequence[Sequence[int]], width: int) -> list[Packed]:
     lo, hi = min(entries, default=0), max(entries, default=0)
     bound = max(hi, -lo)
     if bound >> (width - 1):
-        raise _Overflow
+        raise _Overflow(bound.bit_length() + 1)
     n = len(vectors[0]) if vectors else 0
     if not n:
         return [(0, 0)] * len(vectors)
-    code = _CODES.get(width)
-    if code is None:
-        data = b"".join(e.to_bytes(width // 8, "little", signed=True) for e in entries)
+    if width == 32:  # the width nearly every matrix and walk is packed at
+        data = struct.pack(f"<{len(entries)}i", *entries)
     else:
-        data = struct.pack(f"<{len(entries)}{code}", *entries)
+        data = b"".join(e.to_bytes(width // 8, "little", signed=True) for e in entries)
     size = width // 8 * n
     xs = [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
     if lo < 0:
@@ -160,12 +143,7 @@ def _unpack(x: int, width: int, n: int) -> list[int]:
     size, half = width // 8, 1 << (width - 1)
     x += int.from_bytes(half.to_bytes(size, "little") * n, "little")
     data = x.to_bytes(size * n, "little")
-    code = _CODES.get(width)
-    if code is None:
-        chunks = [int.from_bytes(data[k : k + size], "little") for k in range(0, size * n, size)]
-    else:
-        chunks = struct.unpack(f"<{n}{code.upper()}", data)  # unsigned, same width
-    return [f - half for f in chunks]
+    return [int.from_bytes(data[k : k + size], "little") - half for k in range(0, size * n, size)]
 
 
 def _primitive(x: int, y: int, p: int, q: int, width: int) -> Packed:
@@ -177,21 +155,25 @@ def _primitive(x: int, y: int, p: int, q: int, width: int) -> Packed:
     z = [a * p - b * q for a, b in zip(_unpack(x, width, n), _unpack(y, width, n))]
     c = gcd(*z) or 1  # z is zero when x is a multiple of y
     z = [e // c for e in z]
-    if max(map(abs, z)) >> (width // 2):
-        raise _Overflow
+    top = max(map(abs, z))
+    if top >> (width // 2):
+        raise _Overflow(2 * top.bit_length())
     return pack([z], width)[0]
 
 
 def eliminate(vectors: Sequence[Sequence[int]], reduce: Callable[[Basis, list[Packed]], R]) -> R:
     """``reduce(basis, packed)`` on an empty basis and the vectors packed at
-    the least width WIDTH * 2^k that holds every entry and that the
-    reduction never outgrows."""
+    a width WIDTH * 2^k that holds every entry and that the reduction
+    never outgrows.  A restart goes straight to the first such width
+    that holds what the overflowing vector asked for, which is always
+    more than the width it overflowed."""
     width = WIDTH
     while True:
         try:
             return reduce(Basis(width), pack(vectors, width))
-        except _Overflow:
-            width *= 2
+        except _Overflow as overflow:
+            while width < overflow.args[0]:
+                width *= 2
 
 
 def rank_int(matrix: Sequence[Sequence[int]]) -> int:

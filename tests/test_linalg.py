@@ -197,6 +197,25 @@ def test_packed_kernel_matches_fraction_elimination_across_widths(monkeypatch):
     assert 8 in slow and 16 in slow
 
 
+
+def test_a_restart_skips_to_the_width_the_vector_asked_for(monkeypatch):
+    # Entries of 101 bits overflow the first width; the next attempt is
+    # at 128-bit fields, the first width WIDTH * 2^k that holds them.
+    # There the first step leaves (0, -2^200 - 3, 5 * 2^100), whose
+    # fields have no common factor: 201 bits ask for fields of 402 bits
+    # or more, so the elimination restarts at 512 and not at 256.
+    widths = []
+    pack = linalg.pack
+
+    def recording(vectors, width):
+        widths.append(width)
+        return pack(vectors, width)
+
+    monkeypatch.setattr(linalg, "pack", recording)
+    m = [[1 << 100, 1, 0], [3, -(1 << 100), 5], [1, 1, 1]]
+    assert rank_int(m) == reference_rank(m) == 3
+    assert widths == [linalg.WIDTH, 128, 512]
+
 def captured_matrices(monkeypatch, module, compute):
     """The matrices ``module`` hands to rank_int while ``compute`` runs."""
     seen = []

@@ -9,8 +9,10 @@ box spanned by the supports.  Hilbert functions then add up exactly after
 shifting each summand by its form's degree vector.
 
 The layer construction adjoins a full copy of the shadow of X at a fresh
-hyperplane level of one direction; it preserves the ACM property and
-satisfies the one-step Hilbert relation h_Z(t) = h_layer(t) + h_X(t - e_i).
+hyperplane level of one direction.  An ACM X whose shadow
+``project(X, i)`` is also ACM stays ACM; nothing is claimed when the
+shadow is not ACM.  The layer satisfies the one-step Hilbert relation
+h_Z(t) = h_layer(t) + h_X(t - e_i).
 
 Summands are kept as raw coordinate tuples rather than canonical
 configurations: the vanishing conditions and the Hilbert identities live
@@ -246,7 +248,8 @@ def add_layer(X: PointSet, i: int, fresh: bool = True) -> PointSet:
     The new hyperplane contains no point of X; with ``fresh`` it is
     appended after the existing levels (index r_i + 1), otherwise it is
     inserted before them (index 1, existing levels shifted up).  Both
-    placements are the same configuration up to relabeling.
+    placements are the same configuration up to relabeling.  The result
+    is ACM when X and its shadow ``project(X, i)`` are both ACM.
     """
     base, layer = _layer_pieces(X, i, fresh)
     return canonicalize(sorted(base | layer))

@@ -39,7 +39,7 @@ can never yield a wrong rank.
 holds every entry and hands them to a caller's reduction.  Each input is
 bounded by the largest entry magnitude of all the vectors packed with
 it.  ``rank_int`` inserts the rows of one matrix and counts what stays:
-the boundary matrices of Stanley-Reisner links and the per-degree
+the Morse differentials of Stanley-Reisner links and the per-degree
 monomial matrices of ``evaluation_rank``.  The Hilbert walk in
 ``hilbert_function`` inserts Newton columns into one basis per walk.
 """

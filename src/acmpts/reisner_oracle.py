@@ -67,9 +67,9 @@ seed-42 sample the walks size 3666 boxes (5517 without that count
 test), 319 of them full grids, and pop 1634, and the scans reduce 1881
 links (387 whole complexes and 1494 others), which
 fall into 908 classes across the whole sample.  The element matchings
-(below) alone answer 885 of those classes; the other 23 take the exact
-route, which ranks 22 boundary matrices of at most 16x16 (1455 entries,
-24% nonzero); that route would rank 469 matrices for all 908.
+(below) alone answer 885 of those classes; the other 23 leave critical
+cells of two sizes, and their Morse complexes rank 23 matrices of at
+most 3 rows over 4 critical cells (19 of 76 entries nonzero).
 The README and ``linalg`` refer here for these counts.  For k >= 3
 points on a line (a simplex boundary) every link but the whole complex
 is a sphere, one reduction in all from an empty memo, as for the full
@@ -83,9 +83,9 @@ face set is one int of 2^m bits, bit s set when the vertex set s is a
 face: the facets' bits, down-closed by one shift-and-or per vertex.  The
 element matching on a vertex v pairs each cell sigma without v with
 sigma + v when both are cells (Jonsson, *Simplicial Complexes of
-Graphs*, LNM 1928, 2008, section 4).  On the lowest vertex it is the
-excision below; then it runs on the cells left unpaired for every
-further vertex in increasing order, three big-int operations each.  A
+Graphs*, LNM 1928, 2008, section 4).  It runs for every vertex in
+increasing order, each time on the cells left unpaired, three big-int
+operations each.  A
 sequence of element matchings is acyclic and face incidences are +-1,
 so the augmented chain complex is chain-equivalent over the integers to
 a Morse complex on the critical cells, those left unpaired (Forman,
@@ -99,31 +99,24 @@ characteristic, which one mask of the odd-size vertex sets checks.  The
 masks for each m are built on first use and kept (``_subset_masks``).
 
 When the critical cells span two sizes, or there are more than 22
-vertex positions, the exact route reduces the complex.  It first excises
-the lowest vertex v: the closed star of v (the faces sigma with sigma +
-v a face) is a cone with apex v, so its reduced homology vanishes, and
-the exact sequence of the pair followed by excision gives H~_i(Delta) =
-H_i(Delta, st v) = H_i(del v, lk v) (Munkres, *Elements of Algebraic
-Topology*, sections 9 and 70).  The cells left are the faces sigma
-without v for which sigma + v is not a face, with the boundary
-restricted to them.  The star's cells come in pairs sigma, sigma + v of
-adjacent degrees, so the excision keeps the Euler characteristic, and
-the route's check still compares the original face counts with the
-Betti numbers it returns.  The complex whose only face is empty has no
-vertex to excise, and its one cell, the empty face, stays.  Then
-coreductions (Mrozek and Batko, *Coreduction homology algorithm*, DCG
-41, 2009) start from every cell whose boundary within the remaining
-cells is a single cell, and remove it together with that cell.  The
-pair is joined by a coefficient of +-1, a unit, so the removal preserves
-homology over the integers, and the surviving cells with the boundary
-restricted to them still form a chain complex with the same homology.
-Only the survivors' boundary matrices reach the exact integer rank.
-This route is the reference the tests hold the matchings to.
+vertex positions, the same matchings run on the set of face masks and
+the Morse complex itself is reduced.  Its differential from a critical
+cell sigma is the signed sum over gradient paths, computed by flowing
+the boundary of sigma: a critical face is kept; a face that is the upper
+cell of a pair is dropped, since no gradient path leads on from it to a
+critical cell one size down; a face tau that is the lower cell of a pair
+tau' = tau + v is replaced, the chain becoming chain - (coeff(tau) /
+[tau' : tau]) * boundary(tau'), which cancels tau.  The matching is
+acyclic, so the flow ends, and every incidence is +-1, so coefficients
+stay integers.  The Morse boundaries of the critical cells of one size,
+a few rows, are ranked exactly (``rank_int``), and the same Euler
+characteristic check compares the faces with the critical cells.  The
+tests hold this route to a reference that excises a vertex star and
+coreduces (``tests/reduction_reference.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
@@ -331,6 +324,22 @@ def _subset_masks(m: int) -> tuple[tuple[int, ...], int]:
     return tuple(has), reduce(xor, has, 0)
 
 
+def _euler(cells: set[int]) -> int:
+    """The reduced Euler characteristic of a set of cells, a cell of size
+    k in degree k - 1."""
+    return 2 * sum(c.bit_count() & 1 for c in cells) - len(cells)
+
+
+def _check_euler(faces: int, cells: int) -> None:
+    """A matching pairs cells of adjacent sizes, so the faces and the
+    critical cells have one Euler characteristic; a step that drops a
+    cell without its partner breaks that."""
+    if faces != cells:
+        raise InternalInvariantViolation(
+            f"Euler characteristic mismatch: faces give {faces}, critical cells give {cells}"
+        )
+
+
 def _matched_betti(facets: Sequence[int]) -> tuple[int, ...] | None:
     """Reduced rational Betti numbers, degree -1 up to the dimension, of
     the complex with these facet masks from element matchings alone, or
@@ -361,12 +370,7 @@ def _matched_betti(facets: Sequence[int]) -> tuple[int, ...] | None:
     def euler(cells: int) -> int:  # cells of size k are in degree k - 1
         return 2 * (cells & odd).bit_count() - cells.bit_count()
 
-    euler_faces, euler_cells = euler(faces), euler(critical)
-    if euler_faces != euler_cells:
-        raise InternalInvariantViolation(
-            f"Euler characteristic mismatch: faces give {euler_faces}, "
-            f"critical cells give {euler_cells}"
-        )
+    _check_euler(euler(faces), euler(critical))
     sizes = {s.bit_count() for s in _bits(critical)}
     if len(sizes) > 1:
         return None
@@ -378,106 +382,83 @@ def _matched_betti(facets: Sequence[int]) -> tuple[int, ...] | None:
 
 def _reduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
     """Reduced rational Betti numbers, degree -1 up to the dimension, of
-    the complex with these facet masks: from the element matchings when
-    they decide it, else by ``_coreduced_betti``."""
+    the complex with these facet masks: from the bitset matchings when
+    their critical cells have one size, else from the Morse complex of
+    the same matchings (``_morse_betti``)."""
     betti = _matched_betti(facets)
-    return _coreduced_betti(facets) if betti is None else betti
+    return _morse_betti(facets) if betti is None else betti
 
 
-def _coreduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
+def _boundary(cell: int) -> dict[int, int]:
+    """The boundary of a cell oriented by increasing bit: each face
+    cell - u with its incidence, -1 when an odd number of the cell's bits
+    lie below u."""
+    return {
+        cell ^ u: -1 if (cell & (u - 1)).bit_count() & 1 else 1
+        for u in (1 << j for j in _bits(cell))
+    }
+
+
+def _element_matchings(cells: set[int], full: int) -> dict[int, int]:
+    """The element matching on each vertex of ``full`` in turn, lowest
+    first, run on a set of face masks: the matching on v pairs each cell
+    c without v left in ``cells`` with c + v when that is left too.  Both
+    cells of every pair leave ``cells``, so the critical cells stay;
+    returns each pair's lower cell mapped to its upper cell."""
+    up: dict[int, int] = {}
+    for j in _bits(full):
+        v = 1 << j
+        pairs = {c: c | v for c in cells if not c & v and c | v in cells}
+        cells.difference_update(pairs, pairs.values())
+        up.update(pairs)
+    return up
+
+
+def _morse_betti(facets: Sequence[int]) -> tuple[int, ...]:
     """Reduced rational Betti numbers, degree -1 up to the dimension, of
-    the complex with these facet masks: the lowest vertex's closed star
-    is excised, the remaining cells are coreduced and the survivors'
-    boundary matrices ranked (module docstring).
+    the complex with these facet masks, from the Morse complex of the
+    element matchings run on its set of faces (module docstring).
 
-    The reduced Euler characteristic of the original face counts must
-    equal the alternating sum of the Betti numbers of the surviving
-    cells, which fails if the excision or a reduction drops a cell
-    without its partner; a negative Betti number means a rank exceeded
-    its matrix's.
+    Each row is one critical cell's boundary flowed along the matching,
+    over all the critical cells, and the rows of each size are ranked.
+    The faces and the critical cells must have one Euler characteristic,
+    and a negative Betti number means a rank exceeded its matrix's.
     """
-    faces = _face_masks(facets)
-    top = max(f.bit_count() for f in facets)  # faces have sizes 0 .. top
-    counts = [0] * (top + 1)
-    for c in faces:
-        counts[c.bit_count()] += 1
-    full = reduce(or_, facets, 0)
-    v = full & -full  # the excised vertex; 0 when the only face is empty
-    others = full ^ v
-    # each cell, a face outside the closed star of v (so without v, as
-    # c | v = c for a face through v), mapped to the number of its
-    # boundary faces that are cells and still present
-    cells = dict.fromkeys((c for c in faces if c | v not in faces), 0) if v else {0: 0}
-    for c in cells:
-        n, rest = 0, c
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            n += c ^ u in cells
-        cells[c] = n
-
-    queue = deque(c for c, n in cells.items() if n == 1)
-    while queue:
-        b = queue.popleft()
-        if cells.get(b) != 1:
-            continue
-        rest = b
-        u = rest & -rest
-        while b ^ u not in cells:
-            rest ^= u
-            u = rest & -rest
-        a = b ^ u
-        del cells[a], cells[b]
-        for c in (a, b):
-            rest = others & ~c
-            while rest:
-                u = rest & -rest
-                rest ^= u
-                up = c | u
-                if up in cells:
-                    cells[up] -= 1
-                    if cells[up] == 1:
-                        queue.append(up)
-
-    by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for c in sorted(cells):
-        by_size[c.bit_count()].append(c)
-    # rank[k]: rank of the restricted boundary from cells of size k to size k - 1
+    cells = _face_masks(facets)
+    euler_faces = _euler(cells)
+    up = _element_matchings(cells, reduce(or_, facets, 0))
+    _check_euler(euler_faces, _euler(cells))
+    column = {c: k for k, c in enumerate(cells)}  # the critical cells
+    top = max(f.bit_count() for f in facets)  # cells have sizes 0 .. top
+    rows: list[list[list[int]]] = [[] for _ in range(top + 1)]
+    for sigma in column:
+        row = [0] * len(column)
+        chain = _boundary(sigma)
+        while chain:
+            tau, coeff = chain.popitem()
+            if tau in column:
+                row[column[tau]] += coeff
+            elif coeff and tau in up:
+                flow = _boundary(up[tau])
+                coeff *= flow.pop(tau)  # dividing by the incidence [tau' : tau] = +-1
+                for face, sign in flow.items():
+                    chain[face] = chain.get(face, 0) - coeff * sign
+        rows[sigma.bit_count()].append(row)
+    # rank[k]: rank of the Morse boundary from critical cells of size k
     rank = [0] * (top + 2)
     for k in range(1, top + 1):
-        lower, upper = by_size[k - 1], by_size[k]
-        if not (lower and upper):
-            continue
-        row = {c: r for r, c in enumerate(lower)}
-        matrix = [[0] * len(upper) for _ in lower]
-        for col, b in enumerate(upper):
-            rest = b
-            while rest:
-                u = rest & -rest
-                rest ^= u
-                r = row.get(b ^ u)
-                if r is not None:  # cells oriented by increasing bit
-                    matrix[r][col] = -1 if (b & (u - 1)).bit_count() & 1 else 1
-        rank[k] = rank_int(matrix)
-
-    betti = tuple(len(by_size[k]) - rank[k] - rank[k + 1] for k in range(top + 1))
+        if rows[k] and rows[k - 1]:
+            rank[k] = rank_int(rows[k])
+    betti = tuple(len(rows[k]) - rank[k] - rank[k + 1] for k in range(top + 1))
     if min(betti) < 0:
         raise InternalInvariantViolation(f"negative Betti number in {betti}")
-    def euler(by_cell_size: Sequence[int]) -> int:  # cells of size k are in degree k - 1
-        return sum(n if k % 2 else -n for k, n in enumerate(by_cell_size))
-
-    euler_faces, euler_betti = euler(counts), euler(betti)
-    if euler_faces != euler_betti:
-        raise InternalInvariantViolation(
-            f"Euler characteristic mismatch: faces give {euler_faces}, "
-            f"Betti numbers give {euler_betti}"
-        )
     return betti
 
 
 def homology(delta: SimplicialComplex) -> HomologyProfile:
-    """Reduced rational Betti numbers, from element matchings or exact
-    boundary-matrix ranks (module docstring).
+    """Reduced rational Betti numbers, from element matchings and, when
+    their critical cells span two sizes, the exact ranks of the Morse
+    differential (module docstring).
 
     Includes the empty face as the single cell in degree -1, so the
     profile of the complex whose only face is empty is (1,).

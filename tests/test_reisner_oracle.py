@@ -32,6 +32,7 @@ from acmpts.reisner_oracle import (
 )
 from conftest import cube_sample, grid_configurations, subset_configurations
 from ideal_reference import configuration_ideal
+from reduction_reference import coreduced_betti
 
 
 def var(i, j):
@@ -204,8 +205,8 @@ def test_homology_solid_simplex_is_trivial():
 
 def reference_homology(delta):
     """Reduced Betti numbers from the unreduced boundary matrices of every
-    face, the empty face included, kept independent of the coreductions
-    under test."""
+    face, the empty face included, kept independent of the reducer under
+    test."""
     index = {v: k for k, v in enumerate(delta.vertices)}
     facets = [sorted(index[v] for v in f) for f in delta.facets]
     top = delta.dim
@@ -235,7 +236,8 @@ def random_complexes(seed, count):
     """Seeded complexes on two to seven vertices, built by ``from_facets``.
     Facets have mixed sizes, none spanning all the vertices it may use, and
     many vertices are in no facet; every third complex is a cone whose apex
-    is its last used vertex, the lowest bit, which the reducer excises."""
+    is its last used vertex, the lowest bit, on which the first element
+    matching pairs every face."""
     rng = random.Random(seed)
     for t in range(count):
         vertices = "abcdefg"[: rng.randint(2, 7)]
@@ -249,10 +251,11 @@ def random_complexes(seed, count):
 
 
 def test_reducer_matches_unreduced_reference_on_random_complexes():
-    """Excision and coreductions against the plain boundary ranks, on
-    non-pure complexes, complexes with unused vertices, cones over the
-    excised vertex, the complex whose only face is empty, a single vertex
-    and solid simplices."""
+    """The reducer, element matchings and the Morse differential where
+    they leave critical cells of two sizes, against the plain boundary
+    ranks, on non-pure complexes, complexes with unused vertices, cones
+    over the lowest vertex, the complex whose only face is empty, a single
+    vertex and solid simplices."""
     special = [
         SimplicialComplex.from_facets([], [[]]),
         SimplicialComplex.from_facets("ab", [[]]),
@@ -545,7 +548,7 @@ def test_first_cm_failure_is_pinned(name, configs):
 def test_seven_diagonal_points_of_7x7x7_are_decided_by_the_matching():
     """Seven points on the diagonal of 7x7x7: 21 vertex positions, within
     the matching's bound, so the face bitset of 2^21 bits answers where
-    the exact route would enumerate about 7 * 2^18 faces."""
+    the Morse route would enumerate about 7 * 2^18 faces as a set."""
     X = canonicalize([(k, k, k) for k in range(1, 8)])
     assert reisner_oracle.MATCHING_BOUND >= 21
     start = time.perf_counter()
@@ -555,8 +558,8 @@ def test_seven_diagonal_points_of_7x7x7_are_decided_by_the_matching():
 
 def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
     """The element matchings leave critical cells of two sizes in this
-    set's complex, so its exact route keeps cells in two adjacent degrees
-    and takes a rank; one more than the matrix has rows makes a Betti
+    set's complex, so the Morse route ranks its differential between two
+    adjacent degrees; one more than the matrix has rows makes a Betti
     number negative, which homology must not return."""
     X = canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)])
     calls = []
@@ -608,7 +611,7 @@ def matching_critical_cells(facets):
 def random_facet_masks(seed, count):
     """Seeded non-pure facet lists on up to ``MATCHING_BOUND`` vertex
     positions, the highest one always used, with facets of one to six
-    vertices, so the exact route stays small at every size."""
+    vertices, so the reference reduction stays small at every size."""
     rng = random.Random(seed)
     for _ in range(count):
         m = rng.randint(1, reisner_oracle.MATCHING_BOUND)
@@ -620,39 +623,109 @@ def random_facet_masks(seed, count):
         yield tuple(facets)
 
 
-def test_matching_answers_exactly_when_critical_cells_have_one_size(monkeypatch):
-    """The bitset matching against the face-by-face matching and the exact
-    route: on every class key reached on exhaustive 2x2x3, on strided
-    3x3x2 and 2x2x2x2 and on random non-pure complexes up to the vertex
-    bound, the matching answers alone exactly when its critical cells
-    have one size, its answer counts them in that size's degree, and the
-    reducer's answer is the exact route's."""
-    calls = counted_reductions(monkeypatch)
-    for X in subset_configurations((2, 2, 3)):
-        first_cm_failure(X)
-    for X in subset_configurations((3, 3, 2), (2, 2, 2, 2), step=97):
-        first_cm_failure(X)
-    monkeypatch.undo()
+def sparse_configuration(seed, count, n=12):
+    """``count`` seeded points in n directions of two levels each, drawn
+    until both levels of every direction are used."""
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < count:
+        points.add(tuple(rng.randint(1, 2) for _ in range(n)))
+    return PointSet(n=n, dims=(2,) * n, points=frozenset(points))
+
+
+@pytest.fixture(scope="module")
+def reduction_references():
+    """The reference's Betti numbers of every class key reached on
+    exhaustive 2x2x3, on strided 3x3x2 and 2x2x2x2 and on two whole
+    complexes above the vertex bound (6 and 12 points in 12 directions,
+    24 vertices, which fail at the empty face and so reduce nothing
+    else), then of random non-pure complexes up to the bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_reductions(patch)
+        for X in subset_configurations((2, 2, 3)):
+            first_cm_failure(X)
+        for X in subset_configurations((3, 3, 2), (2, 2, 2, 2), step=97):
+            first_cm_failure(X)
+        for seed, count in [(11, 6), (9, 12)]:
+            assert first_cm_failure(sparse_configuration(seed, count))[0] == frozenset()
     keys = list(dict.fromkeys(calls)) + list(random_facet_masks(11, 300))
+    return {facets: coreduced_betti(facets) for facets in keys}
+
+
+def test_matching_answers_exactly_when_critical_cells_have_one_size(reduction_references):
+    """The bitset matching against the face-by-face matching, and the
+    Morse route against the reference: on every key, the bitset matching
+    answers alone exactly when there are at most ``MATCHING_BOUND``
+    vertex positions and its critical cells have one size, its answer
+    counts them in that size's degree, the Morse route's matching leaves
+    the same cells, and both the Morse route and the reducer give the
+    reference's Betti numbers."""
+    bound = reisner_oracle.MATCHING_BOUND
     answered = 0
-    for facets in keys:
+    for facets, exact in reduction_references.items():
         cells = matching_critical_cells(facets)
         sizes = {c.bit_count() for c in cells}
-        exact = reisner_oracle._coreduced_betti(facets)
+        m = max(facets).bit_length()
         betti = reisner_oracle._matched_betti(facets)
-        assert (betti is not None) == (len(sizes) <= 1), facets
+        assert (betti is not None) == (len(sizes) <= 1 and m <= bound), facets
         if betti is not None:
             answered += 1
             assert sum(betti) == len(cells) and betti == exact, facets
+        faces = reisner_oracle._face_masks(facets)
+        reisner_oracle._element_matchings(faces, (1 << m) - 1)
+        assert faces == cells, facets
+        assert reisner_oracle._morse_betti(facets) == exact, facets
         assert reisner_oracle._reduced_betti(facets) == exact, facets
-    assert 0 < answered < len(keys)
-    assert max(max(f).bit_length() for f in keys) == reisner_oracle.MATCHING_BOUND
+    assert 0 < answered < len(reduction_references)
+    lengths = {max(f).bit_length() for f in reduction_references}
+    assert bound in lengths and max(lengths) == 24
+    above = [exact for f, exact in reduction_references.items() if max(f).bit_length() > bound]
+    assert [b for b in above if any(b)] == [
+        (0, 0, 0, 1) + (0,) * 9,  # H~_2 = 1 on 6 points
+        (0, 0, 0, 0, 4) + (0,) * 8,  # H~_3 = 4 on 12 points
+    ]
+
+
+def unsigned(boundary):
+    """Every incidence +1: the flow drops the incidence sign."""
+    return lambda cell: dict.fromkeys(boundary(cell), 1)
+
+
+def both_ways(matchings):
+    """Each pair reported from its upper cell too, so the flow follows an
+    upper cell to its partner instead of dropping it."""
+
+    def matched(cells, full):
+        up = matchings(cells, full)
+        return {**up, **{upper: lower for lower, upper in up.items()}}
+
+    return matched
+
+
+@pytest.mark.parametrize(
+    "helper, mutation", [("_boundary", unsigned), ("_element_matchings", both_ways)]
+)
+def test_flow_mutations_fail_the_reference_check(
+    monkeypatch, reduction_references, helper, mutation
+):
+    """Each mutation of the flow makes the reducer miss the reference on
+    some key.  Without signs, some Morse boundary that cancels no longer
+    does.  An upper cell's partner lies below it, so its boundary holds no
+    incidence for the upper cell and the flow stops there with an error."""
+    monkeypatch.setattr(reisner_oracle, helper, mutation(getattr(reisner_oracle, helper)))
+    missed = 0
+    for facets, exact in reduction_references.items():
+        try:
+            missed += reisner_oracle._reduced_betti(facets) != exact
+        except (KeyError, InternalInvariantViolation):
+            missed += 1
+    assert missed
 
 
 def test_six_diagonal_points_of_6x6x6_are_decided_by_the_matching():
     """Six points on the diagonal of 6x6x6: the complex has 18 vertices
-    and six facets of 15, about 6 * 2^15 faces, which the exact route
-    alone takes tens of seconds to reduce; the matching leaves one
+    and six facets of 15, about 6 * 2^15 faces, which the reference
+    reduction takes tens of seconds to reduce; the matching leaves one
     critical cell."""
     X = canonicalize([(k, k, k) for k in range(1, 7)])
     start = time.perf_counter()

@@ -57,6 +57,7 @@ import acmpts
 loaded = set(sys.modules)
 acmpts.delta_table(acmpts.canonicalize([(1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 2)]), (2, 2, 2))
 acmpts.linalg.rank_int([[1, -2, 0], [3, 4, -(1 << 70)], [0, 1, 5]])
+acmpts.first_cm_failure(acmpts.canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)]))
 print(sorted(set(sys.modules) - loaded))
 """
 
@@ -65,7 +66,9 @@ def test_calls_after_import_load_no_module():
     """A module first loaded by a call, such as the ``array`` extension,
     adds its import time to that call.  A fresh interpreter runs one
     ``delta_table`` and one ``rank_int`` call, with entries both below and
-    above 2^63, after ``import acmpts``."""
+    above 2^63, after ``import acmpts``, and one ``first_cm_failure`` call
+    on a set whose element matchings leave critical cells of two sizes,
+    so the Morse route runs too."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
         [sys.executable, "-c", CALLS_AFTER_IMPORT],

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .errors import (
     BadDirection,
@@ -31,32 +31,6 @@ GridPoint = tuple[int, ...]
 
 # A multidegree is a plain tuple of integers, one per direction.
 MultiDegree = tuple[int, ...]
-
-
-T = TypeVar("T")
-
-
-class _stored(Generic[T]):
-    """A value of a PointSet, computed on first read and stored in the
-    instance's ``__dict__``, where later reads find it without coming back
-    here.  ``functools.cached_property`` does the same but takes a lock on
-    first read under Python 3.11.  Two threads racing on a first read here
-    each compute a value and either one is kept: for a pure value they are
-    equal, and a memo that loses the race only loses entries that are
-    recomputed on demand."""
-
-    def __init__(self, compute: Callable[[PointSet], T]) -> None:
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: PointSet | None, owner: type | None = None) -> T:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -110,14 +84,14 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
-    @_stored
+    @functools.cached_property
     def cell_mask(self) -> int:
         """The points as a mask over ``cell_table(dims)`` (bit k is cell k),
         computed on first read and kept on this PointSet, dying with it."""
         index = cell_table(self.dims)[1]
         return sum(1 << index[p] for p in self.points)
 
-    @_stored
+    @functools.cached_property
     def own_cells(self) -> dict[int, tuple[GridPoint, int]]:
         """Each point's cell index in ``cell_table(dims)``, keyed by the id
         of the very tuple stored in ``points``, with that tuple: a caller
@@ -128,7 +102,7 @@ class PointSet:
         index = cell_table(self.dims)[1]
         return {id(p): (p, index[p]) for p in self.points}
 
-    @_stored
+    @functools.cached_property
     def star_levels(self) -> dict[int, bool]:
         """The star verdict of this configuration per level, as far as
         ``star_property.find_path`` has read it from the package's memo:

@@ -33,9 +33,11 @@ so the link is the sphere of dimension sum(a_i) - n - 1, its own
 dimension: its reduced homology sits in the top degree and it passes
 unreduced.
 
-So ``cm_obstruction`` first reduces the empty face, whose link is the
-whole complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405
-sets fail there; ``empty_face_failure`` is this step alone), and then
+So ``cm_obstruction`` answers a full grid from its point counts: its
+complex and every link in it are spheres, and nothing is reduced.  Any
+other X it first reduces at the empty face, whose link is the whole
+complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405 sets
+fail there; ``empty_face_failure`` is this step alone), and then
 walks only the boxes that are neither cones nor spheres, generated from
 X (``_links_to_reduce``).  A box B that is not a cone is the smallest
 box around Y = X n B, so Y determines it: the walk holds one box per
@@ -63,18 +65,17 @@ its levels renumbered, so boxes that cut out the same configuration
 share one reduction, within one configuration and across
 configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``cm_obstruction`` call in the process.  On the
-seed-42 sample the walks size 3666 boxes (5517 without that count
-test), 319 of them full grids, and pop 1634, and the scans reduce 1881
-links (387 whole complexes and 1494 others), which
-fall into 908 classes across the whole sample.  The element matchings
-(below) alone answer 885 of those classes; the other 23 leave critical
-cells of two sizes, and their Morse complexes rank 23 matrices of at
-most 3 rows over 4 critical cells (19 of 76 entries nonzero).
-The README and ``linalg`` refer here for these counts.  For k >= 3
-points on a line (a simplex boundary) every link but the whole complex
-is a sphere, one reduction in all from an empty memo, as for the full
-3x3x3 grid.  The scan order and the reported face do not depend on the
-memo.
+seed-42 sample the walks size 3651 boxes (5502 without that count
+test), 304 of them full grids, and pop 1634, and the scans reduce 1866
+links (372 whole complexes and 1494 others), which fall into 907
+classes across the whole sample.  The element matchings (below) alone
+answer 884 of those classes; the other 23 leave critical cells of two
+sizes, and their Morse complexes rank 23 matrices of at most 3 rows
+over 4 critical cells (19 of 76 entries nonzero).  The README and
+``linalg`` refer here for these counts.  Points on a line are a full
+grid (the complex is a simplex boundary), as is the full 3x3x3 grid:
+no reduction at all.  The scan order and the reported face do not
+depend on the memo.
 
 Reduced homology comes first from discrete Morse theory.  The chain
 complex has every face as a cell, the empty face included as the single
@@ -117,10 +118,11 @@ coreduces (``tests/reduction_reference.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from operator import or_, xor
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -274,21 +276,13 @@ def sr_complex(X: PointSet) -> SimplicialComplex:
     One facet per point: the complement of the point's variable set.  All
     facets have size (sum r_i) - n, so the complex is pure by construction,
     and distinct points give distinct facets, so they form an antichain
-    and need no ``from_facets`` pass.  Listing the points in decreasing
-    lexicographic order lists the facets in ``from_facets`` order: at the
-    first direction where p > q differ, p's facet keeps the lower level
-    q_i that q's facet drops, so it comes first in vertex-index order.
+    and need no ``from_facets`` pass.  Built from the oracle's facet masks
+    (``_grid_facets``): facets of one size in decreasing mask order are in
+    ``from_facets`` order (``_facet_masks``).
     """
-    if not X.points:
-        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
     verts = tuple(grid_variables(X.dims))
-    vert_set = frozenset(verts)
-    start = list(accumulate(X.dims, initial=-1))  # verts[start[i] + c] is a[i+1,c]
-    facets = tuple(
-        vert_set.difference([verts[first + c] for first, c in zip(start, p)])
-        for p in sorted(X.points, reverse=True)
-    )
-    return SimplicialComplex(verts, facets)
+    masks = sorted(_grid_facets(X)[2], reverse=True)
+    return SimplicialComplex(verts, tuple(_vertex_set(verts, f) for f in masks))
 
 
 def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialComplex:
@@ -577,6 +571,14 @@ def _failure(facets: Sequence[int]) -> tuple[int, int] | None:
     return _low_degree(_class_betti(_renumbered(facets)))
 
 
+def _passes_on_counts(X: PointSet) -> bool:
+    """Whether the point counts alone show that the complex satisfies
+    Reisner's criterion: its facets have at most one vertex, so every link
+    has dimension <= 0, or X is the full grid, whose complex and every link
+    in it are spheres (module docstring)."""
+    return sum(X.dims) - X.n < 2 or X.size == math.prod(X.dims)
+
+
 def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
     """Reisner's condition on the empty face alone: the lowest degree below
     the top where the whole complex has reduced homology, and its rank,
@@ -590,7 +592,8 @@ def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
     variables of the levels that removal empties, and a cone is
     Cohen-Macaulay exactly when its base is.  So ``acmpts enumerate``
     decides a set from those sub-configurations and this one call."""
-    return _failure(_grid_facets(X)[2])
+    facets = _grid_facets(X)[2]
+    return None if _passes_on_counts(X) else _failure(facets)
 
 
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
@@ -600,11 +603,13 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     Faces are scanned by size then vertex order, so the empty face comes
     first and the reported obstruction is deterministic.  Returns
     (face, homology degree, rank) or None when the complex satisfies
-    Reisner's criterion.
+    Reisner's criterion.  A full grid, or a configuration whose facets
+    have at most one vertex, is answered from its point counts with no
+    reduction.
     """
     bits, points, facets = _grid_facets(X)
-    if sum(X.dims) - X.n < 2:
-        return None  # facets of at most one vertex: every link has dimension <= 0
+    if _passes_on_counts(X):
+        return None
     failure = _failure(facets)
     if failure:
         return (frozenset(), *failure)

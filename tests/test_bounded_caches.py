@@ -3,7 +3,9 @@ a positive integer ``maxsize``, and ``functools.cache`` (unbounded) is not
 used.  The caches live as long as the process, so an unbounded one would
 grow with every distinct argument a long-running caller passes.  The
 README's list of process-wide memos names exactly the memoized functions,
-so a memo cannot be added or dropped without its line there."""
+and its paragraph on per-configuration work names exactly the cached
+properties of ``PointSet``, so neither can be added or dropped without
+its line there."""
 
 import ast
 import re
@@ -112,4 +114,27 @@ def test_readme_lists_every_memo():
     start = readme.index("The process-wide memos")
     section = readme[start : readme.index("\n## ", start)]
     listed = re.findall(r"^\* `(\w+\.\w+)`", section, flags=re.M)
+    assert sorted(listed) == sorted(names)
+
+
+def point_set_cached_properties():
+    """The names of the ``functools.cached_property`` attributes of ``PointSet``."""
+    tree = ast.parse((PACKAGE / "grid_model.py").read_text(encoding="utf-8"))
+    (cls,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "PointSet"]
+    cached = ("functools.cached_property", "cached_property")
+    return [
+        fn.name
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(ast.unparse(d) in cached for d in fn.decorator_list)
+    ]
+
+
+def test_readme_lists_every_point_set_cached_property():
+    names = point_set_cached_properties()
+    assert names  # the paragraph is checked against something
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Work that belongs to one configuration")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    listed = re.findall(r"`PointSet\.(\w+)`", paragraph)
     assert sorted(listed) == sorted(names)

@@ -357,27 +357,37 @@ def counted_reductions(monkeypatch):
     return calls
 
 
-def test_collinear_points_reduce_one_link_per_face_size(monkeypatch):
-    """The complex of k points on a line is the boundary of a (k-1)-simplex.
-    The empty face is reduced first, and every other link is the boundary
-    of a smaller simplex, a sphere, which the scan skips; so for k >= 3
-    one reduction decides it instead of one per face (about 3^k cells in
-    all), and for k <= 2 no link has dimension 1 or more."""
-    calls = counted_reductions(monkeypatch)
-    for k in range(1, 13):
-        calls.clear()
-        reisner_oracle._class_betti.cache_clear()
-        assert is_cm(canonicalize([(i,) for i in range(1, k + 1)])) is True
-        assert len(calls) == (1 if k >= 3 else 0), k
+def assert_passes_unreduced(calls, X):
+    """X passes Reisner's criterion within a second, and ``calls`` (from
+    ``counted_reductions``) records no reduction from an empty memo."""
+    calls.clear()
+    reisner_oracle._class_betti.cache_clear()
+    start = time.perf_counter()
+    assert first_cm_failure(X) is None and empty_face_failure(X) is None
+    assert time.perf_counter() - start < 1.0, X.dims
+    assert calls == [], X.dims
 
 
-def test_full_grid_reduces_only_the_whole_complex(monkeypatch):
-    """Every link of a nonempty face of the full 3x3x3 grid's complex is
-    the complex of a full sub-grid, a join of simplex boundaries and so a
-    sphere, or not a face at all: only the empty face is reduced."""
+def test_collinear_points_need_no_reduction(monkeypatch):
+    """The complex of k points on a line is the boundary of a
+    (k-1)-simplex, a sphere, as is every link in it: the k points are the
+    full grid of k levels, answered from the point counts.  Above 22
+    vertices a reduction would list every face of the sphere, about 2^k."""
     calls = counted_reductions(monkeypatch)
-    assert is_cm(canonicalize(itertools.product((1, 2, 3), repeat=3))) is True
-    assert len(calls) == 1
+    for k in list(range(1, 13)) + [30]:
+        assert_passes_unreduced(calls, canonicalize([(i,) for i in range(1, k + 1)]))
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 3, 3), (12, 11), (8, 8, 8)], ids=["3x3x3", "12x11", "8x8x8"]
+)
+def test_full_grids_need_no_reduction(monkeypatch, dims):
+    """The complex of a full grid is a join of simplex boundaries, a
+    sphere, and every link in it is the complex of a full sub-grid or not
+    a face at all: nothing is reduced, not even the whole complex, which
+    on 23 or 24 vertices would list every face."""
+    calls = counted_reductions(monkeypatch)
+    assert_passes_unreduced(calls, canonicalize(itertools.product(*[range(r) for r in dims])))
 
 
 def test_sparse_set_in_many_directions_is_scanned_in_small_memory():
@@ -510,6 +520,9 @@ def test_walk_yields_every_box_to_reduce_on_cm_sets(monkeypatch, configs):
     for X in cm_sets:
         walks.clear()
         assert first_cm_failure(X) is None
+        if X.size == math.prod(X.dims):  # a full grid has no box to reduce
+            assert walks == [] and boxes_to_reduce(X) == set(), X
+            continue
         assert len(walks) == 1 and len(set(walks[0])) == len(walks[0])
         assert set(walks[0]) == boxes_to_reduce(X), X
     assert len(cm_sets) >= 20

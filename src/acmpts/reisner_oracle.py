@@ -68,40 +68,38 @@ classes) serves every ``cm_obstruction`` call in the process.  On the
 seed-42 sample the walks size 3651 boxes (5502 without that count
 test), 304 of them full grids, and pop 1634, and the scans reduce 1866
 links (372 whole complexes and 1494 others), which fall into 907
-classes across the whole sample.  The element matchings (below) alone
-answer 884 of those classes; the other 23 leave critical cells of two
-sizes, and their Morse complexes rank 23 matrices of at most 3 rows
-over 4 critical cells (19 of 76 entries nonzero).  The README and
-``linalg`` refer here for these counts.  Points on a line are a full
-grid (the complex is a simplex boundary), as is the full 3x3x3 grid:
-no reduction at all.  The scan order and the reported face do not
-depend on the memo.
+classes across the whole sample.  The element matchings (below) leave
+critical cells of one size in 884 of those classes, which take no rank;
+the other 23 leave two sizes, and their Morse differentials are 23
+matrices of at most 3 rows and 2 columns (19 of 31 entries nonzero).
+The README and ``linalg`` refer here for these counts.  Points on a
+line are a full grid (the complex is a simplex boundary), as is the
+full 3x3x3 grid: no reduction at all.  The scan order and the reported
+face do not depend on the memo.
 
-Reduced homology comes first from discrete Morse theory.  The chain
-complex has every face as a cell, the empty face included as the single
-cell of degree -1.  On m <= ``MATCHING_BOUND`` (22) vertex positions the
-face set is one int of 2^m bits, bit s set when the vertex set s is a
-face: the facets' bits, down-closed by one shift-and-or per vertex.  The
-element matching on a vertex v pairs each cell sigma without v with
-sigma + v when both are cells (Jonsson, *Simplicial Complexes of
-Graphs*, LNM 1928, 2008, section 4).  It runs for every vertex in
-increasing order, each time on the cells left unpaired, three big-int
-operations each.  A
-sequence of element matchings is acyclic and face incidences are +-1,
-so the augmented chain complex is chain-equivalent over the integers to
-a Morse complex on the critical cells, those left unpaired (Forman,
+Reduced homology comes from discrete Morse theory.  The chain complex
+has every face as a cell, the empty face included as the single cell of
+degree -1.  The element matching on a vertex v pairs each cell sigma
+without v with sigma + v when both are cells (Jonsson, *Simplicial
+Complexes of Graphs*, LNM 1928, 2008, section 4).  It runs for every
+vertex in increasing order, each time on the cells left unpaired, once
+per class.  On m <= ``MATCHING_BOUND`` (22) vertex positions it runs on
+the face bitset, one int of 2^m bits with bit s set when the vertex set
+s is a face (the facets' bits, down-closed by one shift-and-or per
+vertex), three big-int operations per vertex.  Above the bound it runs
+on the set of face masks, the only form that fits there.  A sequence of
+element matchings is acyclic and face incidences are +-1, so the
+augmented chain complex is chain-equivalent over the integers to a
+Morse complex on the critical cells, those left unpaired (Forman,
 *Morse theory for cell complexes*, Adv. Math. 134, 1998; Skoldberg,
-*Morse theory from an algebraic viewpoint*, Trans. AMS 358, 2006).  When
-every critical cell has one size k, that complex sits in degree k - 1
-with no differential: the reduced Betti number there is their count and
-every other one is 0, and no rank is taken.  A matching pairs cells of
-adjacent sizes, so the faces and the critical cells must have one Euler
-characteristic, which one mask of the odd-size vertex sets checks.  The
+*Morse theory from an algebraic viewpoint*, Trans. AMS 358, 2006).  A
+matching pairs cells of adjacent sizes, so the faces and the critical
+cells must have one Euler characteristic, which both routes check; the
+bitset route counts with one mask of the odd-size vertex sets, and the
 masks for each m are built on first use and kept (``_subset_masks``).
 
-When the critical cells span two sizes, or there are more than 22
-vertex positions, the same matchings run on the set of face masks and
-the Morse complex itself is reduced.  Its differential from a critical
+Either route hands one Morse step the critical cells and a lookup from
+a pair's lower cell to its upper cell.  The differential from a critical
 cell sigma is the signed sum over gradient paths, computed by flowing
 the boundary of sigma: a critical face is kept; a face that is the upper
 cell of a pair is dropped, since no gradient path leads on from it to a
@@ -109,10 +107,18 @@ critical cell one size down; a face tau that is the lower cell of a pair
 tau' = tau + v is replaced, the chain becoming chain - (coeff(tau) /
 [tau' : tau]) * boundary(tau'), which cancels tau.  The matching is
 acyclic, so the flow ends, and every incidence is +-1, so coefficients
-stay integers.  The Morse boundaries of the critical cells of one size,
-a few rows, are ranked exactly (``rank_int``), and the same Euler
-characteristic check compares the faces with the critical cells.  The
-tests hold this route to a reference that excises a vertex star and
+stay integers.  Every term of a flowed boundary is one size below
+sigma, so a row has columns only for the critical cells one size down,
+and the differential from size k is flowed and ranked only when there
+are critical cells of sizes k and k - 1.  So when every critical cell
+has one size k, the Morse complex sits in degree k - 1 with no
+differential: the reduced Betti number there is their count, every
+other one is 0, and the step builds no lookup and takes no rank.  The
+bitset route's lookup reads each matching's pairs as bytes, one byte
+test per vertex, and is built only when a differential is flowed.  The
+differentials, a few rows each, are ranked exactly (``rank_int``), and a
+negative Betti number would mean a rank exceeded its matrix's.  The
+tests hold both routes to a reference that excises a vertex star and
 coreduces (``tests/reduction_reference.py``).
 """
 
@@ -124,7 +130,7 @@ from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import chain, islice
 from operator import or_, xor
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyConfiguration,
@@ -136,9 +142,6 @@ from .grid_model import GridPoint, PointSet
 from .linalg import rank_int
 
 Face = frozenset
-
-NO_FACETS = "no facets (the complex whose only face is empty has facets [[]])"
-
 
 class GridVariable(NamedTuple):
     """The variable a[i,j] of the hyperplane at level j of direction i."""
@@ -175,19 +178,12 @@ class SimplicialComplex:
     def from_facets(
         cls, vertices: Iterable[Hashable], facets: Iterable[Iterable[Hashable]]
     ) -> "SimplicialComplex":
+        """The complex with these vertices whose facets are the maximal sets
+        among ``facets``, in face order (``_in_face_order``)."""
         verts = tuple(vertices)
-        index = {v: k for k, v in enumerate(verts)}
-        if len(index) != len(verts):
-            raise MalformedComplex("repeated vertex")
-        fs = {frozenset(f) for f in facets}
-        if not fs:
-            raise MalformedComplex(NO_FACETS)
-        for f in fs:
-            if not f <= index.keys():
-                raise MalformedComplex(f"facet {set(f)} uses unknown vertices")
-        minimal = [f for f in fs if not any(f < g for g in fs)]
-        minimal.sort(key=lambda f: (len(f), sorted(index[v] for v in f)))
-        return cls(vertices=verts, facets=tuple(minimal))
+        masks = set(_facet_masks(cls(verts, tuple({frozenset(f) for f in facets}))))
+        minimal = [f for f in masks if not any(f & g == f != g for g in masks)]
+        return cls(verts, tuple(_vertex_set(verts, f) for f in _in_face_order(minimal)))
 
     @property
     def dim(self) -> int:
@@ -204,11 +200,18 @@ def _facet_masks(delta: SimplicialComplex) -> list[int]:
     faces of one size the one earlier in vertex-index order has the larger
     mask: the first vertex where they differ is its, and sets the higher bit.
 
-    Every entry point reads the facets through here once per call, so a
-    complex built directly with no facets is rejected here, not per link."""
-    if not delta.facets:
-        raise MalformedComplex(NO_FACETS)
+    Every entry point, ``from_facets`` included, reads the facets through
+    here once per call, so a complex built directly with a repeated
+    vertex, no facets or a facet on unknown vertices is rejected here, not
+    per link."""
     bit = _vertex_bits(delta.vertices)
+    if len(bit) != len(delta.vertices):
+        raise MalformedComplex("repeated vertex")
+    if not delta.facets:
+        raise MalformedComplex("no facets (the complex whose only face is empty has facets [[]])")
+    for f in delta.facets:
+        if any(v not in bit for v in f):
+            raise MalformedComplex(f"facet {set(f)} uses unknown vertices")
     return [sum(bit[v] for v in f) for f in delta.facets]
 
 
@@ -334,53 +337,90 @@ def _check_euler(faces: int, cells: int) -> None:
         )
 
 
-def _matched_betti(facets: Sequence[int]) -> tuple[int, ...] | None:
-    """Reduced rational Betti numbers, degree -1 up to the dimension, of
-    the complex with these facet masks from element matchings alone, or
-    None when its critical cells span two sizes or it has more than
-    ``MATCHING_BOUND`` vertex positions (module docstring).
+Partner = Callable[[int], int | None]  # a pair's lower cell -> its upper cell, else None
+Pairs = Callable[[], Partner]  # builds the lookup, called only when a differential is flowed
 
-    The face set is one int with bit s set for each face s; a matching
-    pairs cells of adjacent sizes, so the reduced Euler characteristic of
-    the faces must equal that of the critical cells, which fails if a
-    step drops a cell without its partner.
-    """
-    full = reduce(or_, facets, 0)
+
+def _bitset_matchings(facets: Sequence[int], full: int) -> tuple[Iterable[int], Pairs]:
+    """The element matchings run on the face bitset, one int with bit s
+    for each face s (module docstring): the critical cells, and a builder
+    of the lookup from a pair's lower cell to its upper cell
+    (``_bitset_partners``).  A matching pairs cells of adjacent sizes, so
+    the reduced Euler characteristic of the faces must equal that of the
+    critical cells, which fails if a step drops a cell without its
+    partner."""
     m = full.bit_length()
-    if m > MATCHING_BOUND:
-        return None
     has, odd = _subset_masks(m)
     faces = 0
     for f in facets:
         faces |= 1 << f
     for j in _bits(full):  # down-closure: drop vertex j from every face through it
         faces |= (faces & has[j]) >> (1 << j)
-    critical = faces
+    critical, matched = faces, []
     for j in _bits(full):  # the element matching on j, lowest vertex first
-        shift = 1 << j
-        paired = critical & ~has[j] & critical >> shift
-        critical &= ~(paired | paired << shift)
+        v = 1 << j  # vertex j's bit, and the shift from a set without j to it with j
+        paired = critical & ~has[j] & critical >> v
+        critical &= ~(paired | paired << v)
+        matched.append(paired)
 
     def euler(cells: int) -> int:  # cells of size k are in degree k - 1
         return 2 * (cells & odd).bit_count() - cells.bit_count()
 
     _check_euler(euler(faces), euler(critical))
-    sizes = {s.bit_count() for s in _bits(critical)}
-    if len(sizes) > 1:
-        return None
-    betti = [0] * (max(f.bit_count() for f in facets) + 1)
-    if sizes:
-        betti[sizes.pop()] = critical.bit_count()
-    return tuple(betti)
+    return _bits(critical), lambda: _bitset_partners(full, matched)
+
+
+def _bitset_partners(full: int, matched: Sequence[int]) -> Partner:
+    """The lookup from a cell tau to tau ^ v, where v is the vertex of
+    ``full`` whose matching's bitset in ``matched`` (one per vertex, lowest
+    first) holds tau, or None.  Each bitset is read as bytes, so a test
+    is one byte, not a shift of 2^m bits."""
+    size = (1 << full.bit_length()) + 7 >> 3  # bytes of a 2^m-bit bitset
+    tables = [(1 << j, paired.to_bytes(size, "little")) for j, paired in zip(_bits(full), matched)]
+    return lambda tau: next((tau ^ v for v, t in tables if t[tau >> 3] >> (tau & 7) & 1), None)
+
+
+def _set_matchings(facets: Sequence[int], full: int) -> tuple[set[int], Pairs]:
+    """The element matchings run on the set of face masks, the route above
+    ``MATCHING_BOUND`` vertex positions, with the same result and the same
+    Euler characteristic check as ``_bitset_matchings``."""
+    cells = _face_masks(facets)
+    euler_faces = _euler(cells)
+    up = _element_matchings(cells, full)
+    _check_euler(euler_faces, _euler(cells))
+    return cells, lambda: up.get
 
 
 def _reduced_betti(facets: Sequence[int]) -> tuple[int, ...]:
     """Reduced rational Betti numbers, degree -1 up to the dimension, of
-    the complex with these facet masks: from the bitset matchings when
-    their critical cells have one size, else from the Morse complex of
-    the same matchings (``_morse_betti``)."""
-    betti = _matched_betti(facets)
-    return _morse_betti(facets) if betti is None else betti
+    the complex with these facet masks, from the Morse complex of the
+    element matchings, run once: on the face bitset up to
+    ``MATCHING_BOUND`` vertex positions, on the set of faces above it
+    (module docstring).
+
+    The differential from the critical cells of size k is flowed and
+    ranked only when there are critical cells of sizes k and k - 1, so a
+    class whose critical cells have one size takes no rank and builds no
+    pair lookup.  A negative Betti number means a rank exceeded its
+    matrix's."""
+    full = reduce(or_, facets, 0)
+    matchings = _bitset_matchings if full.bit_length() <= MATCHING_BOUND else _set_matchings
+    critical, partners = matchings(facets, full)
+    cells: dict[int, list[int]] = {}  # the critical cells by size
+    for c in critical:
+        cells.setdefault(c.bit_count(), []).append(c)
+    betti = [0] * (max(map(int.bit_count, facets)) + 1)  # a cell of size k is in degree k - 1
+    partner = None
+    for k, same in cells.items():
+        betti[k] += len(same)
+        if k - 1 in cells:  # the differential from size k, its rank taken from both degrees
+            partner = partner or partners()
+            rank = rank_int(_morse_rows(same, cells[k - 1], partner))
+            betti[k] -= rank
+            betti[k - 1] -= rank
+    if min(betti) < 0:
+        raise InternalInvariantViolation(f"negative Betti number in {tuple(betti)}")
+    return tuple(betti)
 
 
 def _boundary(cell: int) -> dict[int, int]:
@@ -408,51 +448,34 @@ def _element_matchings(cells: set[int], full: int) -> dict[int, int]:
     return up
 
 
-def _morse_betti(facets: Sequence[int]) -> tuple[int, ...]:
-    """Reduced rational Betti numbers, degree -1 up to the dimension, of
-    the complex with these facet masks, from the Morse complex of the
-    element matchings run on its set of faces (module docstring).
-
-    Each row is one critical cell's boundary flowed along the matching,
-    over all the critical cells, and the rows of each size are ranked.
-    The faces and the critical cells must have one Euler characteristic,
-    and a negative Betti number means a rank exceeded its matrix's.
-    """
-    cells = _face_masks(facets)
-    euler_faces = _euler(cells)
-    up = _element_matchings(cells, reduce(or_, facets, 0))
-    _check_euler(euler_faces, _euler(cells))
-    column = {c: k for k, c in enumerate(cells)}  # the critical cells
-    top = max(f.bit_count() for f in facets)  # cells have sizes 0 .. top
-    rows: list[list[list[int]]] = [[] for _ in range(top + 1)]
-    for sigma in column:
+def _morse_rows(upper: Sequence[int], lower: Sequence[int], partner: Partner) -> list[list[int]]:
+    """The Morse differential from the critical cells ``upper`` of one size
+    to ``lower``, the critical cells one size down: each row a cell's
+    boundary flowed along the matching (module docstring).  Every term of
+    a flowed boundary is one size down, so the columns are ``lower``."""
+    column = {c: k for k, c in enumerate(lower)}
+    rows = []
+    for sigma in upper:
         row = [0] * len(column)
         chain = _boundary(sigma)
         while chain:
             tau, coeff = chain.popitem()
             if tau in column:
                 row[column[tau]] += coeff
-            elif coeff and tau in up:
-                flow = _boundary(up[tau])
+            elif coeff and (cell := partner(tau)) is not None:
+                flow = _boundary(cell)
                 coeff *= flow.pop(tau)  # dividing by the incidence [tau' : tau] = +-1
                 for face, sign in flow.items():
                     chain[face] = chain.get(face, 0) - coeff * sign
-        rows[sigma.bit_count()].append(row)
-    # rank[k]: rank of the Morse boundary from critical cells of size k
-    rank = [0] * (top + 2)
-    for k in range(1, top + 1):
-        if rows[k] and rows[k - 1]:
-            rank[k] = rank_int(rows[k])
-    betti = tuple(len(rows[k]) - rank[k] - rank[k + 1] for k in range(top + 1))
-    if min(betti) < 0:
-        raise InternalInvariantViolation(f"negative Betti number in {betti}")
-    return betti
+        rows.append(row)
+    return rows
 
 
 def homology(delta: SimplicialComplex) -> HomologyProfile:
-    """Reduced rational Betti numbers, from element matchings and, when
-    their critical cells span two sizes, the exact ranks of the Morse
-    differential (module docstring).
+    """Reduced rational Betti numbers, from the Morse complex of the
+    element matchings: the critical cells of each size, less the exact
+    ranks of the Morse differentials between sizes that both have
+    critical cells (module docstring).
 
     Includes the empty face as the single cell in degree -1, so the
     profile of the complex whose only face is empty is (1,).
@@ -463,7 +486,9 @@ def homology(delta: SimplicialComplex) -> HomologyProfile:
 @lru_cache(maxsize=4096)
 def _class_betti(key: tuple[int, ...]) -> tuple[int, ...]:
     """Reduced Betti numbers of one link class (a ``_renumbered`` key),
-    cached for the 4096 most recent classes.  ``_reduced_betti`` is looked
+    from one run of the element matchings and one Morse step
+    (``_reduced_betti``), cached for the 4096 most recent classes, so a
+    class is matched once however many links share it.  ``_reduced_betti`` is looked
     up as a module global at each miss, so a wrapper installed on the
     module sees every reduction; an exception is not cached."""
     return _reduced_betti(key)
@@ -486,9 +511,10 @@ def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def _smallest_box(
-    inside: int, bits: tuple[tuple[int, ...], ...], slab: dict[int, int]
-) -> tuple[int, int]:
+LevelBits = tuple[tuple[int, ...], ...]  # the bit of a[i,j] as bits[i - 1][j - 1]
+
+
+def _smallest_box(inside: int, bits: LevelBits, slab: dict[int, int]) -> tuple[int, int]:
     """The smallest box around the points ``inside``, given the points at
     each level bit (``slab``): (the mask of its levels, its number of
     cells)."""
@@ -503,9 +529,7 @@ def _smallest_box(
     return kept, volume
 
 
-def _links_to_reduce(
-    bits: tuple[tuple[int, ...], ...], points: Sequence[GridPoint]
-) -> Iterator[tuple[int, int]]:
+def _links_to_reduce(bits: LevelBits, points: Sequence[GridPoint]) -> Iterator[tuple[int, int]]:
     """The boxes B whose link is neither a cone nor a sphere and has
     dimension at least 1, the whole grid left out, in the scan order of
     their faces, as (the mask of B's levels, X n B as a mask with bit k
@@ -549,9 +573,7 @@ def _links_to_reduce(
                 heappush(heap, (-kept_b.bit_count(), kept_b, smaller, volume_b))
 
 
-def _grid_facets(
-    X: PointSet,
-) -> tuple[tuple[tuple[int, ...], ...], list[GridPoint], list[int]]:
+def _grid_facets(X: PointSet) -> tuple[LevelBits, list[GridPoint], list[int]]:
     """The configuration's complex as masks: the bit of a[i,j] as
     ``bits[i - 1][j - 1]``, the points in sorted order, and each point's
     facet mask, in that order."""

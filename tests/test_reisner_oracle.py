@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -162,8 +164,17 @@ def test_from_facets_rejects_no_facets():
         (lambda: SimplicialComplex.from_facets("ab", []), "no facets"),
         (lambda: SimplicialComplex.from_facets("ab", [["a", "c"]]), "uses unknown vertices"),
         (lambda: homology(SimplicialComplex(("a", "b"), ())), "no facets"),
+        (lambda: homology(SimplicialComplex((1, 1, 2), (frozenset({1, 2}),))), "repeated vertex"),
+        (lambda: homology(SimplicialComplex((1,), (frozenset({2}),))), "uses unknown vertices"),
     ],
-    ids=["repeated-vertex", "no-facets", "unknown-vertex", "built-without-facets"],
+    ids=[
+        "repeated-vertex",
+        "no-facets",
+        "unknown-vertex",
+        "built-without-facets",
+        "built-with-repeated-vertex",
+        "built-with-unknown-vertex",
+    ],
 )
 def test_malformed_complex_is_an_input_error(build, message):
     """Bad data handed to the library raises an ``InputError``; this one is
@@ -180,6 +191,25 @@ def test_complex_built_with_no_facets_is_rejected(vertices):
     delta = SimplicialComplex(vertices, ())
     for entry in (homology, SimplicialComplex.faces, lambda d: d.dim):
         with pytest.raises(ValueError, match=r"no facets \(the complex whose only face is empty"):
+            entry(delta)
+
+
+@pytest.mark.parametrize(
+    "vertices, facets, message",
+    [
+        ((1,), (frozenset({2}),), r"facet \{2\} uses unknown vertices"),
+        ((1, 1, 2), (frozenset({1, 2}),), "repeated vertex"),
+    ],
+    ids=["unknown-vertex", "repeated-vertex"],
+)
+def test_complex_built_with_bad_vertices_is_rejected(vertices, facets, message):
+    """A complex constructed directly with a facet on an unknown vertex, or
+    with a repeated vertex, gets ``from_facets``' error from every entry
+    point, not a bare ``KeyError`` or a silent answer for a complex whose
+    two vertices share one bit."""
+    delta = SimplicialComplex(vertices, facets)
+    for entry in (homology, SimplicialComplex.faces, lambda d: d.dim):
+        with pytest.raises(MalformedComplex, match=message):
             entry(delta)
 
 
@@ -597,7 +627,7 @@ def test_miscounted_faces_are_an_invariant_violation(monkeypatch):
     on the lowest vertex always pairs it with that vertex."""
     delta = sr_complex(canonicalize([(1, 1), (2, 2)]))
     facets = reisner_oracle._facet_masks(delta)
-    assert reisner_oracle._matched_betti(facets) == (0, 1, 0)
+    assert reisner_oracle._reduced_betti(facets) == (0, 1, 0)
     subset_masks = reisner_oracle._subset_masks
 
     def miscounted(m):
@@ -665,31 +695,36 @@ def reduction_references():
     return {facets: coreduced_betti(facets) for facets in keys}
 
 
-def test_matching_answers_exactly_when_critical_cells_have_one_size(reduction_references):
-    """The bitset matching against the face-by-face matching, and the
-    Morse route against the reference: on every key, the bitset matching
-    answers alone exactly when there are at most ``MATCHING_BOUND``
-    vertex positions and its critical cells have one size, its answer
-    counts them in that size's degree, the Morse route's matching leaves
-    the same cells, and both the Morse route and the reducer give the
-    reference's Betti numbers."""
+def test_matching_answers_exactly_when_critical_cells_have_one_size(
+    monkeypatch, reduction_references
+):
+    """Both matchings against the face-by-face matching, and both routes of
+    the reducer against the reference: on every key up to
+    ``MATCHING_BOUND`` vertex positions the bitset matching leaves the
+    cells the face-by-face matching leaves, and on every key the set
+    matching does too; the reducer gives the reference's Betti numbers,
+    which count the critical cells in their degree when they have one
+    size; and so does the reducer with the face-set route taken on every
+    key, not only above the bound."""
     bound = reisner_oracle.MATCHING_BOUND
-    answered = 0
+    one_size = 0
     for facets, exact in reduction_references.items():
         cells = matching_critical_cells(facets)
-        sizes = {c.bit_count() for c in cells}
-        m = max(facets).bit_length()
-        betti = reisner_oracle._matched_betti(facets)
-        assert (betti is not None) == (len(sizes) <= 1 and m <= bound), facets
-        if betti is not None:
-            answered += 1
-            assert sum(betti) == len(cells) and betti == exact, facets
+        full = functools.reduce(operator.or_, facets)
+        if full.bit_length() <= bound:
+            critical, _ = reisner_oracle._bitset_matchings(facets, full)
+            assert set(critical) == cells, facets
         faces = reisner_oracle._face_masks(facets)
-        reisner_oracle._element_matchings(faces, (1 << m) - 1)
+        reisner_oracle._element_matchings(faces, full)
         assert faces == cells, facets
-        assert reisner_oracle._morse_betti(facets) == exact, facets
         assert reisner_oracle._reduced_betti(facets) == exact, facets
-    assert 0 < answered < len(reduction_references)
+        if len({c.bit_count() for c in cells}) <= 1:
+            one_size += 1
+            assert sum(exact) == len(cells), facets
+    assert 0 < one_size < len(reduction_references)
+    monkeypatch.setattr(reisner_oracle, "MATCHING_BOUND", 0)
+    for facets, exact in reduction_references.items():
+        assert reisner_oracle._reduced_betti(facets) == exact, facets
     lengths = {max(f).bit_length() for f in reduction_references}
     assert bound in lengths and max(lengths) == 24
     above = [exact for f, exact in reduction_references.items() if max(f).bit_length() > bound]
@@ -699,14 +734,38 @@ def test_matching_answers_exactly_when_critical_cells_have_one_size(reduction_re
     ]
 
 
+def test_two_size_class_is_matched_on_the_bitset_alone(monkeypatch):
+    """Below ``MATCHING_BOUND`` the element matchings run once, on the face
+    bitset, even when they leave critical cells of two sizes, as on this
+    set's complex: no face is listed as a set, by the reducer, ``homology``
+    or ``first_cm_failure``."""
+    X = canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)])
+    facets = reisner_oracle._renumbered(reisner_oracle._grid_facets(X)[2])
+    assert len({c.bit_count() for c in matching_critical_cells(facets)}) == 2
+    exact = coreduced_betti(facets)
+    listed = []
+    face_masks = reisner_oracle._face_masks
+
+    def counting(facets):
+        listed.append(facets)
+        return face_masks(facets)
+
+    monkeypatch.setattr(reisner_oracle, "_face_masks", counting)
+    reisner_oracle._class_betti.cache_clear()
+    assert reisner_oracle._reduced_betti(facets) == exact
+    assert homology(sr_complex(X)).ranks == exact
+    assert first_cm_failure(X) == (frozenset(), 1, 1)
+    assert listed == []
+
+
 def unsigned(boundary):
     """Every incidence +1: the flow drops the incidence sign."""
     return lambda cell: dict.fromkeys(boundary(cell), 1)
 
 
 def both_ways(matchings):
-    """Each pair reported from its upper cell too, so the flow follows an
-    upper cell to its partner instead of dropping it."""
+    """Each pair of the set matching reported from its upper cell too, so
+    the flow follows an upper cell to its partner instead of dropping it."""
 
     def matched(cells, full):
         up = matchings(cells, full)
@@ -715,24 +774,48 @@ def both_ways(matchings):
     return matched
 
 
+def bitset_both_ways(partners):
+    """The bitset matching's pairs read from either cell: each lower-cell
+    bitset over vertex j is joined by its upper cells, the same set
+    shifted by 2^j, so the lookup answers an upper cell with its partner
+    too."""
+
+    def matched(full, lower):
+        vertices = [j for j in range(full.bit_length()) if full >> j & 1]
+        return partners(full, [p | p << (1 << j) for j, p in zip(vertices, lower)])
+
+    return matched
+
+
 @pytest.mark.parametrize(
-    "helper, mutation", [("_boundary", unsigned), ("_element_matchings", both_ways)]
+    "helper, mutation",
+    [
+        ("_boundary", unsigned),
+        ("_element_matchings", both_ways),
+        ("_bitset_partners", bitset_both_ways),
+    ],
 )
 def test_flow_mutations_fail_the_reference_check(
     monkeypatch, reduction_references, helper, mutation
 ):
     """Each mutation of the flow makes the reducer miss the reference on
-    some key.  Without signs, some Morse boundary that cancels no longer
-    does.  An upper cell's partner lies below it, so its boundary holds no
-    incidence for the upper cell and the flow stops there with an error."""
+    some key, on every route that reads the mutated helper: the bitset
+    route, and the face-set route taken on every key.  Without signs,
+    some Morse boundary that cancels no longer does.  An upper cell's
+    partner lies below it, so its boundary holds no incidence for the
+    upper cell and the flow stops there with an error."""
+    bound = reisner_oracle.MATCHING_BOUND
+    bounds = {"_boundary": (bound, 0), "_element_matchings": (0,), "_bitset_partners": (bound,)}
     monkeypatch.setattr(reisner_oracle, helper, mutation(getattr(reisner_oracle, helper)))
-    missed = 0
-    for facets, exact in reduction_references.items():
-        try:
-            missed += reisner_oracle._reduced_betti(facets) != exact
-        except (KeyError, InternalInvariantViolation):
-            missed += 1
-    assert missed
+    for route_bound in bounds[helper]:
+        monkeypatch.setattr(reisner_oracle, "MATCHING_BOUND", route_bound)
+        missed = 0
+        for facets, exact in reduction_references.items():
+            try:
+                missed += reisner_oracle._reduced_betti(facets) != exact
+            except (KeyError, InternalInvariantViolation):
+                missed += 1
+        assert missed, route_bound
 
 
 def test_six_diagonal_points_of_6x6x6_are_decided_by_the_matching():

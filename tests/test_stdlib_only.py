@@ -58,6 +58,11 @@ loaded = set(sys.modules)
 acmpts.delta_table(acmpts.canonicalize([(1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 2)]), (2, 2, 2))
 acmpts.linalg.rank_int([[1, -2, 0], [3, 4, -(1 << 70)], [0, 1, 5]])
 acmpts.first_cm_failure(acmpts.canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)]))
+acmpts.first_cm_failure(acmpts.canonicalize([
+    (1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 2), (1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2),
+    (2, 1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1), (2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 2, 1),
+    (2, 2, 1, 2, 1, 1, 1, 2, 1, 2, 2, 1), (2, 2, 2, 1, 1, 2, 1, 1, 2, 2, 1, 1),
+]))
 print(sorted(set(sys.modules) - loaded))
 """
 
@@ -68,7 +73,11 @@ def test_calls_after_import_load_no_module():
     ``delta_table`` and one ``rank_int`` call, with entries both below and
     above 2^63, after ``import acmpts``, and one ``first_cm_failure`` call
     on a set whose element matchings leave critical cells of two sizes,
-    so the Morse route runs too."""
+    so a Morse differential is flowed and ranked, and one on six points in
+    twelve directions of two levels, 24 vertex positions, above
+    ``MATCHING_BOUND``, so the matchings run on the set of faces.  The
+    points are given as a literal list, so that ``random`` is not
+    imported."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
         [sys.executable, "-c", CALLS_AFTER_IMPORT],

@@ -22,11 +22,14 @@ each interface set is ACM, read submasks built from per-direction level
 masks and per-cell line masks.  Its Reisner verdict reads its vertex
 links first, each the mask without one of its levels: if one is not
 Cohen-Macaulay, neither is the mask, and otherwise only the whole
-complex is reduced (``reisner_oracle.empty_face_failure``).  Star and
-inclusion verdicts of a representative still come from ``is_acm`` and
-``inclusion_property``.  A ``--random`` run keeps a dict instead, and
-decides what its sample never visited on demand, by ``is_acm`` and
-``is_cm``.
+complex is reduced (``reisner_oracle.empty_face_failure``).  This is
+the recursion of ``reisner_oracle.is_cm``, read from the run's own table
+in mask order.  Star and inclusion verdicts of a representative still
+come from ``is_acm`` and ``inclusion_property``.  A ``--random`` run
+keeps a dict instead, and decides what its sample never visited on
+demand, by ``is_acm`` and ``is_cm``; ``is_cm`` keeps the verdicts of the
+sub-configurations it decides in its own process-wide memo, so later
+draws reuse them.
 
 ``cli.cmd_enumerate`` imports this module when the command runs, so the
 other commands, and every import of ``acmpts.cli``, do without it.

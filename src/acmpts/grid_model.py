@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,9 +88,12 @@ class PointSet:
     @functools.cached_property
     def cell_mask(self) -> int:
         """The points as a mask over ``cell_table(dims)`` (bit k is cell k),
-        computed on first read and kept on this PointSet, dying with it."""
-        index = cell_table(self.dims)[1]
-        return sum(1 << index[p] for p in self.points)
+        computed on first read and kept on this PointSet, dying with it.
+        Cell p has index sum((p_i - 1) * stride_i), computed from the
+        strides, so no table of the grid's cells is built: every point is
+        shifted up by sum(stride_i), and the sum is shifted back down."""
+        strides = cell_strides(self.dims)
+        return sum(1 << sum(map(operator.mul, p, strides)) for p in self.points) >> sum(strides)
 
     @functools.cached_property
     def own_cells(self) -> dict[int, tuple[GridPoint, int]]:
@@ -142,8 +146,13 @@ def cell_table(
     lexicographic order (bit k of a cell mask is cell k), each cell's
     index, and each direction's index stride; cached for 32 dims."""
     cells = tuple(itertools.product(*[range(1, r + 1) for r in dims]))
-    strides = tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
-    return cells, {c: k for k, c in enumerate(cells)}, strides
+    return cells, {c: k for k, c in enumerate(cells)}, cell_strides(dims)
+
+
+def cell_strides(dims: Sequence[int]) -> tuple[int, ...]:
+    """Each direction's index stride in the cell numbering of ``cell_table``:
+    the product of the level counts of the directions after it."""
+    return tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
 
 
 def grid_cells(dims: Sequence[int]) -> tuple[GridPoint, ...]:

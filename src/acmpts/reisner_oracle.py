@@ -33,16 +33,52 @@ so the link is the sphere of dimension sum(a_i) - n - 1, its own
 dimension: its reduced homology sits in the top degree and it passes
 unreduced.
 
-So ``cm_obstruction`` answers a full grid from its point counts: its
-complex and every link in it are spheres, and nothing is reduced.  Any
-other X it first reduces at the empty face, whose link is the whole
-complex (on the seed-42 3x3x3 benchmark sample, 232 of the 405 sets
-fail there; ``empty_face_failure`` is this step alone), and then
-walks only the boxes that are neither cones nor spheres, generated from
-X (``_links_to_reduce``).  A box B that is not a cone is the smallest
-box around Y = X n B, so Y determines it: the walk holds one box per
-such Y, never more boxes than the complex has faces, and every test on
-a box is bit operations on masks of X's points.
+So a full grid is answered from its point counts: its complex and every
+link in it are spheres, and nothing is reduced.
+
+``is_cm`` decides by vertex links (Bruns and Herzog, *Cohen-Macaulay
+Rings*, ch. 5): a complex is Cohen-Macaulay exactly when every vertex
+link is and the whole complex, the link of the empty face, passes.  The
+link of a[i,j] is the complex of X without its level j in direction i,
+coned over the variables of the levels that removal empties, and a cone
+is Cohen-Macaulay exactly when its base is.  So the recursion runs on
+sub-configurations Y of X, each a mask over the cells of X's grid (bit k
+for cell k of ``grid_model.cell_table``).  Y is Cohen-Macaulay when it
+fills its smallest box, or that box has fewer than n + 2 levels.
+Otherwise every Y without one level, in each direction where Y has two
+or more, must be Cohen-Macaulay, and then Y's whole complex must pass:
+its facets are its cells' facets on its box's variables, reduced as a
+link class (below).  Vertex links come first, so a link already known
+not to be Cohen-Macaulay answers with no facets, no renumbering and no
+reduction.  The level masks are built per grid shape by doubling each
+level's periodic pattern, X's mask comes from the strides of the cell
+numbering, and a cell's facet is computed only when a whole complex
+needs it (``_grid``), so nothing is built per cell of the grid.  Every
+verdict goes into one process-wide memo, by grid shape and then by mask
+(``_verdicts``).  The subsets of one grid share their sub-configurations,
+so a configuration reuses what earlier ones decided.  A call that starts
+with more than ``VERDICT_BOUND`` (2^15) verdicts replaces the dict; a
+call already running keeps the dict it started with, so no call decides
+a sub-configuration twice, which a bounded recursion cache could not
+promise (the 56-point 6x6x6 staircase has 48908 sub-configurations).
+The recursion runs on an explicit stack of generators (``_decide``), so
+its depth is not Python's.  On the seed-42 3x3x3 benchmark sample,
+``is_cm`` decides 3235 sub-configurations in all, 550 of them from their
+point counts; 931 are rejected at a vertex link, and 1754 whole
+complexes fall into 370 link classes, all reduced without a Morse
+matrix.
+
+``cm_obstruction`` (``first_cm_failure``, ``acmpts oracle``) takes the
+verdict from ``is_cm`` and walks only a set that is not Cohen-Macaulay,
+to name its first failing face (``_first_failure``); a walk that then
+finds none is an ``InternalInvariantViolation``.  The walk reduces the
+empty face first, whose link is the whole complex (232 of the 405
+seed-42 sets fail there; ``empty_face_failure`` is this step alone), and
+then walks only the boxes that are neither cones nor spheres, generated
+from X (``_links_to_reduce``).  A box B that is not a cone is the
+smallest box around Y = X n B, so Y determines it: the walk holds one
+box per such Y, never more boxes than the complex has faces, and every
+test on a box is bit operations on masks of X's points.
 Removing the points at one level of B leaves the Y of a smaller box,
 later in scan order.  Starting from X, such removals reach every Y:
 X n B is X with the points at each level outside B removed in turn.
@@ -64,18 +100,17 @@ reduced.  Such a link is the complex of the configuration X n B with
 its levels renumbered, so boxes that cut out the same configuration
 share one reduction, within one configuration and across
 configurations: one memo (``_class_betti``, the 4096 most recent
-classes) serves every ``cm_obstruction`` call in the process.  On the
-seed-42 sample the walks size 3651 boxes (5502 without that count
-test), 304 of them full grids, and pop 1634, and the scans reduce 1866
-links (372 whole complexes and 1494 others), which fall into 907
-classes across the whole sample.  The element matchings (below) leave
-critical cells of one size in 884 of those classes, which take no rank;
-the other 23 leave two sizes, and their Morse differentials are 23
-matrices of at most 3 rows and 2 columns (19 of 31 entries nonzero).
-The README and ``linalg`` refer here for these counts.  Points on a
-line are a full grid (the complex is a simplex boundary), as is the
-full 3x3x3 grid: no reduction at all.  The scan order and the reported
-face do not depend on the memo.
+classes) serves every ``is_cm`` and ``cm_obstruction`` call in the
+process.  After ``is_cm`` has decided the seed-42 sample, the walks of
+``first_cm_failure`` on its 349 non-CM sets size 2412 boxes and key 745
+links (349 whole complexes and 396 others), which add 674 classes.  The
+element matchings (below) leave critical cells of one size in all but 23
+of those classes; the 23 leave two sizes, and their Morse differentials
+are 23 matrices of at most 3 rows and 2 columns (19 of 31 entries
+nonzero), the same as when every set was walked.  The README and ``linalg`` refer here for these
+counts.  Points on a line are a full grid (the complex is a simplex
+boundary), as is the full 3x3x3 grid: no reduction at all.  The scan
+order and the reported face do not depend on either memo.
 
 Reduced homology comes from discrete Morse theory.  The chain complex
 has every face as a cell, the empty face included as the single cell of
@@ -130,7 +165,7 @@ from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import chain, islice
 from operator import or_, xor
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyConfiguration,
@@ -138,7 +173,7 @@ from .errors import (
     InternalInvariantViolation,
     MalformedComplex,
 )
-from .grid_model import GridPoint, PointSet
+from .grid_model import GridPoint, PointSet, cell_strides
 from .linalg import rank_int
 
 Face = frozenset
@@ -604,7 +639,7 @@ def _passes_on_counts(X: PointSet) -> bool:
 def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
     """Reisner's condition on the empty face alone: the lowest degree below
     the top where the whole complex has reduced homology, and its rank,
-    or None.  It is the first face ``cm_obstruction`` scans.
+    or None.  It is the first face the walk of ``cm_obstruction`` scans.
 
     The link of a face through a vertex v is a link in the link of v, so
     by Reisner's criterion the complex is Cohen-Macaulay exactly when
@@ -612,8 +647,9 @@ def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
     Herzog, *Cohen-Macaulay Rings*, ch. 5).  The link of a[i,j] is the
     complex of X without its level j in direction i, coned over the
     variables of the levels that removal empties, and a cone is
-    Cohen-Macaulay exactly when its base is.  So ``acmpts enumerate``
-    decides a set from those sub-configurations and this one call."""
+    Cohen-Macaulay exactly when its base is.  So ``is_cm`` and
+    ``acmpts enumerate`` decide a set from those sub-configurations and
+    this one step."""
     facets = _grid_facets(X)[2]
     return None if _passes_on_counts(X) else _failure(facets)
 
@@ -625,10 +661,24 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     Faces are scanned by size then vertex order, so the empty face comes
     first and the reported obstruction is deterministic.  Returns
     (face, homology degree, rank) or None when the complex satisfies
-    Reisner's criterion.  A full grid, or a configuration whose facets
-    have at most one vertex, is answered from its point counts with no
-    reduction.
+    Reisner's criterion.  The verdict comes from ``is_cm``; only a set
+    that is not Cohen-Macaulay is walked (``_first_failure``), and a walk
+    that then finds no failing face is an ``InternalInvariantViolation``.
     """
+    if is_cm(X):
+        return None
+    failure = _first_failure(X)
+    if failure is None:
+        raise InternalInvariantViolation(f"is_cm rejects {X!r}, but the walk finds no failing link")
+    return failure
+
+
+def _first_failure(X: PointSet) -> tuple[Face, int, int] | None:
+    """The walk: the empty face, then the boxes of ``_links_to_reduce`` in
+    the scan order of their faces, up to the first failing link, as
+    (face, homology degree, rank), or None when every link passes.  A
+    full grid, or a configuration whose facets have at most one vertex, is
+    answered from its point counts with no reduction."""
     bits, points, facets = _grid_facets(X)
     if _passes_on_counts(X):
         return None
@@ -643,13 +693,139 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     return None
 
 
+class _Grid(NamedTuple):
+    """What ``is_cm`` reads of a grid shape: per direction, each level as
+    (its cell mask, with bit k for cell k of ``grid_model.cell_table``;
+    the bit of its variable a[i,j]); each direction's index stride; the
+    mask of every vertex position; and the facet masks of the cells that
+    a reduction has needed so far, filled on demand."""
+
+    dims: tuple[int, ...]
+    levels: tuple[tuple[tuple[int, int], ...], ...]
+    strides: tuple[int, ...]
+    full: int
+    facets: dict[int, int]
+
+
+@lru_cache(maxsize=32)
+def _grid(dims: tuple[int, ...]) -> _Grid:
+    """The ``_Grid`` of a shape, for 32 shapes.  Level l of a direction
+    with stride s and r levels holds the cells whose index k has
+    k // s % r == l - 1: a block of s cells repeated every r * s cells,
+    so its mask is that block doubled up to the grid's cell count, as in
+    ``_subset_masks``."""
+    cells, strides, total = math.prod(dims), cell_strides(dims), sum(dims)
+    bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
+    levels = []
+    for r, s in zip(dims, strides):
+        direction = []
+        for j in range(r):
+            mask, width = ((1 << s) - 1) << j * s, r * s
+            while width < cells:
+                mask |= mask << width
+                width <<= 1
+            direction.append((mask & (1 << cells) - 1, next(bit)))
+        levels.append(tuple(direction))
+    return _Grid(dims, tuple(levels), strides, (1 << total) - 1, {})
+
+
+def _cell_facet(grid: _Grid, k: int) -> int:
+    """The facet mask of cell k, every variable but those of its levels,
+    kept in ``grid.facets``."""
+    own = sum(ls[k // s % len(ls)][1] for ls, s in zip(grid.levels, grid.strides))
+    grid.facets[k] = facet = grid.full ^ own
+    return facet
+
+
+def _vertex_links(grid: _Grid, mask: int) -> tuple[int, list[int]] | None:
+    """The sub-configuration Y with cell mask ``mask``: None when Y fills
+    its smallest box or that box has fewer than n + 2 levels, so that Y is
+    Cohen-Macaulay (module docstring); otherwise the bits of its box's
+    variables and its vertex links, each Y without one of its levels, in
+    each direction where Y has two or more."""
+    used = [[level for level in levels if mask & level[0]] for levels in grid.levels]
+    sizes = list(map(len, used))
+    if sum(sizes) < len(sizes) + 2 or mask.bit_count() == math.prod(sizes):
+        return None
+    kept = sum(b for levels in used for _, b in levels)
+    return kept, [mask & ~slab for levels in used if len(levels) > 1 for slab, _ in levels]
+
+
+def _whole_complex_passes(grid: _Grid, mask: int, kept: int) -> bool:
+    """Reisner's condition on the empty face of Y's complex: its facets
+    are those of Y's cells on the variables of its box ``kept`` (a facet
+    is never 0: a grid with as many variables as directions passes on
+    counts)."""
+    known = grid.facets.get
+    return _failure([(known(k) or _cell_facet(grid, k)) & kept for k in _bits(mask)]) is None
+
+
+VERDICT_BOUND = 1 << 15  # most verdicts kept from earlier is_cm calls
+Verdicts = dict[int, bool]  # cell mask -> Cohen-Macaulay, for one grid shape
+_verdicts: dict[tuple[int, ...], Verdicts] = {}  # dims -> the verdicts on that shape
+
+
+def _steps(grid: _Grid, mask: int, verdicts: Verdicts) -> Generator[int, bool, bool]:
+    """Decide the sub-configuration with this cell mask: yield each vertex
+    link that ``verdicts`` lacks and receive its verdict, stop at the
+    first that is not Cohen-Macaulay, then check the whole complex, and
+    store the verdict, which is also the generator's return value.  A
+    link already known not to be Cohen-Macaulay answers at once."""
+    verdict = True
+    split = _vertex_links(grid, mask)
+    if split:
+        kept, links = split
+        if False in map(verdicts.get, links):
+            verdict = False
+        else:
+            for y in links:  # a link in the memo is known to be Cohen-Macaulay
+                if y not in verdicts and not (yield y):
+                    verdict = False
+                    break
+            else:
+                verdict = _whole_complex_passes(grid, mask, kept)
+    verdicts[mask] = verdict
+    return verdict
+
+
+def _decide(grid: _Grid, mask: int, verdicts: Verdicts) -> bool:
+    """Whether the sub-configuration with this cell mask is Cohen-Macaulay,
+    depth first over the vertex links it needs, each decided once: a
+    stack of ``_steps`` generators stands for the recursion, so its depth
+    is not bounded by Python's."""
+    verdict = verdicts.get(mask)
+    stack = [] if verdict is not None else [_steps(grid, mask, verdicts)]
+    while stack:
+        try:
+            link = stack[-1].send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = done.value
+        else:
+            verdict = verdicts.get(link)
+            if verdict is None:
+                stack.append(_steps(grid, link, verdicts))
+    return verdict
+
+
 def is_cm(X: PointSet) -> bool:
-    """Cohen-Macaulayness of the configuration's Stanley-Reisner model.
+    """Cohen-Macaulayness of the configuration's Stanley-Reisner model:
+    every vertex link is Cohen-Macaulay and the whole complex passes, each
+    vertex link being the configuration without one level (module
+    docstring), decided on cell masks with the verdicts of every
+    sub-configuration kept (``_verdicts``).
 
     Purity, a necessary condition, holds by construction: every facet
     of the complex (``sr_complex``) has sum(r_i) - n vertices.
     """
-    return cm_obstruction(X) is None
+    global _verdicts
+    if not X.points:
+        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
+    if _passes_on_counts(X):
+        return True
+    if sum(map(len, _verdicts.values())) > VERDICT_BOUND:
+        _verdicts = {}  # a call already running keeps the dict it started with
+    return _decide(_grid(X.dims), X.cell_mask, _verdicts.setdefault(X.dims, {}))
 
 
 def first_cm_failure(X: PointSet) -> tuple[Face, int, int] | None:

@@ -1,11 +1,14 @@
 """Every memo in the package is bounded: each ``functools.lru_cache`` names
 a positive integer ``maxsize``, and ``functools.cache`` (unbounded) is not
-used.  The caches live as long as the process, so an unbounded one would
-grow with every distinct argument a long-running caller passes.  The
-README's list of process-wide memos names exactly the memoized functions,
-and its paragraph on per-configuration work names exactly the cached
-properties of ``PointSet``, so neither can be added or dropped without
-its line there."""
+used.  A module-level container that starts empty is filled at run time,
+so it is a memo too; it must be replaced or cleared when its length
+passes a positive module-level bound.  The caches live as long as the
+process, so an unbounded one would grow with every distinct argument a
+long-running caller passes.  The README's list of process-wide memos
+names exactly the memoized functions and module-level memos, and its
+paragraph on per-configuration work names exactly the cached properties
+of ``PointSet``, so none can be added or dropped without its line
+there."""
 
 import ast
 import re
@@ -89,6 +92,146 @@ def g(x): return x
     assert sorted(verdicts) == [False] * 5 + [True] * 2
 
 
+EMPTY_CONTAINERS = ("dict", "set", "list", "defaultdict", "OrderedDict", "Counter")
+
+
+def starts_empty(value):
+    """Whether a module-level value is an empty container display, or a
+    call of a container type with no argument but a default factory."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return not getattr(value, "keys", getattr(value, "elts", None))
+    if isinstance(value, ast.Call):
+        name = value.func.attr if isinstance(value.func, ast.Attribute) else getattr(value.func, "id", "")
+        return name in EMPTY_CONTAINERS and len(value.args) <= (name == "defaultdict") and not value.keywords
+    return False
+
+
+def module_memos(tree):
+    """(name, node) for each module-level name bound to a container that
+    starts empty."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if starts_empty(value):
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def constant_int(node, constants):
+    """The value of an int expression of literals, module-level names and
+    arithmetic, or None."""
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) is int else None
+    if isinstance(node, ast.Name):
+        return constants.get(node.id)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult, ast.Pow, ast.LShift)):
+        left, right = constant_int(node.left, constants), constant_int(node.right, constants)
+        if left is None or right is None:
+            return None
+        return {ast.Add: left + right, ast.Mult: left * right,
+                ast.Pow: left**right, ast.LShift: left << right}[type(node.op)]
+    return None
+
+
+def measures(node, name):
+    """Whether an expression takes ``len`` of ``name`` or of values read
+    from it, as ``len(name)`` or ``sum(map(len, name.values()))`` do."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return name in names and "len" in names
+
+
+def memo_bounded(tree, name):
+    """Whether some ``if`` that compares a length of ``name`` (``len(name)``,
+    or a sum of the lengths of its values) by ``>`` or ``>=`` against a
+    positive constant BOUND replaces ``name`` or clears it in its body."""
+    constants = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            value = constant_int(node.value, constants)
+            if value is not None:
+                constants[node.targets[0].id] = value
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
+            continue
+        test = node.test
+        measured = (
+            measures(test.left, name)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Gt, ast.GtE))
+        )
+        bound = constant_int(test.comparators[0], constants) if measured else None
+        if bound is None or bound <= 0:
+            continue
+        for stmt in ast.walk(ast.Module(body=node.body, type_ignores=[])):
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == name for t in stmt.targets):
+                return True
+            if (
+                isinstance(stmt, ast.Call)
+                and isinstance(stmt.func, ast.Attribute)
+                and stmt.func.attr == "clear"
+                and getattr(stmt.func.value, "id", None) == name
+            ):
+                return True
+    return False
+
+
+def package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_every_module_level_memo_is_bounded():
+    memos = [
+        (path.name, name, memo_bounded(tree, name))
+        for path, tree in package_trees()
+        for name, _ in module_memos(tree)
+    ]
+    assert ("reisner_oracle.py", "_verdicts", True) in memos
+    assert [(file, name) for file, name, ok in memos if not ok] == []
+
+
+def test_the_guard_flags_unbounded_module_memos():
+    source = """
+from collections import defaultdict
+BOUND = 1 << 4
+TABLE = {1: "one"}
+a = {}
+b: dict[int, int] = {}
+c = defaultdict(list)
+d = {}
+e = {}
+f = []
+g = {}
+h = {}
+
+def use():
+    global a, b, d, e, g, h
+    if len(a) > BOUND:
+        a = {}
+    if sum(map(len, h.values())) > BOUND:
+        h = {}
+    if len(BOUND) > 1:
+        c = defaultdict(list)
+    if len(b) >= 8:
+        b.clear()
+    if len(d) > 0:
+        d = {}
+    if len(e) > BOUND:
+        pass
+    if len(g) > UNKNOWN:
+        g = {}
+"""
+    tree = ast.parse(source)
+    verdicts = {name: memo_bounded(tree, name) for name, _ in module_memos(tree)}
+    assert verdicts == {
+        "a": True, "b": True, "c": False, "d": False, "e": False, "f": False, "g": False,
+        "h": True,
+    }
+
+
 def memoized_functions():
     """``module.function`` for each function a memo decorates, and the
     number of memo references found, decorators or not."""
@@ -110,6 +253,7 @@ def memoized_functions():
 def test_readme_lists_every_memo():
     names, uses = memoized_functions()
     assert len(names) == uses  # every memo is a decorator, so it has a name
+    names += [f"{path.stem}.{name}" for path, tree in package_trees() for name, _ in module_memos(tree)]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     start = readme.index("The process-wide memos")
     section = readme[start : readme.index("\n## ", start)]

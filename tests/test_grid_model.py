@@ -235,21 +235,29 @@ def test_cell_mask_sets_the_bit_of_each_point_in_cell_table_order():
 
 
 def test_cell_mask_and_own_cells_are_computed_once_per_point_set(monkeypatch):
-    table = grid_model.cell_table
+    """``cell_mask`` reads the strides, with no table of the grid's cells,
+    and ``own_cells`` reads the table; each is computed on first read only,
+    and both agree with the table's numbering."""
+    table, strides = grid_model.cell_table, grid_model.cell_strides
     calls = []
 
     def counted(dims):
-        calls.append(dims)
+        calls.append(("table", dims))
         return table(dims)
 
+    def counted_strides(dims):
+        calls.append(("strides", dims))
+        return strides(dims)
+
     monkeypatch.setattr(grid_model, "cell_table", counted)
+    monkeypatch.setattr(grid_model, "cell_strides", counted_strides)
     for X in cube_sample(42, 27):
         index = table(X.dims)[1]
         for Y in (X, PointSet(X.n, X.dims, X.points)):
             calls.clear()
             mask, own = Y.cell_mask, Y.own_cells
             assert Y.cell_mask is mask and Y.own_cells is own
-            assert calls == [X.dims, X.dims]
+            assert calls == [("strides", X.dims), ("table", X.dims)]
             assert mask == sum(1 << index[p] for p in Y.points)
             assert own == {id(p): (p, index[p]) for p in Y.points}
 

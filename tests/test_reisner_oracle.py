@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from acmpts import PointSet, canonicalize, is_acm, relabel, reisner_oracle
+from acmpts import PointSet, canonicalize, grid_model, is_acm, relabel, reisner_oracle
 from acmpts.errors import (
     EmptyConfiguration,
     FaceNotInComplex,
@@ -32,7 +32,16 @@ from acmpts.reisner_oracle import (
     link,
     sr_complex,
 )
-from conftest import cube_sample, grid_configurations, subset_configurations
+from conftest import (
+    ELEVEN_MOVED,
+    ELEVEN_POINTS,
+    SIX_POINTS,
+    STAR_BLIND_EIGHT,
+    TWELVE_CHAIN,
+    cube_sample,
+    grid_configurations,
+    subset_configurations,
+)
 from ideal_reference import configuration_ideal
 from reduction_reference import coreduced_betti
 
@@ -383,6 +392,7 @@ def counted_reductions(monkeypatch):
         return reduced_betti(facets)
 
     monkeypatch.setattr(reisner_oracle, "_reduced_betti", counting)
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
     reisner_oracle._class_betti.cache_clear()
     return calls
 
@@ -392,6 +402,7 @@ def assert_passes_unreduced(calls, X):
     ``counted_reductions``) records no reduction from an empty memo."""
     calls.clear()
     reisner_oracle._class_betti.cache_clear()
+    reisner_oracle._verdicts.clear()
     start = time.perf_counter()
     assert first_cm_failure(X) is None and empty_face_failure(X) is None
     assert time.perf_counter() - start < 1.0, X.dims
@@ -454,7 +465,8 @@ def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(monkeypatch, 
     bit ``_vertex_bits`` gives a[i,j] in ``sr_complex``'s vertex list.
     With a passing whole complex, the scan hands those bits to the walk.
     A grid with sum(dims) - n < 2 has no link of dimension >= 1 and is
-    answered before any bit is derived."""
+    answered before any bit is derived.  ``is_cm`` accepts a set whose
+    every link passes without walking it, so the walk is called directly."""
     seen = []
 
     def walk(bits, points):
@@ -465,7 +477,7 @@ def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(monkeypatch, 
     monkeypatch.setattr(reisner_oracle, "_links_to_reduce", walk)
     staircase = {tuple(min(k, r) for r in dims) for k in range(1, max(dims) + 1)}
     X = PointSet(n=len(dims), dims=dims, points=frozenset(staircase))
-    assert first_cm_failure(X) is None
+    assert reisner_oracle._first_failure(X) is None
     bit = _vertex_bits(grid_variables(dims))
     expected = tuple(
         tuple(bit[var(i, j)] for j in range(1, r + 1)) for i, r in enumerate(dims, start=1)
@@ -478,7 +490,9 @@ def test_walk_on_sets_of_26_points_sizes_few_full_grids(monkeypatch):
     grid.  The walk recognises most of those from point counts before
     sizing them (81 of the 1539 boxes it sizes on these 27 sets are full
     grids, against 3078 of 4536 without that test), and the exact check
-    keeps every full grid off the heap."""
+    keeps every full grid off the heap.  These sets are Cohen-Macaulay,
+    which ``first_cm_failure`` learns from ``is_cm`` without a walk, so the
+    walk is called directly."""
     sized, popped = [], []
     smallest_box, pop = reisner_oracle._smallest_box, reisner_oracle.heappop
 
@@ -496,7 +510,7 @@ def test_walk_on_sets_of_26_points_sizes_few_full_grids(monkeypatch):
     monkeypatch.setattr(reisner_oracle, "heappop", popping)
     cells = sorted(itertools.product((1, 2, 3), repeat=3))
     for hole in cells:
-        first_cm_failure(canonicalize([c for c in cells if c != hole]))
+        reisner_oracle._first_failure(canonicalize([c for c in cells if c != hole]))
     full = [inside for inside, volume in sized if inside.bit_count() == volume]
     assert sized and 10 * len(full) < len(sized)
     volume = dict(sized)
@@ -536,7 +550,8 @@ def boxes_to_reduce(X):
 def test_walk_yields_every_box_to_reduce_on_cm_sets(monkeypatch, configs):
     """On a CM set the scan runs to the end, so the walk must yield each
     box that is neither a cone nor a sphere exactly once, however many
-    full grids it skips."""
+    full grids it skips.  ``first_cm_failure`` does not walk a CM set, so
+    the walk is called directly."""
     walks = []
     links = reisner_oracle._links_to_reduce
 
@@ -549,7 +564,7 @@ def test_walk_yields_every_box_to_reduce_on_cm_sets(monkeypatch, configs):
     monkeypatch.setattr(reisner_oracle, "_links_to_reduce", walk)
     for X in cm_sets:
         walks.clear()
-        assert first_cm_failure(X) is None
+        assert reisner_oracle._first_failure(X) is None
         if X.size == math.prod(X.dims):  # a full grid has no box to reduce
             assert walks == [] and boxes_to_reduce(X) == set(), X
             continue
@@ -603,7 +618,9 @@ def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
     """The element matchings leave critical cells of two sizes in this
     set's complex, so the Morse route ranks its differential between two
     adjacent degrees; one more than the matrix has rows makes a Betti
-    number negative, which homology must not return."""
+    number negative, which homology must not return.  ``is_cm`` rejects
+    the set at a vertex link before it reduces the whole complex, and the
+    walk of ``first_cm_failure`` then reduces the whole complex first."""
     X = canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)])
     calls = []
 
@@ -615,8 +632,9 @@ def test_rank_larger_than_possible_is_an_invariant_violation(monkeypatch):
     reisner_oracle._class_betti.cache_clear()
     with pytest.raises(InternalInvariantViolation):
         homology(sr_complex(X))
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
     with pytest.raises(InternalInvariantViolation):
-        is_cm(X)
+        first_cm_failure(X)
     assert calls
 
 
@@ -962,3 +980,164 @@ def test_cm_exactly_when_vertex_links_are_cm_and_the_whole_complex_passes():
         links = [remove_level(X, i, j) for i in range(1, X.n + 1) if X.dims[i - 1] > 1
                  for j in range(1, X.dims[i - 1] + 1)]
         assert is_cm(X) == (all(map(is_cm, links)) and empty_face_failure(X) is None)
+
+
+@pytest.fixture(scope="module")
+def walked_sets():
+    """The differential inputs with the walk's first failure of each: the
+    fixtures, every distinct canonical subset of 2x2x2, 3x3 and 2x2x3,
+    every 97th subset of 4x4 and 2x2x2x2 and both seeded 3x3x3 benchmark
+    samples.  The walk reads none of the helpers that the mutations below
+    replace."""
+    fixtures = [SIX_POINTS, ELEVEN_POINTS, ELEVEN_MOVED, TWELVE_CHAIN, STAR_BLIND_EIGHT]
+    configs = dict.fromkeys([
+        *map(canonicalize, fixtures),
+        *subset_configurations((2, 2, 2), (3, 3), (2, 2, 3)),
+        *subset_configurations((4, 4), (2, 2, 2, 2), step=97),
+        *cube_sample(42),
+        *cube_sample(7),
+    ])
+    return [(X, reisner_oracle._first_failure(X)) for X in configs]
+
+
+def is_cm_mismatches(walked):
+    """The sets on which ``is_cm`` disagrees with "the walk finds no
+    failing link", from an empty verdict memo."""
+    return [X for X, failure in walked if is_cm(X) != (failure is None)]
+
+
+def test_is_cm_is_the_walk_finding_no_failure(monkeypatch, walked_sets):
+    """The route over vertex links and the walk over boxes are two
+    readings of Reisner's criterion; they must agree on every set, and
+    ``first_cm_failure`` still reports the walk's first failing face."""
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
+    assert is_cm_mismatches(walked_sets) == []
+    assert all(first_cm_failure(X) == failure for X, failure in walked_sets)
+    assert sum(failure is None for _, failure in walked_sets) == 951  # CM sets among them
+
+
+def always_passes(whole_complex_passes):
+    """Every whole complex passes: the route checks vertex links only."""
+    return lambda grid, mask, kept: True
+
+
+def no_links(vertex_links):
+    """No vertex link is checked: the route checks the whole complex only."""
+
+    def links(grid, mask):
+        split = vertex_links(grid, mask)
+        return split and (split[0], [])
+
+    return links
+
+
+@pytest.mark.parametrize(
+    "helper, mutation",
+    [("_whole_complex_passes", always_passes), ("_vertex_links", no_links)],
+    ids=["no-whole-complex-step", "no-vertex-link-step"],
+)
+def test_route_mutations_fail_the_differential_check(
+    monkeypatch, walked_sets, star_blind_eight, helper, mutation
+):
+    """Each step of the route is needed.  Without the whole-complex step,
+    ``star_blind_eight`` is accepted: its eight vertex links are all CM,
+    and its whole complex fails in degree 1.  Without the vertex-link
+    step, only the whole complex is checked, which accepts sets that fail
+    at a larger face."""
+    monkeypatch.setattr(reisner_oracle, helper, mutation(getattr(reisner_oracle, helper)))
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
+    missed = is_cm_mismatches(walked_sets)
+    assert missed
+    if helper == "_whole_complex_passes":
+        assert star_blind_eight in missed
+        assert reisner_oracle._first_failure(star_blind_eight) == (frozenset(), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [p for p in itertools.product((1, 2, 3), repeat=3) if p != (3, 3, 3)],
+        [p for p in itertools.product((1, 2, 3, 4), repeat=3) if sum(p) <= 6],
+    ],
+    ids=["26-of-3x3x3", "20-point-staircase-of-4x4x4"],
+)
+def test_a_low_memo_bound_still_decides_each_sub_configuration_once(monkeypatch, points):
+    """The verdict memo is replaced only when a call starts, so a call
+    keeps every verdict it makes, whatever the bound: with the bound at 8
+    and more verdicts than that left over, a CM set decides each of its
+    sub-configurations once and reduces as many whole complexes as a run
+    at the full bound."""
+    X = canonicalize(points)
+    decided, failures = [], []
+    vertex_links, failure = reisner_oracle._vertex_links, reisner_oracle._failure
+
+    def deciding(grid, mask):
+        decided.append(mask)
+        return vertex_links(grid, mask)
+
+    def reducing(facets):
+        failures.append(facets)
+        return failure(facets)
+
+    monkeypatch.setattr(reisner_oracle, "_vertex_links", deciding)
+    monkeypatch.setattr(reisner_oracle, "_failure", reducing)
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
+    runs = []
+    for bound in (reisner_oracle.VERDICT_BOUND, 8):
+        monkeypatch.setattr(reisner_oracle, "VERDICT_BOUND", bound)
+        left_over = reisner_oracle._verdicts
+        decided.clear()
+        failures.clear()
+        assert is_cm(X) is True
+        assert len(decided) == len(set(decided)) > 8
+        runs.append((sorted(decided), len(failures)))
+    assert runs[0] == runs[1] and runs[0][1] > 8
+    assert reisner_oracle._verdicts is not left_over  # replaced at the start of the second call
+    assert list(reisner_oracle._verdicts) == [X.dims]
+    assert sorted(reisner_oracle._verdicts[X.dims]) == sorted(decided)
+
+
+def test_sparse_set_in_eighteen_directions_is_decided_in_small_memory(monkeypatch):
+    """Six seeded points in 18 directions of two levels each: 2^18 cells
+    and 36 vertex positions.  Reducing the whole complex would list about
+    6 * 2^18 faces as a set (3.4 s and a 203 MB peak at the walk); the
+    vertex links reject the set first, among subsets of its points.  No
+    table of the grid's cells is built."""
+    rng = random.Random(1)
+    points = set()
+    while len(points) < 6:
+        points.add(tuple(rng.randint(1, 2) for _ in range(18)))
+    X = canonicalize(points)
+    assert X.dims == (2,) * 18
+
+    def no_table(dims):
+        raise AssertionError(f"cell_table({dims}) was built")
+
+    monkeypatch.setattr(grid_model, "cell_table", no_table)
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = time.perf_counter()
+        verdict = is_cm(X)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert verdict is False
+    assert peak < 32 * 2**20, peak
+    assert elapsed < 10, elapsed
+
+
+def test_walk_that_finds_no_failure_after_is_cm_rejects_is_an_invariant_violation(
+    monkeypatch, eleven_points
+):
+    """``cm_obstruction`` walks only a set that ``is_cm`` rejects, and the
+    walk must then find a failing face; on a CM set it finds none."""
+    assert first_cm_failure(eleven_points) is None
+    monkeypatch.setattr(reisner_oracle, "is_cm", lambda X: False)
+    with pytest.raises(InternalInvariantViolation):
+        first_cm_failure(eleven_points)

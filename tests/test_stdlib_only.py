@@ -58,6 +58,8 @@ loaded = set(sys.modules)
 acmpts.delta_table(acmpts.canonicalize([(1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 2)]), (2, 2, 2))
 acmpts.linalg.rank_int([[1, -2, 0], [3, 4, -(1 << 70)], [0, 1, 5]])
 acmpts.first_cm_failure(acmpts.canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)]))
+acmpts.is_cm(acmpts.canonicalize([(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)
+                                  if a + b + c <= 6]))
 acmpts.first_cm_failure(acmpts.canonicalize([
     (1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 2), (1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2),
     (2, 1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1), (2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 2, 1),
@@ -71,7 +73,9 @@ def test_calls_after_import_load_no_module():
     """A module first loaded by a call, such as the ``array`` extension,
     adds its import time to that call.  A fresh interpreter runs one
     ``delta_table`` and one ``rank_int`` call, with entries both below and
-    above 2^63, after ``import acmpts``, and one ``first_cm_failure`` call
+    above 2^63, after ``import acmpts``, one ``is_cm`` call on a
+    Cohen-Macaulay staircase of 3x3x3, which decides its vertex links and
+    reduces their whole complexes, and one ``first_cm_failure`` call
     on a set whose element matchings leave critical cells of two sizes,
     so a Morse differential is flowed and ranked, and one on six points in
     twelve directions of two levels, 24 vertex positions, above

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -34,7 +35,7 @@ from .constructions import (
     verify_layer_hf,
 )
 from .errors import InputError
-from .grid_model import GridPoint, PointSet, canonicalize, grid_cells, is_int
+from .grid_model import GridPoint, PointSet, canonicalize, is_int
 from .hilbert_function import HilbertTable, delta_table, hilbert_table
 from .level_structure import inclusion_property, level_sets
 # perfbench's tests patch ``cli.is_cm``; ``enumerate`` decides sets through
@@ -326,8 +327,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     dims = _parse_int_list(args.grid, "grid")
     if any(r < 1 for r in dims):
         raise InputError("grid entries must be positive")
-    cells = grid_cells(dims)
-    ncells = len(cells)
+    ncells = math.prod(dims)
     count = _parse_int(args.random, "--random")
     seed = _parse_int(args.seed, "--seed")
     if count is None:

@@ -19,9 +19,10 @@ submask of the mask at hand is decided, and keeps one byte per mask: the
 number of its row among the distinct verdicts (``_Sweep``).  The
 cross-checks of an ACM mask, that each proper union of its levels and
 each interface set is ACM, read submasks built from per-direction level
-masks and per-cell line masks.  Its Reisner verdict reads its vertex
-links first, each the mask without one of its levels: if one is not
-Cohen-Macaulay, neither is the mask, and otherwise only the whole
+masks (``grid_model.level_masks``, which ``reisner_oracle`` and the star
+criterion read too) and per-cell line masks.  Its Reisner verdict reads
+its vertex links first, each the mask without one of its levels: if one
+is not Cohen-Macaulay, neither is the mask, and otherwise only the whole
 complex is reduced (``reisner_oracle.empty_face_failure``).  This is
 the recursion of ``reisner_oracle.is_cm``, read from the run's own table
 in mask order.  Star and inclusion verdicts of a representative still
@@ -44,7 +45,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple, Sequence, TextIO
 
-from .grid_model import PointSet, canonicalize, cell_table
+from .grid_model import PointSet, canonicalize, cell_table, level_masks
 from .level_structure import inclusion_property
 from .reisner_oracle import empty_face_failure, is_cm
 from .star_property import is_acm
@@ -84,13 +85,11 @@ class _Sweep:
 
     def __init__(self, dims: tuple[int, ...], exhaustive: bool) -> None:
         self.cells, index, _ = cell_table(dims)
-        levels = [range(1, r + 1) for r in dims]
         # slabs[i][l - 1]: the cells at level l of direction i; lines[i][b]:
         # the cells that differ from cell b at most in direction i
-        self.slabs = [[sum(1 << index[c] for c in self.cells if c[i] == l) for l in ls]
-                      for i, ls in enumerate(levels)]
-        self.lines = [[sum(1 << index[c[:i] + (l,) + c[i + 1:]] for l in ls) for c in self.cells]
-                      for i, ls in enumerate(levels)]
+        self.slabs = level_masks(dims)
+        self.lines = [[sum(1 << index[c[:i] + (l,) + c[i + 1:]] for l in range(1, r + 1))
+                       for c in self.cells] for i, r in enumerate(dims)]
         self.table = bytearray(1 << len(self.cells)) if exhaustive else defaultdict(int)
         self.rows = [_Verdicts(False, False, ())]  # row 0, undecided, is never visited
         self.tails, self.hits, self.numbers = [""], [0], {}

@@ -155,6 +155,29 @@ def cell_strides(dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
 
 
+@functools.lru_cache(maxsize=32)
+def level_masks(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The package's one definition of a level's cells: ``[i][l - 1]`` is
+    the mask over ``cell_table(dims)`` of the cells at level l of
+    direction i + 1; cached for 32 dims.  Level l of a direction with
+    stride s and r levels holds the cells whose index k has
+    k // s % r == l - 1: a block of s cells repeated every r * s cells, so
+    its mask is that block doubled up to the grid's cell count, with no
+    table of the grid's cells."""
+    cells = math.prod(dims)
+    masks = []
+    for r, s in zip(dims, cell_strides(dims)):
+        direction = []
+        for j in range(r):
+            mask, width = ((1 << s) - 1) << j * s, r * s
+            while width < cells:
+                mask |= mask << width
+                width <<= 1
+            direction.append(mask & (1 << cells) - 1)
+        masks.append(tuple(direction))
+    return tuple(masks)
+
+
 def grid_cells(dims: Sequence[int]) -> tuple[GridPoint, ...]:
     """All cells of the box with ``dims`` levels per direction, lexicographically."""
     return cell_table(tuple(dims))[0]

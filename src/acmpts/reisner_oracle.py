@@ -51,16 +51,17 @@ its facets are its cells' facets on its box's variables, reduced as a
 link class (below).  Vertex links come first, so a link already known
 not to be Cohen-Macaulay answers with no facets, no renumbering and no
 reduction.  The level masks are built per grid shape by doubling each
-level's periodic pattern, X's mask comes from the strides of the cell
-numbering, and a cell's facet is computed only when a whole complex
-needs it (``_grid``), so nothing is built per cell of the grid.  Every
-verdict goes into one process-wide memo, by grid shape and then by mask
-(``_verdicts``).  The subsets of one grid share their sub-configurations,
-so a configuration reuses what earlier ones decided.  A call that starts
-with more than ``VERDICT_BOUND`` (2^15) verdicts replaces the dict; a
-call already running keeps the dict it started with, so no call decides
-a sub-configuration twice, which a bounded recursion cache could not
-promise (the 56-point 6x6x6 staircase has 48908 sub-configurations).
+level's periodic pattern (``grid_model.level_masks``), X's mask comes
+from the strides of the cell numbering, and a cell's facet is computed
+only when a whole complex needs it (``_grid``), so nothing is built per
+cell of the grid.  Every verdict goes into one process-wide memo, by
+grid shape and then by mask (``_verdicts``).  The subsets of one grid
+share their sub-configurations, so a configuration reuses what earlier
+ones decided.  A call that starts with more than ``VERDICT_BOUND``
+(2^15) verdicts replaces the dict; a call already running keeps the dict
+it started with, so no call decides a sub-configuration twice, which a
+bounded recursion cache could not promise (the 56-point 6x6x6 staircase
+has 48908 sub-configurations).
 The recursion runs on an explicit stack of generators (``_decide``), so
 its depth is not Python's.  On the seed-42 3x3x3 benchmark sample,
 ``is_cm`` decides 3235 sub-configurations in all, 550 of them from their
@@ -71,26 +72,23 @@ matrix.
 ``cm_obstruction`` (``first_cm_failure``, ``acmpts oracle``) takes the
 verdict from ``is_cm`` and walks only a set that is not Cohen-Macaulay,
 to name its first failing face (``_first_failure``); a walk that then
-finds none is an ``InternalInvariantViolation``.  The walk reduces the
-empty face first, whose link is the whole complex (232 of the 405
-seed-42 sets fail there; ``empty_face_failure`` is this step alone), and
-then walks only the boxes that are neither cones nor spheres, generated
-from X (``_links_to_reduce``).  A box B that is not a cone is the
-smallest box around Y = X n B, so Y determines it: the walk holds one
-box per such Y, never more boxes than the complex has faces, and every
-test on a box is bit operations on masks of X's points.
-Removing the points at one level of B leaves the Y of a smaller box,
-later in scan order.  Starting from X, such removals reach every Y:
-X n B is X with the points at each level outside B removed in turn.
-The walk goes on from no full grid, since removing levels from a full
-grid leaves full grids, so a Y that is not a full grid is reached along
-a chain of Ys that are not either; a full grid is never pushed.  Nor
-does it go on below n + 2 levels, where links have dimension at most 0.
-Most full grids are not even sized: removing a level from a box B
-leaves the box B' of B's other levels, whose cell count follows from
-B's, and B' holds no hole (a cell missing from X) exactly when X has
-that many points in it.  A heap yields the boxes in the scan order of
-their faces, so the scan stops at its first failure.
+finds none is an ``InternalInvariantViolation``.  The walk runs on the
+same cell masks as ``is_cm`` and skips what ``_vertex_links`` skips,
+but reads no verdict: it reduces whole complexes in the scan order of
+their faces.  A box B that is not a cone is the smallest box around
+Y = X n B, so Y determines it and the face of its link, the variables
+outside B.  The walk starts from X, whose box is the whole grid and whose
+face is the empty face, so the whole complex is reduced first (232 of the
+405 seed-42 sets fail there; ``empty_face_failure`` is this step alone).
+A heap pops each Y, largest box first and then in vertex order of its
+face, reduces its whole complex, stops at the first failure and pushes
+each Y without one of its levels that it has not pushed before.  Starting
+from X, such removals reach every Y: X n B is X with the points at each
+level outside B removed in turn.  A Y that fills its box, or whose box
+has fewer than n + 2 levels, is never pushed: removing levels from a full
+grid leaves full grids, and below n + 2 levels links have dimension at
+most 0, so a Y to reduce is reached along a chain of Ys to reduce.  The
+walk holds one entry per such Y, never more than the complex has faces.
 
 Every link left is reduced once per class.  Its key is its facet masks
 with the vertices they use renumbered 0..m-1 in bit order.  That
@@ -102,13 +100,14 @@ share one reduction, within one configuration and across
 configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``is_cm`` and ``cm_obstruction`` call in the
 process.  After ``is_cm`` has decided the seed-42 sample, the walks of
-``first_cm_failure`` on its 349 non-CM sets size 2412 boxes and key 745
-links (349 whole complexes and 396 others), which add 674 classes.  The
-element matchings (below) leave critical cells of one size in all but 23
-of those classes; the 23 leave two sizes, and their Morse differentials
-are 23 matrices of at most 3 rows and 2 columns (19 of 31 entries
-nonzero), the same as when every set was walked.  The README and ``linalg`` refer here for these
-counts.  Points on a line are a full grid (the complex is a simplex
+``first_cm_failure`` on its 349 non-CM sets find the box of 2652 masks
+(of 396 again, to list their links when popped), push 2458 of them and
+key 745 links (349 whole complexes and 396 others), which add 674
+classes.  The element matchings (below) leave critical cells of one
+size in all but 23 of those classes; the 23 leave two sizes, and their
+Morse differentials are 23 matrices of at most 3 rows and 2 columns (19
+of 31 entries nonzero), the same as when every set was walked.  The
+README and ``linalg`` refer here for these counts.  Points on a line are a full grid (the complex is a simplex
 boundary), as is the full 3x3x3 grid: no reduction at all.  The scan
 order and the reported face do not depend on either memo.
 
@@ -163,7 +162,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import chain, islice
 from operator import or_, xor
 from typing import Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -173,7 +171,7 @@ from .errors import (
     InternalInvariantViolation,
     MalformedComplex,
 )
-from .grid_model import GridPoint, PointSet, cell_strides
+from .grid_model import PointSet, cell_strides, level_masks
 from .linalg import rank_int
 
 Face = frozenset
@@ -314,13 +312,21 @@ def sr_complex(X: PointSet) -> SimplicialComplex:
     One facet per point: the complement of the point's variable set.  All
     facets have size (sum r_i) - n, so the complex is pure by construction,
     and distinct points give distinct facets, so they form an antichain
-    and need no ``from_facets`` pass.  Built from the oracle's facet masks
-    (``_grid_facets``): facets of one size in decreasing mask order are in
-    ``from_facets`` order (``_facet_masks``).
+    and need no ``from_facets`` pass.  Built from the points alone, not
+    from the oracle's cell facets (``_grid``), so that the tests can hold
+    the oracle to it.  The points in decreasing order give the facets in
+    ``from_facets`` order: where two points first differ, the facet of the
+    one with the larger level holds the other's variable, an earlier
+    vertex, and so comes first.
     """
+    if not X.points:
+        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
     verts = tuple(grid_variables(X.dims))
-    masks = sorted(_grid_facets(X)[2], reverse=True)
-    return SimplicialComplex(verts, tuple(_vertex_set(verts, f) for f in masks))
+    directions = range(1, X.n + 1)
+    return SimplicialComplex(verts, tuple(
+        frozenset(verts).difference(map(GridVariable, directions, p))
+        for p in sorted(X.points, reverse=True)
+    ))
 
 
 def link(delta: SimplicialComplex, sigma: Iterable[Hashable]) -> SimplicialComplex:
@@ -546,82 +552,6 @@ def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-LevelBits = tuple[tuple[int, ...], ...]  # the bit of a[i,j] as bits[i - 1][j - 1]
-
-
-def _smallest_box(inside: int, bits: LevelBits, slab: dict[int, int]) -> tuple[int, int]:
-    """The smallest box around the points ``inside``, given the points at
-    each level bit (``slab``): (the mask of its levels, its number of
-    cells)."""
-    kept, volume = 0, 1
-    for levels in bits:
-        a = 0
-        for b in levels:
-            if inside & slab[b]:
-                kept |= b
-                a += 1
-        volume *= a
-    return kept, volume
-
-
-def _links_to_reduce(bits: LevelBits, points: Sequence[GridPoint]) -> Iterator[tuple[int, int]]:
-    """The boxes B whose link is neither a cone nor a sphere and has
-    dimension at least 1, the whole grid left out, in the scan order of
-    their faces, as (the mask of B's levels, X n B as a mask with bit k
-    for ``points[k]``), where a[i,j] is bit ``bits[i - 1][j - 1]``.
-
-    The walk from X, its heap and where it stops are in the module
-    docstring; it holds at most one box per set X n B, and never a full
-    grid.  Removing level b from a box B of volume V with a levels in
-    b's direction leaves the box B - b of V (a - 1) / a cells, which
-    holds no hole (a cell missing from X) exactly when X has that many
-    points in it; such a full grid is not sized."""
-    n, total = len(bits), sum(map(len, bits))
-    slab = dict.fromkeys(chain.from_iterable(bits), 0)  # level bit -> its points
-    for k, p in enumerate(points):
-        for b, c in zip(bits, p):
-            slab[b[c - 1]] |= 1 << k
-    direction = {b: sum(levels) for levels in bits for b in levels}  # level bit -> its direction
-
-    everything = (1 << len(points)) - 1
-    kept, volume = _smallest_box(everything, bits, slab)
-    # a full grid is never pushed: it is a sphere, and so is every box inside it
-    heap = [(-kept.bit_count(), kept, everything, volume)] if volume != len(points) else []
-    seen = {everything}
-    while heap:
-        negsize, kept, inside, volume = heappop(heap)
-        if n + 2 <= -negsize < total:
-            yield kept, inside
-        if -negsize <= n + 2:
-            continue  # the boxes inside have links of dimension <= 0
-        rest = kept
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            smaller = inside & ~slab[b]
-            a = (kept & direction[b]).bit_count()
-            if smaller.bit_count() * a == volume * (a - 1) or smaller in seen:
-                continue  # B - b is a full grid (empty when a = 1), or Y was reached
-            seen.add(smaller)
-            kept_b, volume_b = _smallest_box(smaller, bits, slab)
-            if smaller.bit_count() != volume_b:
-                heappush(heap, (-kept_b.bit_count(), kept_b, smaller, volume_b))
-
-
-def _grid_facets(X: PointSet) -> tuple[LevelBits, list[GridPoint], list[int]]:
-    """The configuration's complex as masks: the bit of a[i,j] as
-    ``bits[i - 1][j - 1]``, the points in sorted order, and each point's
-    facet mask, in that order."""
-    if not X.points:
-        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    total = sum(X.dims)
-    bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
-    bits = tuple(tuple(islice(bit, r)) for r in X.dims)
-    full = (1 << total) - 1
-    points = X.sorted_points()
-    return bits, points, [full ^ sum(b[c - 1] for b, c in zip(bits, p)) for p in points]
-
-
 def _failure(facets: Sequence[int]) -> tuple[int, int] | None:
     """The lowest degree below the top where the complex with these facet
     masks has reduced homology, and its rank, from its class's memo."""
@@ -650,8 +580,12 @@ def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
     Cohen-Macaulay exactly when its base is.  So ``is_cm`` and
     ``acmpts enumerate`` decide a set from those sub-configurations and
     this one step."""
-    facets = _grid_facets(X)[2]
-    return None if _passes_on_counts(X) else _failure(facets)
+    if not X.points:
+        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
+    if _passes_on_counts(X):
+        return None
+    grid = _grid(X.dims)
+    return _whole_complex_failure(grid, X.cell_mask, grid.full)
 
 
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
@@ -674,31 +608,45 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
 
 
 def _first_failure(X: PointSet) -> tuple[Face, int, int] | None:
-    """The walk: the empty face, then the boxes of ``_links_to_reduce`` in
-    the scan order of their faces, up to the first failing link, as
-    (face, homology degree, rank), or None when every link passes.  A
-    full grid, or a configuration whose facets have at most one vertex, is
-    answered from its point counts with no reduction."""
-    bits, points, facets = _grid_facets(X)
-    if _passes_on_counts(X):
-        return None
-    failure = _failure(facets)
-    if failure:
-        return (frozenset(), *failure)
-    for kept, inside in _links_to_reduce(bits, points):
-        failure = _failure([facets[k] & kept for k in _bits(inside)])
+    """The walk: sub-configurations Y of X, as cell masks of ``_grid``,
+    from X itself (the empty face) down to the first whose whole complex
+    fails, as (face, homology degree, rank), or None when every link
+    passes.  A heap pops each Y in the scan order of its face, the
+    variables outside its box, and pushes each Y without one of its
+    levels that was not pushed before; a Y that fills its box or whose box
+    has fewer than n + 2 levels is not pushed (``_vertex_links``), since
+    it and every Y below it pass (module docstring).  An entry holds Y and
+    its box's variables, and Y's links are listed again when it is popped,
+    so the heap holds one mask per entry, not one per link."""
+    grid = _grid(X.dims)
+    heap: list[tuple[int, int, int]] = []
+    seen = set()
+
+    def push(mask: int) -> None:
+        seen.add(mask)
+        split = _vertex_links(grid, mask)
+        if split:
+            heappush(heap, (-split[0].bit_count(), split[0], mask))
+
+    push(X.cell_mask)
+    while heap:
+        _, kept, mask = heappop(heap)
+        failure = _whole_complex_failure(grid, mask, kept)
         if failure:
-            full = (1 << sum(X.dims)) - 1
-            return (_vertex_set(grid_variables(X.dims), full ^ kept), *failure)
+            return (_vertex_set(grid_variables(X.dims), grid.full ^ kept), *failure)
+        for y in _vertex_links(grid, mask)[1]:
+            if y not in seen:
+                push(y)
     return None
 
 
 class _Grid(NamedTuple):
-    """What ``is_cm`` reads of a grid shape: per direction, each level as
-    (its cell mask, with bit k for cell k of ``grid_model.cell_table``;
-    the bit of its variable a[i,j]); each direction's index stride; the
-    mask of every vertex position; and the facet masks of the cells that
-    a reduction has needed so far, filled on demand."""
+    """What ``is_cm`` and the walk read of a grid shape: per direction,
+    each level as (its cell mask, with bit k for cell k of
+    ``grid_model.cell_table``; the bit of its variable a[i,j]); each
+    direction's index stride; the mask of every vertex position; and the
+    facet masks of the cells that a reduction has needed so far, filled
+    on demand."""
 
     dims: tuple[int, ...]
     levels: tuple[tuple[tuple[int, int], ...], ...]
@@ -709,24 +657,13 @@ class _Grid(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _grid(dims: tuple[int, ...]) -> _Grid:
-    """The ``_Grid`` of a shape, for 32 shapes.  Level l of a direction
-    with stride s and r levels holds the cells whose index k has
-    k // s % r == l - 1: a block of s cells repeated every r * s cells,
-    so its mask is that block doubled up to the grid's cell count, as in
-    ``_subset_masks``."""
-    cells, strides, total = math.prod(dims), cell_strides(dims), sum(dims)
+    """The ``_Grid`` of a shape, for 32 shapes: the level cell masks of
+    ``grid_model.level_masks``, each with the bit ``_vertex_bits`` gives
+    its variable in ``grid_variables`` order, and no facet yet."""
+    total = sum(dims)
     bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
-    levels = []
-    for r, s in zip(dims, strides):
-        direction = []
-        for j in range(r):
-            mask, width = ((1 << s) - 1) << j * s, r * s
-            while width < cells:
-                mask |= mask << width
-                width <<= 1
-            direction.append((mask & (1 << cells) - 1, next(bit)))
-        levels.append(tuple(direction))
-    return _Grid(dims, tuple(levels), strides, (1 << total) - 1, {})
+    levels = tuple(tuple((mask, next(bit)) for mask in masks) for masks in level_masks(dims))
+    return _Grid(dims, levels, cell_strides(dims), (1 << total) - 1, {})
 
 
 def _cell_facet(grid: _Grid, k: int) -> int:
@@ -751,13 +688,18 @@ def _vertex_links(grid: _Grid, mask: int) -> tuple[int, list[int]] | None:
     return kept, [mask & ~slab for levels in used if len(levels) > 1 for slab, _ in levels]
 
 
-def _whole_complex_passes(grid: _Grid, mask: int, kept: int) -> bool:
-    """Reisner's condition on the empty face of Y's complex: its facets
-    are those of Y's cells on the variables of its box ``kept`` (a facet
-    is never 0: a grid with as many variables as directions passes on
-    counts)."""
+def _whole_complex_failure(grid: _Grid, mask: int, kept: int) -> tuple[int, int] | None:
+    """Reisner's condition on the empty face of Y's complex, as
+    ``_failure`` reports it: its facets are those of Y's cells on the
+    variables of its box ``kept`` (a facet is never 0: a grid with as many
+    variables as directions passes on counts)."""
     known = grid.facets.get
-    return _failure([(known(k) or _cell_facet(grid, k)) & kept for k in _bits(mask)]) is None
+    return _failure([(known(k) or _cell_facet(grid, k)) & kept for k in _bits(mask)])
+
+
+def _whole_complex_passes(grid: _Grid, mask: int, kept: int) -> bool:
+    """The last step of ``is_cm``'s route: Y's whole complex passes."""
+    return _whole_complex_failure(grid, mask, kept) is None
 
 
 VERDICT_BOUND = 1 << 15  # most verdicts kept from earlier is_cm calls

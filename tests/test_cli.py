@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from acmpts import canonicalize, fixture_path
+from acmpts import canonicalize, fixture_path, grid_model
 from acmpts.cli import _write_configuration, load_configuration, main
 from acmpts.errors import InputError
 from conftest import ELEVEN_POINTS, SIX_POINTS, STAR_BLIND_EIGHT
@@ -232,6 +233,23 @@ def test_enumerate_error_exits(tmp_path, capsys):
         args = ["enumerate", "--grid", "2,2", "--random", count, "--seed", "1"]
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
     assert "agreement" not in capsys.readouterr().out
+
+
+def test_exhaustive_cap_is_checked_before_any_cell_is_built(tmp_path, capsys, monkeypatch):
+    """A 5000x5000 grid has 25M cells: the cap answers from the cell count,
+    without listing them (which ended in a MemoryError under an 800 MB
+    address-space limit)."""
+
+    def no_cells(dims):
+        raise AssertionError(f"the cells of {dims} were built")
+
+    monkeypatch.setattr(grid_model, "cell_table", no_cells)
+    monkeypatch.setattr(grid_model, "grid_cells", no_cells)
+    start = time.perf_counter()
+    assert main(["enumerate", "--grid", "5000,5000", "--out", str(tmp_path / "x.csv")]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exhaustive run over 25000000 cells exceeds the 27-cell cap" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 ELEVEN_FILE = str(fixture_path("liaison_eleven.json"))

@@ -460,61 +460,49 @@ def test_sparse_set_in_many_directions_is_scanned_in_small_memory():
 
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (3, 1, 2), (2, 5, 1, 3), (3, 3, 3), (2,) * 12])
-def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(monkeypatch, dims):
-    """The scan derives the bit of a[i,j] from dims alone; it must be the
-    bit ``_vertex_bits`` gives a[i,j] in ``sr_complex``'s vertex list.
-    With a passing whole complex, the scan hands those bits to the walk.
-    A grid with sum(dims) - n < 2 has no link of dimension >= 1 and is
-    answered before any bit is derived.  ``is_cm`` accepts a set whose
-    every link passes without walking it, so the walk is called directly."""
-    seen = []
-
-    def walk(bits, points):
-        seen.append(bits)
-        return iter(())
-
-    monkeypatch.setattr(reisner_oracle, "_class_betti", lambda key: (0,))
-    monkeypatch.setattr(reisner_oracle, "_links_to_reduce", walk)
-    staircase = {tuple(min(k, r) for r in dims) for k in range(1, max(dims) + 1)}
-    X = PointSet(n=len(dims), dims=dims, points=frozenset(staircase))
-    assert reisner_oracle._first_failure(X) is None
-    bit = _vertex_bits(grid_variables(dims))
+def test_scan_level_bits_are_the_vertex_bits_of_the_grid_variables(dims):
+    """The walk and ``is_cm`` read a grid's levels from ``_grid``.
+    ``level_masks`` builds each level's cells by doubling, without a
+    table of the grid's cells; they must be the cells of ``cell_table``
+    at that level.  ``_grid`` pairs each with the bit of its variable,
+    which must be the bit ``_vertex_bits`` gives a[i,j] in
+    ``sr_complex``'s vertex list."""
+    cells = grid_model.cell_table(dims)[0]
     expected = tuple(
-        tuple(bit[var(i, j)] for j in range(1, r + 1)) for i, r in enumerate(dims, start=1)
+        tuple(sum(1 << k for k, c in enumerate(cells) if c[i] == l) for l in range(1, r + 1))
+        for i, r in enumerate(dims)
     )
-    assert seen == ([expected] if sum(dims) - len(dims) >= 2 else [])
+    assert grid_model.level_masks(dims) == expected
+    bit = _vertex_bits(grid_variables(dims))
+    assert reisner_oracle._grid(dims).levels == tuple(
+        tuple((mask, bit[var(i, j)]) for j, mask in enumerate(masks, start=1))
+        for i, masks in enumerate(expected, start=1)
+    )
 
 
-def test_walk_on_sets_of_26_points_sizes_few_full_grids(monkeypatch):
+def test_walk_pushes_each_sub_configuration_once_and_no_full_grid(monkeypatch):
     """With one hole in 3x3x3, removing a level through it leaves a full
-    grid.  The walk recognises most of those from point counts before
-    sizing them (81 of the 1539 boxes it sizes on these 27 sets are full
-    grids, against 3078 of 4536 without that test), and the exact check
-    keeps every full grid off the heap.  These sets are Cohen-Macaulay,
-    which ``first_cm_failure`` learns from ``is_cm`` without a walk, so the
-    walk is called directly."""
-    sized, popped = [], []
-    smallest_box, pop = reisner_oracle._smallest_box, reisner_oracle.heappop
+    grid, and so does every removal from a full grid: the walk pushes no
+    full grid and no sub-configuration twice.  These sets are
+    Cohen-Macaulay, which ``first_cm_failure`` learns from ``is_cm``
+    without a walk, so the walk is called directly."""
+    pushed = []
+    push = reisner_oracle.heappush
 
-    def sizing(inside, bits, slab):
-        box = smallest_box(inside, bits, slab)
-        sized.append((inside, box[1]))
-        return box
+    def recording(heap, entry):
+        pushed.append(entry[2])
+        push(heap, entry)
 
-    def popping(heap):
-        entry = pop(heap)
-        popped.append(entry[2])
-        return entry
-
-    monkeypatch.setattr(reisner_oracle, "_smallest_box", sizing)
-    monkeypatch.setattr(reisner_oracle, "heappop", popping)
+    monkeypatch.setattr(reisner_oracle, "heappush", recording)
     cells = sorted(itertools.product((1, 2, 3), repeat=3))
     for hole in cells:
-        reisner_oracle._first_failure(canonicalize([c for c in cells if c != hole]))
-    full = [inside for inside, volume in sized if inside.bit_count() == volume]
-    assert sized and 10 * len(full) < len(sized)
-    volume = dict(sized)
-    assert popped and all(inside.bit_count() != volume[inside] for inside in popped)
+        pushed.clear()
+        X = canonicalize([c for c in cells if c != hole])
+        assert reisner_oracle._first_failure(X) is None
+        masks = grid_model.level_masks(X.dims)
+        boxes = [math.prod(sum(1 for m in ms if m & y) for ms in masks) for y in pushed]
+        assert pushed[0] == X.cell_mask and len(set(pushed)) == len(pushed) > 1
+        assert all(y.bit_count() < volume for y, volume in zip(pushed, boxes))
 
 
 def boxes_to_reduce(X):
@@ -548,28 +536,30 @@ def boxes_to_reduce(X):
     ids=["26-of-3x3x3", "seed-42"],
 )
 def test_walk_yields_every_box_to_reduce_on_cm_sets(monkeypatch, configs):
-    """On a CM set the scan runs to the end, so the walk must yield each
-    box that is neither a cone nor a sphere exactly once, however many
-    full grids it skips.  ``first_cm_failure`` does not walk a CM set, so
-    the walk is called directly."""
-    walks = []
-    links = reisner_oracle._links_to_reduce
+    """On a CM set the scan runs to the end, so the walk must reduce the
+    whole complex and then each box that is neither a cone nor a sphere,
+    each exactly once, however many full grids it skips.
+    ``first_cm_failure`` does not walk a CM set, so the walk is called
+    directly."""
+    reduced = []
+    whole_complex_failure = reisner_oracle._whole_complex_failure
 
-    def walk(bits, points):
-        boxes = [inside for _, inside in links(bits, points)]
-        walks.append([frozenset(points[k] for k in reisner_oracle._bits(i)) for i in boxes])
-        return iter(())
+    def reducing(grid, mask, kept):
+        reduced.append(mask)
+        return whole_complex_failure(grid, mask, kept)
 
     cm_sets = [X for X in configs() if is_cm(X) and sum(X.dims) - X.n >= 2]
-    monkeypatch.setattr(reisner_oracle, "_links_to_reduce", walk)
+    monkeypatch.setattr(reisner_oracle, "_whole_complex_failure", reducing)
     for X in cm_sets:
-        walks.clear()
+        reduced.clear()
         assert reisner_oracle._first_failure(X) is None
         if X.size == math.prod(X.dims):  # a full grid has no box to reduce
-            assert walks == [] and boxes_to_reduce(X) == set(), X
+            assert reduced == [] and boxes_to_reduce(X) == set(), X
             continue
-        assert len(walks) == 1 and len(set(walks[0])) == len(walks[0])
-        assert set(walks[0]) == boxes_to_reduce(X), X
+        cells = grid_model.cell_table(X.dims)[0]
+        found = [frozenset(cells[k] for k in reisner_oracle._bits(y)) for y in reduced]
+        assert len(set(found)) == len(found) and found[0] == X.points
+        assert set(found[1:]) == boxes_to_reduce(X), X
     assert len(cm_sets) >= 20
 
 
@@ -758,7 +748,7 @@ def test_two_size_class_is_matched_on_the_bitset_alone(monkeypatch):
     set's complex: no face is listed as a set, by the reducer, ``homology``
     or ``first_cm_failure``."""
     X = canonicalize([(1, 1, 1), (1, 2, 2), (2, 1, 2), (3, 2, 1)])
-    facets = reisner_oracle._renumbered(reisner_oracle._grid_facets(X)[2])
+    facets = reisner_oracle._renumbered(reisner_oracle._facet_masks(sr_complex(X)))
     assert len({c.bit_count() for c in matching_critical_cells(facets)}) == 2
     exact = coreduced_betti(facets)
     listed = []
@@ -987,8 +977,11 @@ def walked_sets():
     """The differential inputs with the walk's first failure of each: the
     fixtures, every distinct canonical subset of 2x2x2, 3x3 and 2x2x3,
     every 97th subset of 4x4 and 2x2x2x2 and both seeded 3x3x3 benchmark
-    samples.  The walk reads none of the helpers that the mutations below
-    replace."""
+    samples.  It is computed before any mutation below is applied, so each
+    first failure is the unmutated walk's.  The walk shares
+    ``_vertex_links`` with ``is_cm``, so a mutation there moves both
+    (``test_shared_helper_mutation_fails_the_memo_free_check``); it does
+    not read ``_whole_complex_passes``."""
     fixtures = [SIX_POINTS, ELEVEN_POINTS, ELEVEN_MOVED, TWELVE_CHAIN, STAR_BLIND_EIGHT]
     configs = dict.fromkeys([
         *map(canonicalize, fixtures),
@@ -1051,6 +1044,40 @@ def test_route_mutations_fail_the_differential_check(
     if helper == "_whole_complex_passes":
         assert star_blind_eight in missed
         assert reisner_oracle._first_failure(star_blind_eight) == (frozenset(), 1, 1)
+
+
+def small_box_at_n_plus_two(vertex_links):
+    """A box of n + 2 levels passes unchecked, as a box of fewer does: the
+    level bound of ``_vertex_links`` off by one.  (Off by one in the
+    full-grid test instead, a box missing one cell would pass unchecked,
+    which is no fault: that complex is a sphere minus one facet, a ball.)"""
+
+    def links(grid, mask):
+        used = sum(1 for levels in grid.levels for level, _ in levels if mask & level)
+        return None if used == len(grid.levels) + 2 else vertex_links(grid, mask)
+
+    return links
+
+
+def test_shared_helper_mutation_fails_the_memo_free_check(
+    monkeypatch, walked_sets, six_points, eleven_points, eleven_moved, twelve_chain,
+    star_blind_eight,
+):
+    """``is_cm`` and the walk both skip what ``_vertex_links`` answers, so a
+    fault there moves both alike and their differential cannot see it;
+    the memo-free scan reads ``sr_complex`` and ``homology`` only, and
+    must.  With boxes of n + 2 levels left unchecked, ``is_cm`` still
+    agrees with the mutated walk on every differential input, and
+    ``test_link_class_memo_matches_memo_free_scan`` fails."""
+    mutated = small_box_at_n_plus_two(reisner_oracle._vertex_links)
+    monkeypatch.setattr(reisner_oracle, "_vertex_links", mutated)
+    monkeypatch.setattr(reisner_oracle, "_verdicts", {})
+    walked = [(X, reisner_oracle._first_failure(X)) for X, _ in walked_sets]
+    assert walked != walked_sets and is_cm_mismatches(walked) == []
+    with pytest.raises(AssertionError):
+        test_link_class_memo_matches_memo_free_scan(
+            six_points, eleven_points, eleven_moved, twelve_chain, star_blind_eight
+        )
 
 
 @pytest.mark.parametrize(

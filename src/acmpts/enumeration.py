@@ -14,23 +14,23 @@ therefore the one a per-subset loop would write.  The group is built
 only when it has no more elements than there are subsets to visit, and
 is the identity otherwise.
 
+Every verdict is decided on the cell mask of a subset of the run's grid,
+with no PointSet and no canonical form: the star verdict by
+``star_property.acm_on_grid``, the Reisner verdict by
+``reisner_oracle.cm_on_grid`` with ``is_cm``'s process-wide verdict memo,
+and inclusion by ``level_structure.inclusion_on_grid``.  A subset that
+does not use every level of the grid has the verdicts of its canonical
+form there (the ``star_property`` and ``reisner_oracle`` docstrings).
+
 An exhaustive run visits the masks in increasing order, so every proper
 submask of the mask at hand is decided, and keeps one byte per mask: the
 number of its row among the distinct verdicts (``_Sweep``).  The
 cross-checks of an ACM mask, that each proper union of its levels and
-each interface set is ACM, read submasks built from per-direction level
-masks (``grid_model.level_masks``, which ``reisner_oracle`` and the star
-criterion read too) and per-cell line masks.  Its Reisner verdict reads
-its vertex links first, each the mask without one of its levels: if one
-is not Cohen-Macaulay, neither is the mask, and otherwise only the whole
-complex is reduced (``reisner_oracle.empty_face_failure``).  This is
-the recursion of ``reisner_oracle.is_cm``, read from the run's own table
-in mask order.  Star and inclusion verdicts of a representative still
-come from ``is_acm`` and ``inclusion_property``.  A ``--random`` run
-keeps a dict instead, and decides what its sample never visited on
-demand, by ``is_acm`` and ``is_cm``; ``is_cm`` keeps the verdicts of the
-sub-configurations it decides in its own process-wide memo, so later
-draws reuse them.
+each interface set is ACM, look the star verdicts of those submasks up:
+a union is built from per-direction level masks
+(``grid_model.level_masks``), and an interface is
+``level_structure.interface_on_grid``.  A ``--random`` run keeps a dict
+instead, and decides a submask its sample never visited on demand.
 
 ``cli.cmd_enumerate`` imports this module when the command runs, so the
 other commands, and every import of ``acmpts.cli``, do without it.
@@ -41,14 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from functools import reduce
 from operator import or_
 from typing import NamedTuple, Sequence, TextIO
 
-from .grid_model import PointSet, canonicalize, cell_table, level_masks
-from .level_structure import inclusion_property
-from .reisner_oracle import empty_face_failure, is_cm
-from .star_property import is_acm
+from .grid_model import cell_table, level_masks, mask_bits
+from .level_structure import inclusion_on_grid, interface_on_grid
+from .reisner_oracle import cm_on_grid
+from .star_property import acm_on_grid
 
 _TEXT = {True: "true", False: "false"}
 
@@ -84,13 +83,9 @@ class _Sweep:
     """
 
     def __init__(self, dims: tuple[int, ...], exhaustive: bool) -> None:
-        self.cells, index, _ = cell_table(dims)
-        # slabs[i][l - 1]: the cells at level l of direction i; lines[i][b]:
-        # the cells that differ from cell b at most in direction i
-        self.slabs = level_masks(dims)
-        self.lines = [[sum(1 << index[c[:i] + (l,) + c[i + 1:]] for l in range(1, r + 1))
-                       for c in self.cells] for i, r in enumerate(dims)]
-        self.table = bytearray(1 << len(self.cells)) if exhaustive else defaultdict(int)
+        self.dims = dims
+        self.slabs = level_masks(dims)  # slabs[i][l - 1]: the cells at level l of direction i + 1
+        self.table = bytearray(1 << math.prod(dims)) if exhaustive else defaultdict(int)
         self.rows = [_Verdicts(False, False, ())]  # row 0, undecided, is never visited
         self.tails, self.hits, self.numbers = [""], [0], {}
 
@@ -105,38 +100,27 @@ class _Sweep:
             self.hits.append(0)
         return k
 
-    def point_set(self, mask: int) -> PointSet:
-        return canonicalize([c for b, c in enumerate(self.cells) if mask >> b & 1])
-
     def star(self, mask: int) -> bool:
         """A submask's star verdict; --random decides one it never visited."""
         k = self.table[mask]
-        return self.rows[k].star_acm if k else is_acm(self.point_set(mask))
+        return self.rows[k].star_acm if k else acm_on_grid(self.dims, mask)
 
     def evaluate(self, mask: int) -> tuple[_Verdicts, list[str]]:
         """Every verdict and cross-check of ``enumerate`` for one mask."""
-        X = self.point_set(mask)
-        star = is_acm(X)
-        parts = [[mask & s for s in slabs if mask & s] for slabs in self.slabs]
-        # The vertex links: the mask without one of its levels, in each
-        # direction where it has two or more.
-        children = [self.table[mask & ~p] for ps in parts if len(ps) > 1 for p in ps]
-        if all(children):
-            cm = all(self.rows[k].reisner_cm for k in children) and not empty_face_failure(X)
-        else:  # --random: a child the sample never visited
-            cm = is_cm(X)
-        incl = tuple(inclusion_property(X, i) for i in range(1, X.n + 1)) if X.n >= 2 else ()
+        dims, n = self.dims, len(self.dims)
+        star, cm = acm_on_grid(dims, mask), cm_on_grid(dims, mask)
+        incl = tuple(inclusion_on_grid(dims, mask, i) for i in range(1, n + 1)) if n >= 2 else ()
         problems = [f"star={star} but reisner={cm}"] if star != cm else []
-        if star and X.n >= 2:  # one direction: every union and interface is ACM
-            for i, (ps, lines) in enumerate(zip(parts, self.lines), start=1):
-                unions = [0]  # unions[u]: the union of the parts k with bit k of u set
-                for p in ps:
-                    unions += [u | p for u in unions]
+        if star and n >= 2:  # one direction: every union and interface is ACM
+            for i, slabs in enumerate(self.slabs, start=1):
+                levels = [l for l, slab in enumerate(slabs, start=1) if mask & slab]
+                unions = [0]  # unions[u]: the union of the levels k with bit k of u set
+                for l in levels:
+                    unions += [u | mask & slabs[l - 1] for u in unions]
                 problems += [f"union of levels mask={u} direction={i} not ACM"
                              for u in range(1, len(unions) - 1) if not self.star(unions[u])]
-                for j, p in enumerate(ps, start=1):  # a single level has no interface
-                    shadow = reduce(or_, [line for b, line in enumerate(lines) if p >> b & 1])
-                    iface = shadow & mask & ~p
+                for j, l in enumerate(levels, start=1):  # a single level has no interface
+                    iface = interface_on_grid(dims, mask, i, l)
                     if iface and not self.star(iface):
                         problems.append(f"interface of level {j} direction {i} not ACM")
         if not star and any(incl):
@@ -175,10 +159,8 @@ def _orbit_images(mask: int, bit_images: list[list[int]]) -> list[int]:
     """``g(mask)`` for every group element ``g``, in group order, where
     ``bit_images[b][g]`` is ``g`` applied to cell ``b``, as a bit."""
     images = [0] * len(bit_images[0])
-    while mask:
-        low = mask & -mask
-        images = list(map(or_, images, bit_images[low.bit_length() - 1]))
-        mask ^= low
+    for b in mask_bits(mask):
+        images = list(map(or_, images, bit_images[b]))
     return images
 
 
@@ -197,7 +179,7 @@ def write_report(
     symmetries = _grid_symmetries(dims, len(masks))
     dperms = [dperm for dperm, _ in symmetries]
     distinct_dperms = set(dperms)
-    bit_images = [[1 << perm[b] for _, perm in symmetries] for b in range(len(sweep.cells))]
+    bit_images = [[1 << perm[b] for _, perm in symmetries] for b in range(math.prod(dims))]
     failures: list[str] = []
     fh.write("grid,id,size,star_acm,reisner_cm,inclusion,agree\r\n")
     for mask in masks:

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadDirection,
@@ -176,6 +176,23 @@ def level_masks(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             direction.append(mask & (1 << cells) - 1)
         masks.append(tuple(direction))
     return tuple(masks)
+
+
+def mask_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def project_mask(dims: tuple[int, ...], mask: int, i: int) -> int:
+    """The cells of ``mask`` with coordinate i deleted, as a mask over the
+    grid ``dims`` without direction i; collisions merge.  With the stride
+    s and the r levels of direction i, cell h * r * s + l * s + t (t < s)
+    goes to cell h * s + t."""
+    block, s = math.prod(dims[i - 1 :]), math.prod(dims[i:])
+    return functools.reduce(operator.or_, (1 << k // block * s + k % s for k in mask_bits(mask)), 0)
 
 
 def grid_cells(dims: Sequence[int]) -> tuple[GridPoint, ...]:

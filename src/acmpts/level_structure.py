@@ -8,17 +8,30 @@ ACM property in general and characterizes it exactly for n = 2.
 
 The interface set of a level j is the part of the other levels sitting
 over the shadow of level j; an empty interface counts as ACM.
+
+Both run on cell masks of a grid that need not be X's own
+(``inclusion_on_grid``, ``interface_on_grid``), so ``acmpts enumerate``
+asks them about a subset of its run's grid with no PointSet.  A level's
+shadow is a mask on the grid without direction i
+(``grid_model.project_mask``), whose star verdict is read there
+(``star_property.acm_on_grid``), and an interface is the level's part
+copied onto every level of direction i, ANDed with the rest of X.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from operator import or_
 
 from .errors import BadDirection, BadLevel, EmptyConfiguration, WouldBeEmpty
-from .grid_model import GridPoint, PointSet, canonicalize, check_direction, is_int
-from .star_property import is_acm
+from .grid_model import (
+    GridPoint, PointSet, canonicalize, cell_strides, check_direction, is_int, level_masks,
+    mask_bits, project_mask,
+)
+from .star_property import acm_on_grid
 
 
 @dataclass(frozen=True)
@@ -45,28 +58,38 @@ def level_sets(X: PointSet, i: int) -> LevelDecomposition:
     return LevelDecomposition(levels=levels)
 
 
-def _shadow(points: Iterable[GridPoint], i: int) -> frozenset[GridPoint]:
-    """The points with coordinate i deleted; i is checked by the caller."""
-    return frozenset(p[: i - 1] + p[i:] for p in points)
+def inclusion_on_grid(dims: tuple[int, ...], mask: int, i: int) -> bool:
+    """The inclusion property in direction i of the subset with this cell
+    mask of the dims grid (n >= 2), which need not use every level.
+
+    Each used level's shadow is a mask on the grid without direction i.
+    A chain under inclusion is cardinality-monotone, so sorting the
+    shadows by size and checking consecutive containment suffices (equal
+    sizes then force equality).  Each distinct shadow is then checked for
+    ACM on that grid: by the star scan (``acm_on_grid``), or, on a grid of
+    two directions, by its own inclusion property in direction 1.  There
+    a witness is two rows of which neither contains the other, so the
+    star verdict is that the rows form a chain, and no pair table is
+    built.
+    """
+    parts = [mask & slab for slab in level_masks(dims)[i - 1] if mask & slab]
+    shadows = sorted((project_mask(dims, part, i) for part in parts), key=int.bit_count)
+    if any(small & ~big for small, big in zip(shadows, shadows[1:])):
+        return False
+    rest = dims[: i - 1] + dims[i:]
+    if len(rest) == 2:
+        return all(inclusion_on_grid(rest, shadow, 1) for shadow in set(shadows))
+    return all(acm_on_grid(rest, shadow) for shadow in set(shadows))
 
 
 def inclusion_property(X: PointSet, i: int) -> bool:
-    """Whether the projected i-level sets form an inclusion chain of ACM sets.
-
-    The projections are compared as raw subsets of the common ambient
-    (P^1)^(n-1); a chain under inclusion is cardinality-monotone, so
-    sorting by size and checking consecutive containment suffices (equal
-    sizes then force equality).  Each projected level is recanonicalized
-    before its own ACM check, which is automatic for n - 1 = 1.
-    """
+    """Whether the projected i-level sets form an inclusion chain of ACM
+    sets, compared as raw subsets of the common ambient (P^1)^(n-1)
+    (``inclusion_on_grid``)."""
     if X.n < 2:
         raise BadDirection("inclusion property needs at least two directions")
-    shadows = [_shadow(part, i) for _, part in level_sets(X, i).levels]
-    shadows.sort(key=len)
-    for small, big in zip(shadows, shadows[1:]):
-        if not small <= big:
-            return False
-    return all(is_acm(canonicalize(sh)) for sh in shadows)
+    check_direction(i, X.n)
+    return inclusion_on_grid(X.dims, X.cell_mask, i)
 
 
 def _check_level(X: PointSet, i: int, j: int) -> None:
@@ -85,18 +108,29 @@ def remove_level(X: PointSet, i: int, j: int) -> PointSet:
     return canonicalize(rest)
 
 
+def interface_on_grid(dims: tuple[int, ...], mask: int, i: int, j: int) -> int:
+    """The interface set of level j of direction i of the subset with this
+    cell mask of the dims grid, as a mask: the level's part, moved to
+    level 1 and copied onto every level, covers the cells over its shadow,
+    and those of the subset off level j are the interface."""
+    slabs, s = level_masks(dims)[i - 1], math.prod(dims[i:])
+    base = (mask & slabs[j - 1]) >> (j - 1) * s
+    return reduce(or_, [base << l * s for l in range(len(slabs))]) & mask & ~slabs[j - 1]
+
+
 def interface_set(X: PointSet, i: int, j: int) -> PointSet:
-    """Points of the other levels lying over the shadow of level j.
+    """Points of the other levels lying over the shadow of level j
+    (``interface_on_grid``), canonicalized.
 
     Returns the empty configuration when no point of X minus the level
     projects into the level's shadow.
     """
     _check_level(X, i, j)
-    level_shadow = _shadow((p for p in X.points if p[i - 1] == j), i)
-    rest = [p for p in X.points if p[i - 1] != j and p[: i - 1] + p[i:] in level_shadow]
+    rest = interface_on_grid(X.dims, X.cell_mask, i, j)
     if not rest:
         return PointSet.empty(X.n)
-    return canonicalize(rest)
+    dims, strides = X.dims, cell_strides(X.dims)  # cell k has level k // s % r + 1
+    return canonicalize([[k // s % r for r, s in zip(dims, strides)] for k in mask_bits(rest)])
 
 
 def max_level_size(X: PointSet) -> int:

@@ -54,18 +54,26 @@ reduction.  The level masks are built per grid shape by doubling each
 level's periodic pattern (``grid_model.level_masks``), X's mask comes
 from the strides of the cell numbering, and a cell's facet is computed
 only when a whole complex needs it (``_grid``), so nothing is built per
-cell of the grid.  Every verdict goes into one process-wide memo, by
-grid shape and then by mask (``_verdicts``).  The subsets of one grid
-share their sub-configurations, so a configuration reuses what earlier
-ones decided.  A call that starts with more than ``VERDICT_BOUND``
-(2^15) verdicts replaces the dict; a call already running keeps the dict
-it started with, so no call decides a sub-configuration twice, which a
-bounded recursion cache could not promise (the 56-point 6x6x6 staircase
-has 48908 sub-configurations).
-The recursion runs on an explicit stack of generators (``_decide``), so
-its depth is not Python's.  On the seed-42 3x3x3 benchmark sample,
-``is_cm`` decides 3235 sub-configurations in all, 550 of them from their
-point counts; 931 are rejected at a vertex link, and 1754 whole
+cell of the grid.  Y need not use every level of the grid: its box, its
+vertex links and the keys of its whole complex (``_renumbered``, below)
+are those of its canonical form with the levels renumbered, so
+``cm_on_grid`` decides any subset of a grid, and ``acmpts enumerate``
+asks it about subsets of its run's grid with no PointSet.  ``is_cm`` is
+``cm_on_grid`` on X's own mask, after the full grids and the grids of
+too few levels, answered from the point counts.
+
+Every verdict goes into one process-wide memo, by grid shape and then by
+mask (``_verdicts``).  The subsets of one grid share their
+sub-configurations, so a configuration reuses what earlier ones decided.
+A call that starts with more than ``VERDICT_BOUND`` (2^15) verdicts
+replaces the dict; a call already running keeps the dict it started
+with, so no call decides a sub-configuration twice, which a bounded
+recursion cache could not promise (the 56-point 6x6x6 staircase has
+48908 sub-configurations).  The recursion runs on an explicit stack of
+generators (``_decide``), so its depth is not Python's.  On the seed-42
+3x3x3 benchmark sample, ``is_cm`` decides 3235 sub-configurations in
+all, 550 of them from their point counts; 931 are rejected at a vertex
+link, and 1754 whole
 complexes fall into 370 link classes, all reduced without a Morse
 matrix.
 
@@ -79,7 +87,7 @@ their faces.  A box B that is not a cone is the smallest box around
 Y = X n B, so Y determines it and the face of its link, the variables
 outside B.  The walk starts from X, whose box is the whole grid and whose
 face is the empty face, so the whole complex is reduced first (232 of the
-405 seed-42 sets fail there; ``empty_face_failure`` is this step alone).
+405 seed-42 sets fail there).
 A heap pops each Y, largest box first and then in vertex order of its
 face, reduces its whole complex, stops at the first failure and pushes
 each Y without one of its levels that it has not pushed before.  Starting
@@ -163,7 +171,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from operator import or_, xor
-from typing import Callable, Generator, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     EmptyConfiguration,
@@ -172,6 +180,7 @@ from .errors import (
     MalformedComplex,
 )
 from .grid_model import PointSet, cell_strides, level_masks
+from .grid_model import mask_bits as _bits
 from .linalg import rank_int
 
 Face = frozenset
@@ -535,14 +544,6 @@ def _class_betti(key: tuple[int, ...]) -> tuple[int, ...]:
     return _reduced_betti(key)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
     """The lowest degree below the top with a nonzero reduced Betti
     number, and that number; None when homology sits in the top degree."""
@@ -564,28 +565,6 @@ def _passes_on_counts(X: PointSet) -> bool:
     has dimension <= 0, or X is the full grid, whose complex and every link
     in it are spheres (module docstring)."""
     return sum(X.dims) - X.n < 2 or X.size == math.prod(X.dims)
-
-
-def empty_face_failure(X: PointSet) -> tuple[int, int] | None:
-    """Reisner's condition on the empty face alone: the lowest degree below
-    the top where the whole complex has reduced homology, and its rank,
-    or None.  It is the first face the walk of ``cm_obstruction`` scans.
-
-    The link of a face through a vertex v is a link in the link of v, so
-    by Reisner's criterion the complex is Cohen-Macaulay exactly when
-    this is None and every vertex link is Cohen-Macaulay (Bruns and
-    Herzog, *Cohen-Macaulay Rings*, ch. 5).  The link of a[i,j] is the
-    complex of X without its level j in direction i, coned over the
-    variables of the levels that removal empties, and a cone is
-    Cohen-Macaulay exactly when its base is.  So ``is_cm`` and
-    ``acmpts enumerate`` decide a set from those sub-configurations and
-    this one step."""
-    if not X.points:
-        raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    if _passes_on_counts(X):
-        return None
-    grid = _grid(X.dims)
-    return _whole_complex_failure(grid, X.cell_mask, grid.full)
 
 
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
@@ -750,24 +729,31 @@ def _decide(grid: _Grid, mask: int, verdicts: Verdicts) -> bool:
     return verdict
 
 
+def cm_on_grid(dims: tuple[int, ...], mask: int) -> bool:
+    """Cohen-Macaulayness of the sub-configuration with this cell mask of
+    the dims grid, which need not use every level: its box, vertex links
+    and link-class keys (``_renumbered``) are those of its canonical form
+    with the levels renumbered, so it has that form's verdict.  Decided
+    by ``_decide`` with the verdicts kept in ``_verdicts``."""
+    global _verdicts
+    if sum(map(len, _verdicts.values())) > VERDICT_BOUND:
+        _verdicts = {}  # a call already running keeps the dict it started with
+    return _decide(_grid(dims), mask, _verdicts.setdefault(dims, {}))
+
+
 def is_cm(X: PointSet) -> bool:
     """Cohen-Macaulayness of the configuration's Stanley-Reisner model:
     every vertex link is Cohen-Macaulay and the whole complex passes, each
     vertex link being the configuration without one level (module
     docstring), decided on cell masks with the verdicts of every
-    sub-configuration kept (``_verdicts``).
+    sub-configuration kept (``cm_on_grid``).
 
     Purity, a necessary condition, holds by construction: every facet
     of the complex (``sr_complex``) has sum(r_i) - n vertices.
     """
-    global _verdicts
     if not X.points:
         raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    if _passes_on_counts(X):
-        return True
-    if sum(map(len, _verdicts.values())) > VERDICT_BOUND:
-        _verdicts = {}  # a call already running keeps the dict it started with
-    return _decide(_grid(X.dims), X.cell_mask, _verdicts.setdefault(X.dims, {}))
+    return _passes_on_counts(X) or cm_on_grid(X.dims, X.cell_mask)
 
 
 def first_cm_failure(X: PointSet) -> tuple[Face, int, int] | None:

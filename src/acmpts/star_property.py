@@ -25,10 +25,23 @@ ordered pairs of cells at distance >= 2, each with the mask of its box,
 are tabulated once per dims (``_pair_table``): O((prod r_i)^2 n)
 operations on (prod r_i)-bit masks, kept as O((prod r_i)^2) entries, so
 the table's memory grows about as (prod r_i)^3.  A check is then one
-popcount of ``box & mask`` per pair.  Desk-scale grids (prod r_i <= 27)
-finish in milliseconds.  ``acmpts check`` on k diagonal points of the
-k x k x k grid peaks at 19.6 MB of resident memory for k = 6, 40.7 MB
-for k = 8, 133 MB for k = 10 and 463.5 MB for k = 12.
+popcount of ``box & mask`` per pair (``_witness_pairs``).  Desk-scale
+grids (prod r_i <= 27) finish in milliseconds.  ``acmpts check`` on k
+diagonal points of the k x k x k grid peaks at 19.6 MB of resident
+memory for k = 6, 40.7 MB for k = 8, 133 MB for k = 10 and 463.5 MB for
+k = 12.
+
+The scan needs no canonical form.  A witness touches only levels that X
+uses: for type i, P and Q lie in X; for type ii, in each direction where
+P and Q differ, the corner that takes P's level there and Q's elsewhere
+is neither P nor Q (d >= 2), so it lies in X, and likewise with P and Q
+swapped, while every corner has the levels they share.  Dropping unused
+levels keeps the lexicographic cell order, so a subset scanned on a grid
+it does not fill (a sub-configuration on its parent's grid, a shadow on
+the grid without one direction) has the verdict and the witnesses of
+its canonical form.  ``acm_on_grid`` is that verdict on a cell mask;
+``level_structure`` and the harness behind ``acmpts enumerate`` read
+it, with no PointSet.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     BadLevel,
@@ -110,6 +124,20 @@ def _pair_table(dims: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(table)
 
 
+def _witness_pairs(dims: tuple[int, ...], mask: int, s: int) -> Iterator[tuple[int, int, int, int]]:
+    """(d, a, b, 1 for type i or 0 for type ii) for each witness pair a < b
+    at distance 2 <= d <= s of the subset with cell mask ``mask`` of the
+    dims grid, in lexicographic order of (a, b).  The subset need not use
+    every level of the grid: a witness touches only levels it uses
+    (module docstring)."""
+    for d, a, b, box in _pair_table(dims):
+        if d > s or (p_in := mask >> a & 1) != mask >> b & 1:
+            continue
+        # box & mask is {P, Q} (type-i) or the box minus {P, Q} (type-ii)
+        if (box & mask).bit_count() == (2 if p_in else (1 << d) - 2):
+            yield d, a, b, p_in
+
+
 def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, list[Witness]]:
     """Decide the star property at level s; return (verdict, witnesses).
 
@@ -125,22 +153,23 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
         raise EmptyConfiguration("star property needs a nonempty configuration")
     if not is_int(s) or not 2 <= s <= X.n:
         raise BadLevel(f"star level {s!r} outside 2..{X.n}")
-    cells, mask = cell_table(X.dims)[0], X.cell_mask
+    cells = cell_table(X.dims)[0]
     witnesses: list[Witness] = []
-    for d, a, b, box in _pair_table(X.dims):
-        if d > s:
-            continue
-        p_in = mask >> a & 1
-        if p_in != mask >> b & 1:
-            continue
-        # box & mask is {P, Q} (type-i) or the box minus {P, Q} (type-ii)
-        if (box & mask).bit_count() != (2 if p_in else (1 << d) - 2):
-            continue
+    for d, a, b, p_in in _witness_pairs(X.dims, X.cell_mask, s):
         P, Q = cells[a], cells[b]
         witnesses.append(Witness(TYPE_I if p_in else TYPE_II, P, Q, d, combinatorial_box(P, Q)))
         if not exhaustive:
             break
     return not witnesses, witnesses
+
+
+def acm_on_grid(dims: tuple[int, ...], mask: int) -> bool:
+    """The ACM verdict of ``is_acm`` for the nonempty subset with cell mask
+    ``mask`` of the dims grid, which need not use every level: a witness
+    touches only levels the subset uses, and the lexicographic cell order
+    survives dropping unused levels, so the subset has the verdict of its
+    canonical form.  Nothing is cached."""
+    return len(dims) == 1 or next(_witness_pairs(dims, mask, len(dims)), None) is None
 
 
 @functools.lru_cache(maxsize=128)

@@ -322,6 +322,30 @@ def test_group_is_built_only_when_smaller_than_mask_count(tmp_path, capsys, monk
         assert (rows, stdout) == (expected_rows, [summary])
 
 
+def test_enumerate_decides_without_canonical_forms(tmp_path, capsys, monkeypatch):
+    """``enumerate`` decides on cell masks of its run's grid and never
+    canonicalizes a subset: with ``canonicalize`` raising in every
+    ``acmpts`` module, an exhaustive 2x2x3 run and a seeded 2x2x2x2 sample
+    still write their pinned reports."""
+    masks = random_masks((2, 2, 2, 2), 500, 3)
+    expected_rows, summary = reference_report((2, 2, 2, 2), masks)
+
+    def refuse(raw):
+        raise AssertionError("enumerate built a canonical PointSet")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "acmpts" and hasattr(module, "canonicalize"):
+            monkeypatch.setattr(module, "canonicalize", refuse)
+    out = tmp_path / "report.csv"
+    assert main(["enumerate", "--grid", "2,2,3", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    digests = hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(stdout).hexdigest()
+    assert digests == REPORT_DIGESTS["2,2,3"]
+    code, rows, stdout = run_enumerate(
+        tmp_path, capsys, ["--grid", "2,2,2,2", "--random", "500", "--seed", "3"])
+    assert (code, rows, stdout) == (0, expected_rows, [summary])
+
+
 def test_random_redraw_of_a_failing_mask_fails_again():
     """A ``--random`` table stores no failing mask, so drawing one twice
     prints its FAIL lines twice, as a per-draw loop does."""

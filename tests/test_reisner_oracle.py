@@ -24,7 +24,6 @@ from acmpts.reisner_oracle import (
     GridVariable,
     SimplicialComplex,
     _vertex_bits,
-    empty_face_failure,
     first_cm_failure,
     grid_variables,
     homology,
@@ -404,7 +403,7 @@ def assert_passes_unreduced(calls, X):
     reisner_oracle._class_betti.cache_clear()
     reisner_oracle._verdicts.clear()
     start = time.perf_counter()
-    assert first_cm_failure(X) is None and empty_face_failure(X) is None
+    assert first_cm_failure(X) is None
     assert time.perf_counter() - start < 1.0, X.dims
     assert calls == [], X.dims
 
@@ -952,24 +951,17 @@ def test_oracle_agreement_random_four_directions():
         assert is_acm(X) == is_cm(X)
 
 
-def test_empty_face_failure_is_the_first_step_of_the_scan():
-    """``empty_face_failure`` reports the whole complex's failure exactly
-    when ``first_cm_failure`` reports the empty face."""
-    for X in [*subset_configurations((2, 2, 3), (3, 3)), *cube_sample(42)]:
-        failure = first_cm_failure(X)
-        expected = failure[1:] if failure and not failure[0] else None
-        assert empty_face_failure(X) == expected
-
-
 def test_cm_exactly_when_vertex_links_are_cm_and_the_whole_complex_passes():
-    """The route of ``acmpts enumerate``: the link of a[i,j] is the complex
-    of X without level j of direction i (coned over the levels that
-    removal empties), so X is CM exactly when every such configuration
-    is CM and the empty face passes."""
+    """The link of a[i,j] is the complex of X without level j of direction
+    i (coned over the levels that removal empties), so X is CM exactly
+    when every such configuration is CM and the empty face passes, that
+    is, when the walk does not report the empty face."""
     for X in [*subset_configurations((2, 2, 3), (3, 3)), *cube_sample(42)]:
         links = [remove_level(X, i, j) for i in range(1, X.n + 1) if X.dims[i - 1] > 1
                  for j in range(1, X.dims[i - 1] + 1)]
-        assert is_cm(X) == (all(map(is_cm, links)) and empty_face_failure(X) is None)
+        failure = first_cm_failure(X)
+        empty_face_passes = failure is None or failure[0] != frozenset()
+        assert is_cm(X) == (all(map(is_cm, links)) and empty_face_passes)
 
 
 @pytest.fixture(scope="module")

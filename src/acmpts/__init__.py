@@ -24,7 +24,6 @@ from .grid_model import (
     PointSet,
     canonicalize,
     project,
-    relabel,
 )
 from .hilbert_function import (
     HilbertTable,

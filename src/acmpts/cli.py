@@ -341,6 +341,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise InputError(f"--random {count}: need at least one configuration")
         if seed is None:
             raise InputError("--random requires --seed")
+        if ncells > 1024:
+            raise InputError(f"random run over {ncells} cells exceeds the 1024-cell cap")
         rng = random.Random(seed)
         masks = [
             sum(1 << b for b in rng.sample(range(ncells), rng.randint(1, ncells)))

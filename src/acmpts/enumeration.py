@@ -3,10 +3,11 @@
 The harness evaluates one subset per orbit of the grid's symmetry group
 (level permutations in every direction times permutations of directions
 of equal length) and copies the verdicts to the other members.  This is
-exact: a symmetry maps a subset to a subset whose canonical form is a
-``relabel`` of the original's, and the star verdict and the Reisner
-verdict are invariant under ``relabel``, while the inclusion verdict
-moves with its direction.  The cross-checks are invariant in the same
+exact: a symmetry maps a subset to a subset whose canonical form is the
+original's with its directions and the levels within each direction
+permuted, and the star verdict and the Reisner verdict are invariant
+under such permutations, while the inclusion verdict moves with its
+direction.  The cross-checks are invariant in the same
 way, so either no member of an orbit fails one or every member does;
 members of a failing orbit are evaluated one by one, since FAIL lines
 name member-specific ids, level masks and directions.  The report is
@@ -136,8 +137,8 @@ def _grid_symmetries(
     elements.
 
     The group permutes the levels of every direction and the directions of
-    equal length.  In a pair, new direction ``k`` is old direction
-    ``dperm[k]`` (0-based, as in ``relabel``), and cell ``b`` of
+    equal length.  In a pair, new coordinate ``k`` (0-based) is old
+    coordinate ``dperm[k]`` with its levels permuted, and cell ``b`` of
     ``grid_cells(dims)`` goes to cell ``perm[b]``.
     """
     n = len(dims)

@@ -31,10 +31,6 @@ class BadLevel(InputError):
     """Level or star-level index outside its valid range."""
 
 
-class BadPermutation(InputError):
-    """A relabeling permutation is not a bijection of the right range."""
-
-
 class WouldBeEmpty(InputError):
     """Removing the requested part would leave no points."""
 

@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadDirection,
-    BadPermutation,
     DimensionMismatch,
     EmptyConfiguration,
     InputError,
@@ -109,9 +108,9 @@ class PointSet:
     @functools.cached_property
     def star_levels(self) -> dict[int, bool]:
         """The star verdict of this configuration per level, as far as
-        ``star_property.find_path`` has read it from the package's memo:
-        a chain query then looks its precondition up here, without hashing
-        the configuration.  Kept on this PointSet, dying with it."""
+        ``star_property.is_acm`` and ``find_path`` have scanned for it:
+        the package's one star memo, so a chain query looks its
+        precondition up here.  Kept on this PointSet, dying with it."""
         return {}
 
     def sorted_points(self) -> list[GridPoint]:
@@ -240,37 +239,3 @@ def project(X: PointSet, i: int) -> PointSet:
         raise BadDirection("projection needs at least two directions")
     check_direction(i, X.n)
     return canonicalize([p[: i - 1] + p[i:] for p in X.points])
-
-
-def _check_perm(perm: Sequence[int], size: int, what: str) -> None:
-    if not all(map(is_int, perm)) or sorted(perm) != list(range(1, size + 1)):
-        raise BadPermutation(f"{what} {tuple(perm)} is not a permutation of 1..{size}")
-
-
-def relabel(
-    X: PointSet,
-    direction_perm: Sequence[int] | None = None,
-    level_perms: Sequence[Sequence[int]] | None = None,
-) -> PointSet:
-    """Permute directions and/or level indices within each direction.
-
-    ``direction_perm[k]`` is the old direction whose (level-permuted)
-    coordinate becomes new coordinate ``k+1``.  ``level_perms`` is indexed
-    by old direction; entry for direction i sends old level j to
-    ``level_perms[i-1][j-1]``.  Bijective on configurations.
-    """
-    dperm = list(direction_perm) if direction_perm is not None else list(range(1, X.n + 1))
-    _check_perm(dperm, X.n, "direction permutation")
-    if level_perms is None:
-        lperms = [list(range(1, r + 1)) for r in X.dims]
-    else:
-        lperms = [list(lp) for lp in level_perms]
-        if len(lperms) != X.n:
-            raise BadPermutation("need one level permutation per direction")
-        for i, (lp, r) in enumerate(zip(lperms, X.dims)):
-            _check_perm(lp, r, f"level permutation for direction {i + 1}")
-    points = frozenset(
-        tuple(lperms[d - 1][p[d - 1] - 1] for d in dperm) for p in X.points
-    )
-    dims = tuple(X.dims[d - 1] for d in dperm)
-    return PointSet(n=X.n, dims=dims, points=points)

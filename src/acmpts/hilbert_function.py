@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadDegree, InputError
-from .grid_model import GridPoint, MultiDegree, PointSet, is_int, is_point
+from .grid_model import GridPoint, MultiDegree, PointSet, cell_strides, is_int, is_point
 from .linalg import Basis, Packed, echelon_insert, eliminate, rank_int
 
 
@@ -165,21 +165,13 @@ def _newton_columns(
     return columns
 
 
-def _strides(caps: Sequence[int]) -> list[int]:
-    """Index strides of the box 0 <= k <= caps in lexicographic order."""
-    strides = [1] * len(caps)
-    for i in range(len(caps) - 1, 0, -1):
-        strides[i - 1] = strides[i] * (caps[i] + 1)
-    return strides
-
-
 @functools.lru_cache(maxsize=32)
 def _plan(caps: MultiDegree) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The walk over the degrees 0 <= k <= caps, depth first, as
     (k, parent, slab) in visiting order: the index of k, that of the
     degree it was raised from (0 for the root, which is its own parent)
     and the indices of the columns it adds.  Kept for 32 caps."""
-    strides = _strides(caps)
+    strides = cell_strides([cap + 1 for cap in caps])
     plan = []
     # A degree is popped only after its parent and every earlier
     # sibling's subtree.  The entry for k holds its index, the direction
@@ -265,7 +257,7 @@ def _box_values(
     # Below the shift in any direction, the index sum stays negative.
     below = -len(ranks)
     index = [0]
-    for Ti, d, c, s in zip(box, shift, caps, _strides(caps)):
+    for Ti, d, c, s in zip(box, shift, caps, cell_strides([cap + 1 for cap in caps])):
         offsets = [min(t - d, c) * s if t >= d else below for t in range(Ti + 1)]
         index = [k + o for k in index for o in offsets]
     return [ranks[k] if k >= 0 else 0 for k in index]

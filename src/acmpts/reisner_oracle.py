@@ -73,14 +73,14 @@ recursion cache could not promise (the 56-point 6x6x6 staircase has
 generators (``_decide``), so its depth is not Python's.  On the seed-42
 3x3x3 benchmark sample, ``is_cm`` decides 3235 sub-configurations in
 all, 550 of them from their point counts; 931 are rejected at a vertex
-link, and 1754 whole
-complexes fall into 370 link classes, all reduced without a Morse
-matrix.
+link, and 1754 whole complexes fall into 370 link classes, all reduced
+without a Morse matrix.
 
-``cm_obstruction`` (``first_cm_failure``, ``acmpts oracle``) takes the
-verdict from ``is_cm`` and walks only a set that is not Cohen-Macaulay,
-to name its first failing face (``_first_failure``); a walk that then
-finds none is an ``InternalInvariantViolation``.  The walk runs on the
+``cm_obstruction`` (also named ``first_cm_failure``; ``acmpts
+oracle``) takes the verdict from ``is_cm`` and walks only a set that is
+not Cohen-Macaulay, to name its first failing face
+(``_first_failure``); a walk that then finds none is an
+``InternalInvariantViolation``.  The walk runs on the
 same cell masks as ``is_cm`` and skips what ``_vertex_links`` skips,
 but reads no verdict: it reduces whole complexes in the scan order of
 their faces.  A box B that is not a cone is the smallest box around
@@ -115,9 +115,11 @@ classes.  The element matchings (below) leave critical cells of one
 size in all but 23 of those classes; the 23 leave two sizes, and their
 Morse differentials are 23 matrices of at most 3 rows and 2 columns (19
 of 31 entries nonzero), the same as when every set was walked.  The
-README and ``linalg`` refer here for these counts.  Points on a line are a full grid (the complex is a simplex
-boundary), as is the full 3x3x3 grid: no reduction at all.  The scan
-order and the reported face do not depend on either memo.
+README refers here for these counts.
+
+Points on a line are a full grid (the complex is a simplex boundary), as
+is the full 3x3x3 grid: no reduction at all.  The scan order and the
+reported face do not depend on either memo.
 
 Reduced homology comes from discrete Morse theory.  The chain complex
 has every face as a cell, the empty face included as the single cell of
@@ -586,6 +588,9 @@ def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
     return failure
 
 
+first_cm_failure = cm_obstruction
+
+
 def _first_failure(X: PointSet) -> tuple[Face, int, int] | None:
     """The walk: sub-configurations Y of X, as cell masks of ``_grid``,
     from X itself (the empty face) down to the first whose whole complex
@@ -755,7 +760,3 @@ def is_cm(X: PointSet) -> bool:
         raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
     return _passes_on_counts(X) or cm_on_grid(X.dims, X.cell_mask)
 
-
-def first_cm_failure(X: PointSet) -> tuple[Face, int, int] | None:
-    """The first failing link of the configuration's complex, if any."""
-    return cm_obstruction(X)

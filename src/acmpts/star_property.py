@@ -31,6 +31,12 @@ diagonal points of the k x k x k grid peaks at 19.6 MB of resident
 memory for k = 6, 40.7 MB for k = 8, 133 MB for k = 10 and 463.5 MB for
 k = 12.
 
+``is_acm`` and the star precondition of ``find_path`` read the verdict
+of that scan, run once per level and kept on X
+(``PointSet.star_levels``), the package's one star memo.  They build no
+``Witness``: ``check_star`` reports witnesses, for ``acmpts check`` and
+the tests.
+
 The scan needs no canonical form.  A witness touches only levels that X
 uses: for type i, P and Q lie in X; for type ii, in each direction where
 P and Q differ, the corner that takes P's level there and Q's elsewhere
@@ -172,24 +178,20 @@ def acm_on_grid(dims: tuple[int, ...], mask: int) -> bool:
     return len(dims) == 1 or next(_witness_pairs(dims, mask, len(dims)), None) is None
 
 
-@functools.lru_cache(maxsize=128)
-def _star_holds(X: PointSet, s: int) -> bool:
-    """The star verdict at level s, cached for the 128 most recent (X, s).
-
-    ``is_acm`` and ``find_path``'s precondition both read it, so they share
-    one ``check_star`` run per (X, s).  Only booleans are stored; an
-    exception from ``check_star`` propagates and is not cached.
-    ``check_star`` is looked up as a module global at each miss, so a
-    wrapper installed on the module sees every call.
-    """
-    return check_star(X, s)[0]
+def _star_verdict(X: PointSet, s: int) -> bool:
+    """The star verdict of X at level s, from one scan of its cell mask
+    per level, kept in ``X.star_levels``.  No ``Witness`` is built."""
+    levels = X.star_levels
+    if s not in levels:
+        levels[s] = next(_witness_pairs(X.dims, X.cell_mask, s), None) is None
+    return levels[s]
 
 
 def is_acm(X: PointSet) -> bool:
-    """ACM verdict: the cached star property at level n (true for n = 1)."""
+    """ACM verdict: the star property at level n (true for n = 1), kept on X."""
     if X.size == 0:
         raise EmptyConfiguration("ACM verdict needs a nonempty configuration")
-    return X.n == 1 or _star_holds(X, X.n)
+    return X.n == 1 or _star_verdict(X, X.n)
 
 
 def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint]:
@@ -201,12 +203,11 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     d(P, Q) <= s and X to satisfy the star property at level s; then a
     chain u_0 = P, ..., u_r = Q with r = d(P, Q), every u_k in X inside
     the box and consecutive Hamming distance 1 is guaranteed to exist.
-    The star precondition is read from the cache behind ``is_acm``
-    (``_star_holds``), so the pairs of one configuration and its ACM
-    verdict share one ``check_star`` run per level; a configuration that
-    fails it raises on every call, even when a chain exists.  The verdict
-    read for a level is kept on X (``PointSet.star_levels``), so later
-    calls at that level look it up without hashing X.
+    The star precondition is the verdict ``is_acm`` reads: one scan of
+    X's cell mask per level, kept on X (``PointSet.star_levels``), so the
+    pairs of one configuration and its ACM verdict share one scan per
+    level, and later calls look it up without hashing X.  A configuration
+    that fails it raises on every call, even when a chain exists.
 
     An endpoint that is one of the very tuples X stores (from
     ``X.points`` or ``X.sorted_points()``) was checked when X was built,
@@ -251,12 +252,8 @@ def find_path(X: PointSet, P: GridPoint, Q: GridPoint, s: int) -> list[GridPoint
     r = len(steps)
     if r > s:
         raise PathPreconditionFailed(f"d(P,Q) = {r} exceeds s = {s}")
-    if r >= 2:
-        holds = X.star_levels.get(s)
-        if holds is None:
-            holds = X.star_levels[s] = _star_holds(X, s)
-        if not holds:
-            raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
+    if r >= 2 and not _star_verdict(X, s):
+        raise PathPreconditionFailed(f"configuration fails the star property at level {s}")
     path = [P]
     at = a
     while steps:

@@ -84,6 +84,20 @@ def subset_configurations(*grids, step=1):
             yield canonicalize([c for b, c in enumerate(cells) if mask >> b & 1])
 
 
+def relabel(X, direction_perm=None, level_perms=None):
+    """X with its directions and the levels within each direction permuted.
+
+    ``direction_perm[k]`` is the old direction whose (level-permuted)
+    coordinate becomes new coordinate ``k+1``.  ``level_perms`` is indexed
+    by old direction; the entry for direction i sends old level j to
+    ``level_perms[i-1][j-1]``.  The permutations are trusted, not checked.
+    """
+    dperm = direction_perm or range(1, X.n + 1)
+    lperms = level_perms or [range(1, r + 1) for r in X.dims]
+    points = frozenset(tuple(lperms[d - 1][p[d - 1] - 1] for d in dperm) for p in X.points)
+    return PointSet(n=X.n, dims=tuple(X.dims[d - 1] for d in dperm), points=points)
+
+
 def cube_sample(seed, count=405):
     """``count`` seeded canonical subsets of the 3x3x3 grid, each size
     1..27 equally often in a seeded order: the draw of the

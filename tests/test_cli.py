@@ -252,6 +252,36 @@ def test_exhaustive_cap_is_checked_before_any_cell_is_built(tmp_path, capsys, mo
     assert not (tmp_path / "x.csv").exists()
 
 
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+from acmpts.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "grid, cells, code",
+    [("30,30,30", 27000, 2), ("5000,5000", 25000000, 2), (",".join(["2"] * 10), 1024, 0)],
+    ids=["30x30x30", "5000x5000", "2^10"],
+)
+def test_random_run_is_capped_at_1024_cells(grid, cells, code):
+    """A random run pays for the star pair table of its grid, about N^3
+    bits for N cells: under an 800 MB address-space limit 30x30x30 ended
+    in a MemoryError and 5000x5000 ran without bound.  Both are refused
+    before any mask is drawn; the 1024 cells of 2^10 still answer."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["enumerate", "--grid", grid, "--random", "1", "--seed", "1", "--out", os.devnull]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert time.perf_counter() - start < 5
+        assert f"random run over {cells} cells exceeds the 1024-cell cap" in proc.stderr
+
+
 ELEVEN_FILE = str(fixture_path("liaison_eleven.json"))
 
 

@@ -21,13 +21,13 @@ from pathlib import Path
 import pytest
 
 import acmpts
-from acmpts import enumeration, relabel
+from acmpts import enumeration
 from acmpts.cli import main
 from acmpts.grid_model import canonicalize
 from acmpts.level_structure import inclusion_property
 from acmpts.reisner_oracle import is_cm
 from acmpts.star_property import is_acm
-from conftest import STAR_BLIND_EIGHT
+from conftest import STAR_BLIND_EIGHT, relabel
 from structure_reference import cross_check_failures
 
 

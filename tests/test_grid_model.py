@@ -5,16 +5,15 @@ import threading
 import pytest
 from hypothesis import given
 
-from acmpts import canonicalize, grid_model, project, relabel
+from acmpts import canonicalize, grid_model, project
 from acmpts.errors import (
     BadDirection,
-    BadPermutation,
     DimensionMismatch,
     EmptyConfiguration,
     InputError,
 )
 from acmpts.grid_model import PointSet, cell_table
-from conftest import ELEVEN_POINTS, cube_sample, grid_configurations, subset_configurations
+from conftest import ELEVEN_POINTS, cube_sample, grid_configurations, relabel, subset_configurations
 
 
 def test_canonicalize_relabels_order_preserving():
@@ -190,31 +189,6 @@ def test_relabel_swap_levels():
     X = canonicalize([(1, 1), (2, 2)])
     Y = relabel(X, level_perms=[[2, 1], [1, 2]])
     assert Y.points == {(2, 1), (1, 2)}
-
-
-def test_relabel_rejects_bad_permutations(six_points):
-    with pytest.raises(BadPermutation):
-        relabel(six_points, direction_perm=[1, 1, 2])
-    with pytest.raises(BadPermutation):
-        relabel(six_points, level_perms=[[1], [1, 2], [1, 2]])
-    with pytest.raises(BadPermutation, match="one level permutation per direction"):
-        relabel(six_points, level_perms=[[1, 2], [1, 2]])
-
-
-@pytest.mark.parametrize(
-    "perms",
-    [
-        {"level_perms": [[2.0, 1], [1, 2]]},
-        {"level_perms": [[2, 1], [True, 2]]},
-        {"direction_perm": [2.0, 1]},
-        {"direction_perm": [True, 2]},
-        {"direction_perm": ["1", 2]},
-    ],
-)
-def test_relabel_rejects_non_integer_entries(perms):
-    X = canonicalize([(1, 1), (2, 2), (1, 2)])
-    with pytest.raises(BadPermutation):
-        relabel(X, **perms)
 
 
 @given(grid_configurations())

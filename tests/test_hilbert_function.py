@@ -13,7 +13,6 @@ from acmpts import (
     hilbert_function,
     hilbert_table,
     linalg,
-    relabel,
 )
 from acmpts.constructions import _layer_pieces, verify_layer_hf
 from acmpts.errors import BadDegree, InputError
@@ -26,6 +25,7 @@ from conftest import (
     STAR_BLIND_EIGHT,
     TWELVE_CHAIN,
     grid_configurations,
+    relabel,
 )
 from test_linalg import reference_rank
 

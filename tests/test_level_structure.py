@@ -10,7 +10,7 @@ from acmpts.level_structure import (
     max_level_size,
     remove_level,
 )
-from conftest import grid_configurations
+from conftest import grid_configurations, relabel
 
 
 def test_level_sizes(six_points, eleven_points):
@@ -161,8 +161,6 @@ def test_inclusion_implies_acm_in_three_directions():
 def test_inclusion_invariant_under_level_relabeling(X):
     if X.n < 2:
         return
-    from acmpts import relabel
-
     Y = relabel(X, None, [list(range(r, 0, -1)) for r in X.dims])
     for i in range(1, X.n + 1):
         assert inclusion_property(X, i) == inclusion_property(Y, i)

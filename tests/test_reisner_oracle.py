@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from acmpts import PointSet, canonicalize, grid_model, is_acm, relabel, reisner_oracle
+from acmpts import PointSet, canonicalize, grid_model, is_acm, reisner_oracle
 from acmpts.errors import (
     EmptyConfiguration,
     FaceNotInComplex,
@@ -39,6 +39,7 @@ from conftest import (
     TWELVE_CHAIN,
     cube_sample,
     grid_configurations,
+    relabel,
     subset_configurations,
 )
 from ideal_reference import configuration_ideal

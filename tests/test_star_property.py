@@ -13,7 +13,6 @@ from acmpts import (
     find_path,
     hamming_distance,
     is_acm,
-    relabel,
     star_property,
 )
 from acmpts.errors import (
@@ -26,7 +25,7 @@ from acmpts.errors import (
 from acmpts.grid_model import PointSet, cell_table, grid_cells, is_point
 from acmpts.reisner_oracle import first_cm_failure
 from acmpts.star_property import TYPE_I, TYPE_II, Witness
-from conftest import STAR_BLIND_EIGHT, cube_sample, grid_configurations, subset_configurations
+from conftest import STAR_BLIND_EIGHT, cube_sample, grid_configurations, relabel, subset_configurations
 
 
 def test_hamming_distance():
@@ -113,6 +112,9 @@ def test_check_star_matches_reference_scan(grids, step, extra):
             assert check_star(X, s, exhaustive=True) == (verdict, witnesses), (X, s)
             assert check_star(X, s) == (verdict, witnesses[:1]), (X, s)
             kinds.update((w.kind, w.s_prime) for w in witnesses)
+        # is_acm decides by the mask scan, not through check_star; the
+        # loop's last verdict is the reference's at level n
+        assert is_acm(canonicalize(X.points)) == verdict, X
     n = max(len(dims) for dims in grids)
     assert kinds == {(kind, d) for kind in (TYPE_I, TYPE_II) for d in range(2, n + 1)}
 
@@ -498,16 +500,16 @@ def test_star_accepts_non_cm_configuration_on_2x2x2x2(star_blind_eight):
         path_is_valid(X, P, Q, find_path(X, P, Q, 4))
 
 
-def test_find_path_without_a_chain_is_an_invariant_violation(monkeypatch):
+def test_find_path_without_a_chain_is_an_invariant_violation():
     """The diagonal pair has no chain; with its failing star verdict
     forced to pass, the search must abort instead of returning a path."""
-    monkeypatch.setattr(star_property, "_star_holds", lambda X, s: True)
+    X = canonicalize([(1, 1), (2, 2)])
+    X.star_levels[2] = True
     with pytest.raises(InternalInvariantViolation, match="no chain"):
-        find_path(canonicalize([(1, 1), (2, 2)]), (1, 1), (2, 2), 2)
+        find_path(X, (1, 1), (2, 2), 2)
 
 
 def test_find_path_non_star_raises_on_every_call():
-    star_property._star_holds.cache_clear()
     bad = canonicalize([(1, 1), (2, 2)])
     for _ in range(2):
         with pytest.raises(PathPreconditionFailed, match="fails the star property at level 2"):
@@ -518,7 +520,6 @@ def test_find_path_non_star_raises_on_every_call():
 def test_find_path_star_verdict_keyed_on_level(six_points, levels):
     """cube_six has the star property at level 2 but not at level 3, so a
     cached verdict must not cross levels, whichever is asked first."""
-    star_property._star_holds.cache_clear()
     P, Q = (1, 1, 2), (1, 2, 1)
     for s in levels:
         if s == 2:
@@ -530,15 +531,15 @@ def test_find_path_star_verdict_keyed_on_level(six_points, levels):
 
 @pytest.fixture
 def star_calls(monkeypatch):
-    """The (X, s) of every ``check_star`` call, starting from an empty cache."""
+    """The (dims, s) of every star scan of a cell mask (``_witness_pairs``)."""
     calls = []
+    scan = star_property._witness_pairs
 
-    def counting(X, s, exhaustive=False):
-        calls.append((X, s))
-        return check_star(X, s, exhaustive)
+    def counting(dims, mask, s):
+        calls.append((dims, s))
+        return scan(dims, mask, s)
 
-    monkeypatch.setattr(star_property, "check_star", counting)
-    star_property._star_holds.cache_clear()
+    monkeypatch.setattr(star_property, "_witness_pairs", counting)
     return calls
 
 
@@ -550,32 +551,40 @@ def test_find_path_checks_star_once_per_level(eleven_points, star_calls):
                 find_path(eleven_points, P, Q, s)
                 chains += 1
     assert chains > 100
-    assert star_calls == [(eleven_points, 2), (eleven_points, 3)]
-
-
-def test_find_path_reads_the_star_memo_once_per_level(monkeypatch, eleven_points):
-    """The verdict read for a level is kept on the configuration, so the
-    chain queries after the first do not look it up in the memo again."""
-    calls = []
-    star_holds = star_property._star_holds
-
-    def counting(X, s):
-        calls.append(s)
-        return star_holds(X, s)
-
-    monkeypatch.setattr(star_property, "_star_holds", counting)
-    for s in (2, 3):
-        for P, Q in itertools.product(eleven_points.sorted_points(), repeat=2):
-            if hamming_distance(P, Q) <= s:
-                find_path(eleven_points, P, Q, s)
-    assert calls == [2, 3]
+    assert star_calls == [(eleven_points.dims, 2), (eleven_points.dims, 3)]
     assert eleven_points.star_levels == {2: True, 3: True}
 
 
 def test_is_acm_and_find_path_share_one_check_star(eleven_points, star_calls):
     assert is_acm(eleven_points)
-    assert star_calls == [(eleven_points, 3)]
+    assert star_calls == [(eleven_points.dims, 3)]
     for P, Q in itertools.combinations(eleven_points.sorted_points(), 2):
         find_path(eleven_points, P, Q, 3)
     assert is_acm(eleven_points)
-    assert star_calls == [(eleven_points, 3)]
+    assert star_calls == [(eleven_points.dims, 3)]
+
+
+def test_is_acm_and_find_path_build_no_witness(monkeypatch):
+    """The verdicts and chains come from the mask scan alone: with
+    ``Witness``, ``combinatorial_box`` and ``check_star`` raising, fresh
+    copies of the seed-42 sample get the same ACM verdicts, and the same
+    chain on every pair of every ACM set."""
+
+    def answers():
+        verdicts, chains = [], []
+        for X in cube_sample(42):
+            verdicts.append(is_acm(X))
+            if verdicts[-1]:
+                pairs = itertools.product(X.sorted_points(), repeat=2)
+                chains += [find_path(X, P, Q, X.n) for P, Q in pairs]
+        return verdicts, chains
+
+    expected = answers()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a witness was built")
+
+    for name in ("Witness", "combinatorial_box", "check_star"):
+        monkeypatch.setattr(star_property, name, forbidden)
+    assert answers() == expected
+    assert sum(expected[0]) > 50 and len(expected[1]) > 10000

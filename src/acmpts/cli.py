@@ -210,8 +210,13 @@ def _render_table(table: HilbertTable, name: str) -> None:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     cfg = load_configuration(args.file)
-    X = cfg.point_set()
     box = _parse_int_list(args.box, "box")
+    # A table holds a value per degree of the box; a negative corner is
+    # left to the library's BadDegree.
+    degrees = math.prod(t + 1 for t in box)
+    if min(box) >= 0 and degrees > 1 << 20:
+        raise InputError(f"box of {degrees} degrees exceeds the 1048576-degree cap")
+    X = cfg.point_set()
     if args.delta:
         _render_table(delta_table(X, box), "delta_h")
     else:

@@ -22,9 +22,8 @@ on the shared uncompressed grid embedding.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     BadDirection,
@@ -36,7 +35,7 @@ from .errors import (
     VanishingConditionViolated,
 )
 from .grid_model import GridPoint, PointSet, canonicalize, check_direction, is_int, is_point
-from .hilbert_function import _box_values, _check_degree
+from .hilbert_function import shifted_sum_identity
 
 
 @dataclass(frozen=True)
@@ -190,25 +189,7 @@ def verify_hf_additivity(
         tuple(raw_levels[i][p[i] - 1] for i in range(input.n)) for p in Z.points
     ]
     terms = [(input.box_points(), (0,) * input.n), *zip(input.summands, input.degree_shifts())]
-    return _shifted_sum_identity(z_raw, terms, T)
-
-
-def _shifted_sum_identity(
-    whole: Iterable[GridPoint],
-    terms: Sequence[tuple[Iterable[GridPoint], Sequence[int]]],
-    T: Sequence[int],
-) -> bool:
-    """Check h_whole(t) = sum of h_points(t - shift) over the (points,
-    shift) terms for all 0 <= t <= T; terms at negative degrees count 0.
-
-    Each side is one list of values over the box in lexicographic order,
-    and each point set gets one walk for the whole check."""
-    T = _check_degree(T)
-    lhs = _box_values(whole, T)
-    rhs = [0] * len(lhs)
-    for points, shift in terms:
-        rhs = list(map(operator.add, rhs, _box_values(points, T, shift)))
-    return lhs == rhs
+    return shifted_sum_identity(z_raw, terms, T)
 
 
 def _layer_pieces(
@@ -239,7 +220,7 @@ def verify_layer_hf(X: PointSet, i: int, T: Sequence[int], fresh: bool = True) -
     with both sides evaluated on the layered configuration's embedding."""
     base, layer = _layer_pieces(X, i, fresh)
     e_i = tuple(int(k == i - 1) for k in range(X.n))
-    return _shifted_sum_identity(base | layer, [(layer, (0,) * X.n), (base, e_i)], T)
+    return shifted_sum_identity(base | layer, [(layer, (0,) * X.n), (base, e_i)], T)
 
 
 def add_layer(X: PointSet, i: int, fresh: bool = True) -> PointSet:

@@ -108,9 +108,10 @@ class PointSet:
     @functools.cached_property
     def star_levels(self) -> dict[int, bool]:
         """The star verdict of this configuration per level, as far as
-        ``star_property.is_acm`` and ``find_path`` have scanned for it:
-        the package's one star memo, so a chain query looks its
-        precondition up here.  Kept on this PointSet, dying with it."""
+        ``star_property.is_acm``, ``find_path`` and ``check_star`` have
+        scanned for it: the package's one star memo, so a chain query
+        looks its precondition up here.  Kept on this PointSet, dying
+        with it."""
         return {}
 
     def sorted_points(self) -> list[GridPoint]:

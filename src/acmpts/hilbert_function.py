@@ -18,8 +18,11 @@ column space, hence the rank, unchanged; this is exact for any distinct
 integer nodes, compressed or not.
 
 Tables and identity checks rank every clamped degree of a box in one
-pass per point set.  The pass evaluates the Newton basis in place of
-the monomials: with x_0 < x_1 < ... the distinct nodes of coordinate i,
+pass per point set.  An identity check (``shifted_sum_identity``)
+compares its sides only on the box clamped to where every term has
+saturated, which has the verdict of the whole box.  The pass evaluates
+the Newton basis in place of the monomials: with x_0 < x_1 < ... the
+distinct nodes of coordinate i,
 N_a(x) = prod_{k<a} (x - x_k) is monic of degree a, so N_0, ..., N_t
 span the same polynomials as 1, x, ..., x^t for every t.  Each degree
 therefore has exactly the column space, and the rank, of its monomial
@@ -234,12 +237,22 @@ def _walk(pts: tuple[GridPoint, ...], caps: MultiDegree) -> list[int]:
     return _newton_walk(pts, nodes, caps)
 
 
+def _distinct(
+    points: Iterable[GridPoint], t: MultiDegree
+) -> tuple[tuple[GridPoint, ...], list[int]]:
+    """The distinct points, sorted and checked against the degree's length
+    (``_nodes``), and the number of distinct values of each coordinate."""
+    pts = tuple(_nodes(points, t))
+    return pts, [len({p[i] for p in pts}) for i in range(len(t))]
+
+
 def _box_values(
-    points: Iterable[GridPoint], box: MultiDegree, shift: Sequence[int] | None = None
+    pts: tuple[GridPoint, ...], counts: Sequence[int], box: MultiDegree,
+    shift: Sequence[int] | None = None,
 ) -> list[int]:
-    """evaluation_rank(points, t - shift) for every degree 0 <= t <= box
+    """evaluation_rank(pts, t - shift) for every degree 0 <= t <= box
     (checked by the caller), in lexicographic order, and 0 where t - shift
-    has a negative entry.
+    has a negative entry; pts and counts are as ``_distinct`` gives them.
 
     The points are walked at caps = min(distinct values - 1, box), so a
     small box never builds more columns than its corner has.  A shifted
@@ -249,11 +262,10 @@ def _box_values(
     """
     if shift is None:
         shift = (0,) * len(box)
-    pts = _nodes(points, box)
     if not pts:
         return [0] * math.prod(Ti + 1 for Ti in box)
-    caps = tuple(min(len({p[i] for p in pts}) - 1, Ti) for i, Ti in enumerate(box))
-    ranks = _walk(tuple(pts), caps)
+    caps = tuple(min(d - 1, Ti) for d, Ti in zip(counts, box))
+    ranks = _walk(pts, caps)
     # Below the shift in any direction, the index sum stays negative.
     below = -len(ranks)
     index = [0]
@@ -263,6 +275,47 @@ def _box_values(
     return [ranks[k] if k >= 0 else 0 for k in index]
 
 
+def shifted_sum_identity(
+    whole: Iterable[GridPoint],
+    terms: Sequence[tuple[Iterable[GridPoint], Sequence[int]]],
+    T: Sequence[int],
+) -> bool:
+    """Check h_whole(t) = sum of h_points(t - shift) over the (points,
+    shift) terms for all 0 <= t <= T; terms at negative degrees count 0.
+
+    Both sides are compared on the box clamped to the corner C where
+    every term has saturated: C_i is T_i, or, when smaller, the largest
+    over the terms, whole included with shift 0, of d_i - 1 + shift_i,
+    where d_i counts the term's distinct values in coordinate i (never
+    below 0).  That is the same verdict.  By the saturation rule (module
+    docstring) h_P(t) = h_P(min(t, d - 1)), so a term's value
+    h_P(t - shift) does not change with t_i once t_i >= d_i - 1 + shift_i:
+    t_i - shift_i is then >= d_i - 1 >= 0, neither negative nor below the
+    saturation point.  Every t of the box with t_i > C_i in some
+    coordinates has, in each of them, C_i < T_i, so C_i is past every
+    term's saturation point, and every term takes the same value at t and
+    at min(t, C), a degree of the clamped box.  So the identity holds on
+    the box exactly when it holds on the clamped box, whose size is set
+    by the points and not by T.  The clamp leaves every walk's caps as
+    they were, so the walks shared with Δ tables are the same.
+
+    Each side is one list of values over the clamped box in
+    lexicographic order; each point set's distinct levels are counted
+    once, and each gets one walk for the whole check."""
+    T = _check_degree(T)
+    sides = [(*_distinct(points, T), shift) for points, shift in [(whole, (0,) * len(T)), *terms]]
+    corner = tuple(
+        min(Ti, max(0, *(counts[i] - 1 + shift[i] for _, counts, shift in sides)))
+        for i, Ti in enumerate(T)
+    )
+    (pts, counts, _), *rest = sides
+    lhs = _box_values(pts, counts, corner)
+    rhs = [0] * len(lhs)
+    for pts, counts, shift in rest:
+        rhs = list(map(operator.add, rhs, _box_values(pts, counts, corner, shift)))
+    return lhs == rhs
+
+
 def _h_values(
     X: PointSet, T: Sequence[int]
 ) -> tuple[MultiDegree, Iterable[MultiDegree], list[int]]:
@@ -270,7 +323,7 @@ def _h_values(
     T = _check_degree(T)
     if len(T) != X.n:
         raise BadDegree(f"box corner {T} has length {len(T)}, expected {X.n}")
-    return T, box_degrees(T), _box_values(X.points, T)
+    return T, box_degrees(T), _box_values(*_distinct(X.points, T), T)
 
 
 def hilbert_table(X: PointSet, T: Sequence[int]) -> HilbertTable:

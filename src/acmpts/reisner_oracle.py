@@ -60,7 +60,9 @@ are those of its canonical form with the levels renumbered, so
 ``cm_on_grid`` decides any subset of a grid, and ``acmpts enumerate``
 asks it about subsets of its run's grid with no PointSet.  ``is_cm`` is
 ``cm_on_grid`` on X's own mask, after the full grids and the grids of
-too few levels, answered from the point counts.
+too few levels, answered from the point counts by the test that
+``_vertex_links`` applies to every Y (``_cm_on_counts``), so a large
+full grid builds no cell mask.
 
 Every verdict goes into one process-wide memo, by grid shape and then by
 mask (``_verdicts``).  The subsets of one grid share their
@@ -108,14 +110,15 @@ share one reduction, within one configuration and across
 configurations: one memo (``_class_betti``, the 4096 most recent
 classes) serves every ``is_cm`` and ``cm_obstruction`` call in the
 process.  After ``is_cm`` has decided the seed-42 sample, the walks of
-``first_cm_failure`` on its 349 non-CM sets find the box of 2652 masks
-(of 396 again, to list their links when popped), push 2458 of them and
-key 745 links (349 whole complexes and 396 others), which add 674
-classes.  The element matchings (below) leave critical cells of one
-size in all but 23 of those classes; the 23 leave two sizes, and their
-Morse differentials are 23 matrices of at most 3 rows and 2 columns (19
-of 31 entries nonzero), the same as when every set was walked.  The
-README refers here for these counts.
+``first_cm_failure`` on its 349 non-CM sets find the box of 2652 masks,
+each once (a heap entry keeps its level slabs, so a popped Y forms its
+links without being sized again), push 2458 of them and key 745 links
+(349 whole complexes and 396 others), which add 674 classes.  The
+element matchings (below) leave critical cells of one size in all but
+23 of those classes; the 23 leave two sizes, and their Morse
+differentials are 23 matrices of at most 3 rows and 2 columns (19 of 31
+entries nonzero), the same as when every set was walked.  The README
+refers here for these counts.
 
 Points on a line are a full grid (the complex is a simplex boundary), as
 is the full 3x3x3 grid: no reduction at all.  The scan order and the
@@ -546,27 +549,13 @@ def _class_betti(key: tuple[int, ...]) -> tuple[int, ...]:
     return _reduced_betti(key)
 
 
-def _low_degree(betti: Sequence[int]) -> tuple[int, int] | None:
-    """The lowest degree below the top with a nonzero reduced Betti
-    number, and that number; None when homology sits in the top degree."""
-    for i, r in enumerate(betti[:-1], start=-1):
-        if r:
-            return i, r
-    return None
-
-
-def _failure(facets: Sequence[int]) -> tuple[int, int] | None:
-    """The lowest degree below the top where the complex with these facet
-    masks has reduced homology, and its rank, from its class's memo."""
-    return _low_degree(_class_betti(_renumbered(facets)))
-
-
-def _passes_on_counts(X: PointSet) -> bool:
-    """Whether the point counts alone show that the complex satisfies
-    Reisner's criterion: its facets have at most one vertex, so every link
-    has dimension <= 0, or X is the full grid, whose complex and every link
-    in it are spheres (module docstring)."""
-    return sum(X.dims) - X.n < 2 or X.size == math.prod(X.dims)
+def _cm_on_counts(sizes: Sequence[int], points: int) -> bool:
+    """Whether level counts and a point count alone show a configuration
+    Cohen-Macaulay: fewer than n + 2 levels in all, so every link has
+    dimension <= 0, or as many points as the box of those levels has
+    cells, a full grid, whose complex and every link in it are spheres
+    (module docstring)."""
+    return sum(sizes) < len(sizes) + 2 or points == math.prod(sizes)
 
 
 def cm_obstruction(X: PointSet) -> tuple[Face, int, int] | None:
@@ -599,26 +588,28 @@ def _first_failure(X: PointSet) -> tuple[Face, int, int] | None:
     variables outside its box, and pushes each Y without one of its
     levels that was not pushed before; a Y that fills its box or whose box
     has fewer than n + 2 levels is not pushed (``_vertex_links``), since
-    it and every Y below it pass (module docstring).  An entry holds Y and
-    its box's variables, and Y's links are listed again when it is popped,
-    so the heap holds one mask per entry, not one per link."""
+    it and every Y below it pass (module docstring).  An entry holds Y,
+    its box's variables and the level slabs of its vertex links, the
+    shared ``grid_model.level_masks`` ints, so Y is sized once, when it is
+    pushed, and its links are formed only when it is popped: the heap
+    holds one mask per entry, not one per link."""
     grid = _grid(X.dims)
-    heap: list[tuple[int, int, int]] = []
+    heap: list[tuple[int, int, int, list[int]]] = []
     seen = set()
 
     def push(mask: int) -> None:
         seen.add(mask)
-        split = _vertex_links(grid, mask)
-        if split:
-            heappush(heap, (-split[0].bit_count(), split[0], mask))
+        box = _vertex_links(grid, mask)
+        if box:
+            heappush(heap, (-box[0].bit_count(), box[0], mask, box[1]))
 
     push(X.cell_mask)
     while heap:
-        _, kept, mask = heappop(heap)
+        _, kept, mask, slabs = heappop(heap)
         failure = _whole_complex_failure(grid, mask, kept)
         if failure:
             return (_vertex_set(grid_variables(X.dims), grid.full ^ kept), *failure)
-        for y in _vertex_links(grid, mask)[1]:
+        for y in (mask & ~slab for slab in slabs):
             if y not in seen:
                 push(y)
     return None
@@ -627,12 +618,11 @@ def _first_failure(X: PointSet) -> tuple[Face, int, int] | None:
 class _Grid(NamedTuple):
     """What ``is_cm`` and the walk read of a grid shape: per direction,
     each level as (its cell mask, with bit k for cell k of
-    ``grid_model.cell_table``; the bit of its variable a[i,j]); each
-    direction's index stride; the mask of every vertex position; and the
-    facet masks of the cells that a reduction has needed so far, filled
-    on demand."""
+    ``grid_model.cell_table``, the slab that ``_vertex_links`` hands out;
+    the bit of its variable a[i,j]); each direction's index stride; the
+    mask of every vertex position; and the facet masks of the cells that
+    a reduction has needed so far, filled on demand."""
 
-    dims: tuple[int, ...]
     levels: tuple[tuple[tuple[int, int], ...], ...]
     strides: tuple[int, ...]
     full: int
@@ -647,7 +637,7 @@ def _grid(dims: tuple[int, ...]) -> _Grid:
     total = sum(dims)
     bit = iter(_vertex_bits(range(total)).values())  # a[i,j] in grid_variables order
     levels = tuple(tuple((mask, next(bit)) for mask in masks) for masks in level_masks(dims))
-    return _Grid(dims, levels, cell_strides(dims), (1 << total) - 1, {})
+    return _Grid(levels, cell_strides(dims), (1 << total) - 1, {})
 
 
 def _cell_facet(grid: _Grid, k: int) -> int:
@@ -659,31 +649,30 @@ def _cell_facet(grid: _Grid, k: int) -> int:
 
 
 def _vertex_links(grid: _Grid, mask: int) -> tuple[int, list[int]] | None:
-    """The sub-configuration Y with cell mask ``mask``: None when Y fills
-    its smallest box or that box has fewer than n + 2 levels, so that Y is
-    Cohen-Macaulay (module docstring); otherwise the bits of its box's
-    variables and its vertex links, each Y without one of its levels, in
-    each direction where Y has two or more."""
+    """The box of the sub-configuration Y with cell mask ``mask``: None
+    when its level counts and point count show Y Cohen-Macaulay
+    (``_cm_on_counts``); otherwise the bits of its box's variables and the
+    level slabs, the shared ``grid_model.level_masks`` ints, of each
+    direction where Y has two or more levels.  Y's vertex links are
+    ``mask & ~slab``, each Y without one of those levels."""
     used = [[level for level in levels if mask & level[0]] for levels in grid.levels]
-    sizes = list(map(len, used))
-    if sum(sizes) < len(sizes) + 2 or mask.bit_count() == math.prod(sizes):
+    if _cm_on_counts(list(map(len, used)), mask.bit_count()):
         return None
     kept = sum(b for levels in used for _, b in levels)
-    return kept, [mask & ~slab for levels in used if len(levels) > 1 for slab, _ in levels]
+    return kept, [slab for levels in used if len(levels) > 1 for slab, _ in levels]
 
 
 def _whole_complex_failure(grid: _Grid, mask: int, kept: int) -> tuple[int, int] | None:
-    """Reisner's condition on the empty face of Y's complex, as
-    ``_failure`` reports it: its facets are those of Y's cells on the
-    variables of its box ``kept`` (a facet is never 0: a grid with as many
-    variables as directions passes on counts)."""
+    """Reisner's condition on the empty face of Y's complex: the lowest
+    degree below the top where it has reduced homology, and the rank
+    there, from its link class's memo; None when it passes.  Its facets
+    are those of Y's cells on the variables of its box ``kept`` (a facet
+    is never 0: a grid with as many variables as directions passes on
+    counts)."""
     known = grid.facets.get
-    return _failure([(known(k) or _cell_facet(grid, k)) & kept for k in _bits(mask)])
-
-
-def _whole_complex_passes(grid: _Grid, mask: int, kept: int) -> bool:
-    """The last step of ``is_cm``'s route: Y's whole complex passes."""
-    return _whole_complex_failure(grid, mask, kept) is None
+    facets = [(known(k) or _cell_facet(grid, k)) & kept for k in _bits(mask)]
+    betti = _class_betti(_renumbered(facets))
+    return next(((i, r) for i, r in enumerate(betti[:-1], start=-1) if r), None)
 
 
 VERDICT_BOUND = 1 << 15  # most verdicts kept from earlier is_cm calls
@@ -698,9 +687,10 @@ def _steps(grid: _Grid, mask: int, verdicts: Verdicts) -> Generator[int, bool, b
     store the verdict, which is also the generator's return value.  A
     link already known not to be Cohen-Macaulay answers at once."""
     verdict = True
-    split = _vertex_links(grid, mask)
-    if split:
-        kept, links = split
+    box = _vertex_links(grid, mask)
+    if box:
+        kept, slabs = box
+        links = [mask & ~slab for slab in slabs]
         if False in map(verdicts.get, links):
             verdict = False
         else:
@@ -709,7 +699,7 @@ def _steps(grid: _Grid, mask: int, verdicts: Verdicts) -> Generator[int, bool, b
                     verdict = False
                     break
             else:
-                verdict = _whole_complex_passes(grid, mask, kept)
+                verdict = _whole_complex_failure(grid, mask, kept) is None
     verdicts[mask] = verdict
     return verdict
 
@@ -758,5 +748,5 @@ def is_cm(X: PointSet) -> bool:
     """
     if not X.points:
         raise EmptyConfiguration("Reisner oracle needs a nonempty configuration")
-    return _passes_on_counts(X) or cm_on_grid(X.dims, X.cell_mask)
+    return _cm_on_counts(X.dims, X.size) or cm_on_grid(X.dims, X.cell_mask)
 

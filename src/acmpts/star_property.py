@@ -34,8 +34,9 @@ k = 12.
 ``is_acm`` and the star precondition of ``find_path`` read the verdict
 of that scan, run once per level and kept on X
 (``PointSet.star_levels``), the package's one star memo.  They build no
-``Witness``: ``check_star`` reports witnesses, for ``acmpts check`` and
-the tests.
+``Witness``.  ``check_star`` reports witnesses, for ``acmpts check`` and
+the tests, and writes its verdict to the same memo, so an ``is_acm``
+after it at level n does not scan again.
 
 The scan needs no canonical form.  A witness touches only levels that X
 uses: for type i, P and Q lie in X; for type ii, in each direction where
@@ -153,7 +154,9 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
     the corners' coordinates are automatically levels of X.  Pairs are
     scanned in lexicographic order, so the first witness reported is the
     lexicographically least one; with ``exhaustive`` every witness is
-    collected.
+    collected.  The verdict is kept in ``X.star_levels``, the memo that
+    ``is_acm`` and ``find_path`` read, so ``acmpts check`` scans each
+    level once.
     """
     if X.size == 0:
         raise EmptyConfiguration("star property needs a nonempty configuration")
@@ -166,6 +169,7 @@ def check_star(X: PointSet, s: int, exhaustive: bool = False) -> tuple[bool, lis
         witnesses.append(Witness(TYPE_I if p_in else TYPE_II, P, Q, d, combinatorial_box(P, Q)))
         if not exhaustive:
             break
+    X.star_levels[s] = not witnesses
     return not witnesses, witnesses
 
 

@@ -282,6 +282,62 @@ def test_random_run_is_capped_at_1024_cells(grid, cells, code):
         assert f"random run over {cells} cells exceeds the 1024-cell cap" in proc.stderr
 
 
+def run_limited(argv):
+    """``acmpts`` with these arguments in a child process that caps its own
+    address space at 800 MB: (exit code, stdout, stderr, wall seconds)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *map(str, argv)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("box, code", [("10000,10000", 2), ("1000,1000", 0)])
+def test_hilbert_box_is_capped_at_2_to_the_20_degrees(tmp_path, box, code):
+    """A table holds one value per degree: on two points a 10000x10000 box
+    ended in a MemoryError after about 5 s under a 1.5 GB limit.  It is
+    refused before any work; 1000x1000 (1002001 degrees) still answers."""
+    path = write_config(tmp_path, "two.json", 2, [(1, 1), (2, 2)])
+    returncode, out, err, elapsed = run_limited(["hilbert", path, "--box", box])
+    assert returncode == code, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert elapsed < 1
+        assert out == ""
+        assert "box of 100020001 degrees exceeds the 1048576-degree cap" in err
+
+
+def one_point_liaison(n):
+    """n one-point summands, summand k all 1s with a 2 in coordinate k, and
+    every support [1]: the default box is (n,)^n."""
+    summands = [[[2 if i == k else 1 for i in range(n)]] for k in range(n)]
+    return {"mode": "liaison", "summands": summands, "supports": [[1]] * n}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        one_point_liaison(9),
+        one_point_liaison(8),
+        {"mode": "layer", "points": [[1, 1]], "direction": 1, "fresh": True,
+         "box": [10000, 10000]},
+    ],
+    ids=["liaison-9-directions", "liaison-8-directions", "layer-box-10000x10000"],
+)
+def test_construct_identity_checks_answer_on_large_boxes(tmp_path, config):
+    """The Hilbert identity of ``construct`` is compared on the box clamped
+    to where every term has saturated, so these answer in small memory;
+    walking the whole box, the first and last ended in a MemoryError under
+    a 1.5 GB limit and the second took 39 s and 1.3 GB."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    returncode, out, err, elapsed = run_limited(["construct", path])
+    assert returncode == 0, err
+    assert "hf additivity: verified" in out
+    assert elapsed < 5
+
+
 ELEVEN_FILE = str(fixture_path("liaison_eleven.json"))
 
 

@@ -309,7 +309,13 @@ def unclamped_identity(whole, terms, T):
 
 
 def test_shifted_sum_identity_matches_unclamped_loop(monkeypatch, six_points, eleven_points):
-    original = constructions._shifted_sum_identity
+    """The identity compared on the box clamped to where every term has
+    saturated gives the verdict of one evaluation_rank per degree of the
+    whole box: on the liaison inputs (the bundled example among them, at
+    its default box, its bundled box (3,3,3) and (4,4,4)) with their own
+    Z, and with a wrong Z, which must fail, and on layers, the bundled
+    example at its default box included."""
+    original = constructions.shifted_sum_identity
     verdicts = []
 
     def compared(whole, terms, T):
@@ -319,16 +325,17 @@ def test_shifted_sum_identity_matches_unclamped_loop(monkeypatch, six_points, el
         verdicts.append(got)
         return got
 
-    monkeypatch.setattr(constructions, "_shifted_sum_identity", compared)
+    monkeypatch.setattr(constructions, "shifted_sum_identity", compared)
     for inp in (eleven_input(), pair_input(), gapped_input()):
         Z = liaison_addition(inp).point_set
         for W in (Z, canonicalize(sorted(Z.points)[1:])):
-            for T in (None, (4,) * inp.n):
-                verify_hf_additivity(inp, W, T)
+            for T in (None, (3,) * inp.n, (4,) * inp.n):
+                assert verify_hf_additivity(inp, W, T) is (W is Z)
     cells = sorted(itertools.product((1, 2), repeat=3))
     configs = [six_points, eleven_points, canonicalize([(1, 1), (3, 2), (3, 1)])]
     configs += [canonicalize(cells[start::3]) for start in range(3)]
     for X in configs:
         for i in range(1, X.n + 1):
             assert verify_layer_hf(X, i, (3,) * X.n, fresh=False)
+    assert verify_layer_hf(canonicalize([(1, 1)]), 1, (2, 2))
     assert True in verdicts and False in verdicts

@@ -251,12 +251,17 @@ def test_saturated_table_matches_per_degree_rank(grid, T):
         assert ht.values == {t: evaluation_rank(X.points, t) for t in ht.values}
 
 
+def box_values(points, box):
+    """``_box_values`` on raw points, distinct and counted by ``_distinct``."""
+    return hilbert_function._box_values(*hilbert_function._distinct(points, box), box)
+
+
 def test_saturated_ranker_on_raw_nodes_with_gaps():
     nodes = [(1, 3, 4, 9), (2, 5, 6), (1, 7)]
     cells = list(itertools.product(*nodes))
     for k in range(1, len(cells) + 1, 5):
         points = cells[::k]
-        values = hilbert_function._box_values(points, (4, 3, 2))
+        values = box_values(points, (4, 3, 2))
         degrees = itertools.product(range(5), range(4), range(3))
         for t, value in zip(degrees, values, strict=True):
             assert value == evaluation_rank(points, t)
@@ -287,7 +292,7 @@ def random_raw_points(rng, n):
 def assert_box_values_match_evaluation_rank(points, box):
     """The walk against independent per-degree ranks on monomials, at
     every degree of the box."""
-    values = hilbert_function._box_values(points, box)
+    values = box_values(points, box)
     for t, value in zip(hilbert_function.box_degrees(box), values, strict=True):
         assert value == evaluation_rank(points, t), (points, t)
 
@@ -324,7 +329,7 @@ def test_walk_widens_on_newton_entries_above_2_to_the_32(monkeypatch, n):
         hilbert_function._walk.cache_clear()
         widths.clear()
         monkeypatch.setattr(linalg, "pack", recording)
-        values = hilbert_function._box_values(points, box)
+        values = box_values(points, box)
         monkeypatch.setattr(linalg, "pack", pack)
         assert min(widths) > linalg.WIDTH
         for t, value in zip(hilbert_function.box_degrees(box), values, strict=True):
@@ -340,7 +345,7 @@ def test_ranker_matches_fraction_elimination_on_monomials(n):
     for _ in range(30):
         points = random_raw_points(rng, n)
         box = [rng.randint(0, 5 - n) for _ in range(n)]
-        values = hilbert_function._box_values(points, box)
+        values = box_values(points, box)
         pts = sorted(set(points))
         for t, value in zip(hilbert_function.box_degrees(box), values, strict=True):
             assert value == reference_rank(hilbert_function._evaluation_rows(pts, t)), (points, t)
@@ -374,10 +379,10 @@ def test_walk_memo_serves_a_second_box_on_the_same_points(first, second):
     # on its own key; both answers match a cold walk and the per-degree
     # reference.
     hilbert_function._walk.cache_clear()
-    cold = hilbert_function._box_values(GAPPED, second)
+    cold = box_values(GAPPED, second)
     hilbert_function._walk.cache_clear()
-    hilbert_function._box_values(GAPPED, first)
-    assert hilbert_function._box_values(GAPPED, second) == cold
+    box_values(GAPPED, first)
+    assert box_values(GAPPED, second) == cold
     assert_box_values_match_evaluation_rank(GAPPED, second)
     assert_box_values_match_evaluation_rank(GAPPED, first)
 
@@ -414,7 +419,7 @@ def test_walk_memo_does_not_keep_a_failed_walk(monkeypatch):
 
     monkeypatch.setattr(hilbert_function, "echelon_insert", failing)
     with pytest.raises(RuntimeError, match="interrupted"):
-        hilbert_function._box_values(GAPPED, (3, 2, 1))
+        box_values(GAPPED, (3, 2, 1))
     monkeypatch.undo()
     assert_box_values_match_evaluation_rank(GAPPED, (3, 2, 1))
 
@@ -430,7 +435,7 @@ def test_walk_memo_under_concurrent_requests():
     def worker(offset):
         for k in range(40):
             box = boxes[(k + offset) % len(boxes)]
-            got = hilbert_function._box_values(GAPPED, box)
+            got = box_values(GAPPED, box)
             if got != expected[box]:
                 wrong.append(box)
             if k % 7 == offset:

@@ -505,6 +505,38 @@ def test_walk_pushes_each_sub_configuration_once_and_no_full_grid(monkeypatch):
         assert all(y.bit_count() < volume for y, volume in zip(pushed, boxes))
 
 
+def test_walk_sizes_each_mask_once_and_keeps_only_level_slabs(monkeypatch):
+    """The walk sizes each mask it meets once (``_vertex_links``), when it
+    pushes it: a heap entry keeps the level slabs of its vertex links, so a
+    popped mask is not sized again, and the heap holds no link masks, only
+    the shared ``grid_model.level_masks`` ints, on every set of the seed-42
+    sample, CM or not."""
+    sized, entries = [], []
+    vertex_links, push = reisner_oracle._vertex_links, reisner_oracle.heappush
+
+    def sizing(grid, mask):
+        sized.append(mask)
+        return vertex_links(grid, mask)
+
+    def recording(heap, entry):
+        entries.append(entry)
+        push(heap, entry)
+
+    monkeypatch.setattr(reisner_oracle, "_vertex_links", sizing)
+    monkeypatch.setattr(reisner_oracle, "heappush", recording)
+    walked = 0
+    for X in cube_sample(42):
+        sized.clear()
+        entries.clear()
+        reisner_oracle._first_failure(X)
+        slabs = {m for masks in grid_model.level_masks(X.dims) for m in masks}
+        assert len(sized) == len(set(sized)) and sized[0] == X.cell_mask, X
+        assert {entry[2] for entry in entries} <= set(sized)
+        assert all(set(entry[3]) <= slabs for entry in entries)
+        walked += len(entries) > 1
+    assert walked > 100
+
+
 def boxes_to_reduce(X):
     """Each X n B, B a box of the grid, whose link the scan must reduce:
     B is the smallest box around it (else a cone), it is not all of B
@@ -972,9 +1004,10 @@ def walked_sets():
     every 97th subset of 4x4 and 2x2x2x2 and both seeded 3x3x3 benchmark
     samples.  It is computed before any mutation below is applied, so each
     first failure is the unmutated walk's.  The walk shares
-    ``_vertex_links`` with ``is_cm``, so a mutation there moves both
-    (``test_shared_helper_mutation_fails_the_memo_free_check``); it does
-    not read ``_whole_complex_passes``."""
+    ``_vertex_links`` and ``_whole_complex_failure`` with ``is_cm``, so a
+    mutation there moves both
+    (``test_shared_helper_mutation_fails_the_memo_free_check``); these
+    unmutated first failures are what a mutated ``is_cm`` is held to."""
     fixtures = [SIX_POINTS, ELEVEN_POINTS, ELEVEN_MOVED, TWELVE_CHAIN, STAR_BLIND_EIGHT]
     configs = dict.fromkeys([
         *map(canonicalize, fixtures),
@@ -1002,9 +1035,9 @@ def test_is_cm_is_the_walk_finding_no_failure(monkeypatch, walked_sets):
     assert sum(failure is None for _, failure in walked_sets) == 951  # CM sets among them
 
 
-def always_passes(whole_complex_passes):
+def never_fails(whole_complex_failure):
     """Every whole complex passes: the route checks vertex links only."""
-    return lambda grid, mask, kept: True
+    return lambda grid, mask, kept: None
 
 
 def no_links(vertex_links):
@@ -1019,7 +1052,7 @@ def no_links(vertex_links):
 
 @pytest.mark.parametrize(
     "helper, mutation",
-    [("_whole_complex_passes", always_passes), ("_vertex_links", no_links)],
+    [("_whole_complex_failure", never_fails), ("_vertex_links", no_links)],
     ids=["no-whole-complex-step", "no-vertex-link-step"],
 )
 def test_route_mutations_fail_the_differential_check(
@@ -1027,16 +1060,17 @@ def test_route_mutations_fail_the_differential_check(
 ):
     """Each step of the route is needed.  Without the whole-complex step,
     ``star_blind_eight`` is accepted: its eight vertex links are all CM,
-    and its whole complex fails in degree 1.  Without the vertex-link
+    and the unmutated walk finds its whole complex failing in degree 1.
+    Without the vertex-link
     step, only the whole complex is checked, which accepts sets that fail
     at a larger face."""
     monkeypatch.setattr(reisner_oracle, helper, mutation(getattr(reisner_oracle, helper)))
     monkeypatch.setattr(reisner_oracle, "_verdicts", {})
     missed = is_cm_mismatches(walked_sets)
     assert missed
-    if helper == "_whole_complex_passes":
+    if helper == "_whole_complex_failure":
         assert star_blind_eight in missed
-        assert reisner_oracle._first_failure(star_blind_eight) == (frozenset(), 1, 1)
+        assert dict(walked_sets)[star_blind_eight] == (frozenset(), 1, 1)
 
 
 def small_box_at_n_plus_two(vertex_links):
@@ -1089,18 +1123,18 @@ def test_a_low_memo_bound_still_decides_each_sub_configuration_once(monkeypatch,
     at the full bound."""
     X = canonicalize(points)
     decided, failures = [], []
-    vertex_links, failure = reisner_oracle._vertex_links, reisner_oracle._failure
+    vertex_links, failure = reisner_oracle._vertex_links, reisner_oracle._whole_complex_failure
 
     def deciding(grid, mask):
         decided.append(mask)
         return vertex_links(grid, mask)
 
-    def reducing(facets):
-        failures.append(facets)
-        return failure(facets)
+    def reducing(grid, mask, kept):
+        failures.append(mask)
+        return failure(grid, mask, kept)
 
     monkeypatch.setattr(reisner_oracle, "_vertex_links", deciding)
-    monkeypatch.setattr(reisner_oracle, "_failure", reducing)
+    monkeypatch.setattr(reisner_oracle, "_whole_complex_failure", reducing)
     monkeypatch.setattr(reisner_oracle, "_verdicts", {})
     runs = []
     for bound in (reisner_oracle.VERDICT_BOUND, 8):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from acmpts import (
     canonicalize,
+    fixture_path,
     grid_model,
     check_star,
     combinatorial_box,
@@ -15,6 +16,7 @@ from acmpts import (
     is_acm,
     star_property,
 )
+from acmpts.cli import load_configuration, main
 from acmpts.errors import (
     BadLevel,
     DimensionMismatch,
@@ -562,6 +564,17 @@ def test_is_acm_and_find_path_share_one_check_star(eleven_points, star_calls):
         find_path(eleven_points, P, Q, 3)
     assert is_acm(eleven_points)
     assert star_calls == [(eleven_points.dims, 3)]
+
+
+def test_check_command_scans_each_star_level_once(star_calls, capsys):
+    """``acmpts check`` reports the witness of each level from
+    ``check_star`` and then the ACM verdict, which reads the level-n
+    verdict ``check_star`` kept instead of scanning again."""
+    path = fixture_path("cube_six.json")
+    assert main(["check", str(path)]) == 0
+    assert "ACM: false" in capsys.readouterr().out
+    dims = canonicalize(load_configuration(path).points).dims
+    assert star_calls == [(dims, 2), (dims, 3)]
 
 
 def test_is_acm_and_find_path_build_no_witness(monkeypatch):
